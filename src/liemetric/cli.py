@@ -40,7 +40,7 @@ from .errors import (
 )
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
 from .lie import LieAlgebra, structure_report, validate_jacobi
-from .linalg import SymmetricForm, Tolerance, signature
+from .linalg import SymmetricForm, Tolerance, finite_number, signature
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -69,6 +69,15 @@ def _emit(obj, out: str | None):
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit_with_sidecar(m: MetricLieAlgebra, sidecar: dict, out: str | None):
+    """Write the algebra file and ``<out>.sidecar.json``, or print both as one object."""
+    if out:
+        _emit(algebra_to_dict(m), out)
+        _emit(sidecar, out + ".sidecar.json")
+    else:
+        _emit({"algebra": algebra_to_dict(m), "sidecar": sidecar}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +120,10 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
                 raise ParseError(f"{where}: coefficient index {key!r} is not an integer") from None
             if not (0 <= k < dim):
                 raise ParseError(f"{where}: coefficient index {k} out of range")
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ParseError(f"{where}: coefficient value for index {k} must be a number")
-            coeffs[k] = float(val)
+            x = finite_number(val)
+            if x is None:
+                raise ParseError(f"{where}: coefficient value for index {k} must be a finite number, got {val!r}")
+            coeffs[k] = x
         structure[(i, j)] = coeffs
 
     metric = doc.get("metric")
@@ -121,10 +131,12 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
         raise ParseError(f"{path}: field 'metric' is required")
     try:
         gram = np.asarray(metric, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: metric is not a numeric matrix: {exc}") from exc
     if gram.shape != (dim, dim):
         raise ParseError(f"{path}: metric must be {dim}x{dim}, got shape {gram.shape}")
+    if not np.all(np.isfinite(gram)):
+        raise ParseError(f"{path}: field 'metric' must hold finite numbers")
 
     names = doc.get("basis_names")
     if names is not None and (not isinstance(names, list) or len(names) != dim):
@@ -145,8 +157,7 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
 
 def algebra_to_dict(m: MetricLieAlgebra) -> dict:
     brackets = []
-    for (i, j) in sorted(m.algebra.structure):
-        vec = m.algebra.structure[(i, j)]
+    for (i, j), vec in m.algebra.structure.items():
         coeffs = {str(k): float(vec[k]) for k in range(m.dim) if vec[k] != 0.0}
         if coeffs:
             brackets.append({"i": i, "j": j, "coeffs": coeffs})
@@ -305,8 +316,10 @@ def _load_extension_data(path, dim: int):
         d = np.asarray(doc.get("D", np.zeros((dim, dim))), dtype=float)
         k = np.asarray(doc.get("K", np.zeros((dim, dim))), dtype=float)
         lvec = np.asarray(doc.get("L", np.zeros(dim)), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: D, K, L must be numeric arrays: {exc}") from exc
+    if not all(np.all(np.isfinite(a)) for a in (d, k, lvec)):
+        raise ParseError(f"{path}: D, K, L must hold finite numbers")
     return d, k, lvec
 
 
@@ -329,11 +342,7 @@ def _cmd_double_extend(args, tol: Tolerance) -> int:
         "conditions_verdict": cond.ok,
         "extension_ricci_parallel": par.ok,
     }
-    if args.out:
-        _emit(algebra_to_dict(ext), args.out)
-        _emit(sidecar, args.out + ".sidecar.json")
-    else:
-        _emit({"algebra": algebra_to_dict(ext), "sidecar": sidecar}, None)
+    _emit_with_sidecar(ext, sidecar, args.out)
     return EXIT_OK
 
 
@@ -352,11 +361,7 @@ def _cmd_complexify(args, tol: Tolerance) -> int:
     else:
         m, j = complexify(base)
         sidecar = {"J": _matrix(j)}
-    if args.out:
-        _emit(algebra_to_dict(m), args.out)
-        _emit(sidecar, args.out + ".sidecar.json")
-    else:
-        _emit({"algebra": algebra_to_dict(m), "sidecar": sidecar}, None)
+    _emit_with_sidecar(m, sidecar, args.out)
     return EXIT_OK
 
 
@@ -370,11 +375,7 @@ def _cmd_decompose(args, tol: Tolerance) -> int:
         "basis": _matrix(dec.basis),
         "residuals": {k: float(v) for k, v in dec.residuals.items()},
     }
-    if args.out:
-        _emit(algebra_to_dict(dec.spec.base), args.out)
-        _emit(sidecar, args.out + ".sidecar.json")
-    else:
-        _emit({"algebra": algebra_to_dict(dec.spec.base), "sidecar": sidecar}, None)
+    _emit_with_sidecar(dec.spec.base, sidecar, args.out)
     return EXIT_OK
 
 

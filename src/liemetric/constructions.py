@@ -31,6 +31,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
+    finite_number,
     metric_adjoint,
     operator_residual,
 )
@@ -131,33 +132,19 @@ def double_extension(spec: DoubleExtensionSpec, tol: Tolerance = DEFAULT_TOL) ->
             )
 
     base = spec.base
-    n = base.dim
-    dim = n + 2
-    g0, c0 = base.gram, base.algebra.tensor
-    gl = g0 @ spec.L
+    dim = base.dim + 2
+    g0 = base.gram
 
-    structure = {}
-    for a in range(n):
-        vec = np.zeros(dim)
-        vec[2:] = spec.D[:, a]
-        vec[1] = gl[a]
-        if np.any(vec != 0.0):
-            structure[(0, 2 + a)] = vec
-    kpair = spec.K.T @ g0  # kpair[a, b] = <K e_a, e_b>_0
-    for a in range(n):
-        for b in range(a + 1, n):
-            vec = np.zeros(dim)
-            vec[2:] = c0[a, b]
-            vec[1] = kpair[a, b]
-            if np.any(vec != 0.0):
-                structure[(2 + a, 2 + b)] = vec
+    t = np.zeros((dim, dim, dim))
+    t[0, 2:, 2:] = spec.D.T          # [u, e_a] = D e_a + <L, e_a>_0 v
+    t[0, 2:, 1] = g0 @ spec.L
+    t[2:, 2:, 2:] = base.algebra.tensor
+    t[2:, 2:, 1] = spec.K.T @ g0     # <K e_a, e_b>_0 v
 
     gram = np.zeros((dim, dim))
     gram[0, 1] = gram[1, 0] = 1.0
     gram[2:, 2:] = g0
-
-    algebra = LieAlgebra(dim, structure).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
+    return _metric_algebra(t, gram, tol)
 
 
 @dataclass(frozen=True)
@@ -251,24 +238,10 @@ def complexify(base: MetricLieAlgebra):
     n = base.dim
     dim = 2 * n
     c0 = base.algebra.tensor
-    structure = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.any(c0[a, b] != 0.0):
-                real = np.zeros(dim)
-                real[:n] = c0[a, b]
-                structure[(a, b)] = real
-                neg = np.zeros(dim)
-                neg[:n] = -c0[a, b]  # [i e_a, i e_b] = -[e_a, e_b]
-                structure[(n + a, n + b)] = neg
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if np.any(c0[a, b] != 0.0):
-                vec = np.zeros(dim)
-                vec[n:] = c0[a, b]  # [e_a, i e_b] = i [e_a, e_b]
-                structure[(a, n + b)] = vec
+    t = np.zeros((dim, dim, dim))
+    t[:n, :n, :n] = c0
+    t[n:, n:, :n] = -c0  # [i e_a, i e_b] = -[e_a, e_b]
+    t[:n, n:, n:] = c0   # [e_a, i e_b] = i [e_a, e_b]
 
     gram = np.zeros((dim, dim))
     gram[:n, :n] = base.gram
@@ -278,8 +251,7 @@ def complexify(base: MetricLieAlgebra):
     j[:n, n:] = -np.eye(n)
     j[n:, :n] = np.eye(n)
 
-    algebra = LieAlgebra(dim, structure).validate(base.tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(gram, base.tol), base.tol), j
+    return _metric_algebra(t, gram, base.tol), j
 
 
 def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float,
@@ -310,14 +282,17 @@ def _check_antisymmetric(theta: np.ndarray, tol: Tolerance, what: str):
         raise CocycleError(f"{what} must be antisymmetric in its two arguments (residual {res:.3e})")
 
 
-def central_extension_metric(d_algebra: LieAlgebra, theta=None,
-                             tol: Tolerance = DEFAULT_TOL) -> MetricLieAlgebra:
-    """Central extension g = D + D* with the split pairing metric.
+def _metric_algebra(upper: np.ndarray, gram: np.ndarray, tol: Tolerance, basis_names=None) -> MetricLieAlgebra:
+    """Validated metric algebra from the strict upper triangle of a bracket tensor and a Gram matrix."""
+    algebra = LieAlgebra._from_upper(upper, basis_names).validate(tol)
+    return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
 
-    theta[a, b, :] holds the dual-space coordinates of theta(e_a, e_b) and
-    must be a cocycle for the trivial action.  The output metric has
-    signature (n, n), is always Ricci-parallel, and its Ricci tensor is
-    -1/2 times the Killing form.
+
+def _dual_extension(d_algebra: LieAlgebra, theta, tol: Tolerance):
+    """What the extensions D + D* share: checked theta, the [C | theta] brackets, the split pairing.
+
+    Returns ``(theta, t, gram)`` where ``t[:n, :n]`` holds [x_a, x_b] = C[a, b] + theta[a, b]
+    and the rest of ``t`` is zero.
     """
     n = d_algebra.dim
     if not d_algebra.is_validated:
@@ -327,6 +302,25 @@ def central_extension_metric(d_algebra: LieAlgebra, theta=None,
         raise BadParamsError(f"theta must have shape ({n}, {n}, {n}), got {theta.shape}")
     _check_antisymmetric(theta, tol, "theta")
 
+    t = np.zeros((2 * n, 2 * n, 2 * n))
+    t[:n, :n, :n] = d_algebra.tensor
+    t[:n, :n, n:] = theta
+    gram = np.zeros((2 * n, 2 * n))
+    gram[:n, n:] = np.eye(n)
+    gram[n:, :n] = np.eye(n)
+    return theta, t, gram
+
+
+def central_extension_metric(d_algebra: LieAlgebra, theta=None,
+                             tol: Tolerance = DEFAULT_TOL) -> MetricLieAlgebra:
+    """Central extension g = D + D* with the split pairing metric.
+
+    theta[a, b, :] holds the dual-space coordinates of theta(e_a, e_b) and
+    must be a cocycle for the trivial action.  The output metric has
+    signature (n, n), is always Ricci-parallel, and its Ricci tensor is
+    -1/2 times the Killing form.
+    """
+    theta, t, gram = _dual_extension(d_algebra, theta, tol)
     c = d_algebra.tensor
     cyc = np.einsum("abm,mcf->abcf", c, theta)
     cyc = cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)
@@ -334,23 +328,7 @@ def central_extension_metric(d_algebra: LieAlgebra, theta=None,
     scale = max(1.0, operator_residual(theta) * max(1.0, d_algebra.max_structure_constant))
     if res > tol.threshold(scale):
         raise CocycleError(f"theta fails the cocycle condition (residual {res:.3e})")
-
-    dim = 2 * n
-    structure = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            vec = np.zeros(dim)
-            vec[:n] = c[a, b]
-            vec[n:] = theta[a, b]
-            if np.any(vec != 0.0):
-                structure[(a, b)] = vec
-
-    gram = np.zeros((dim, dim))
-    gram[:n, n:] = np.eye(n)
-    gram[n:, :n] = np.eye(n)
-
-    algebra = LieAlgebra(dim, structure).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
+    return _metric_algebra(t, gram, tol)
 
 
 def bordemann_cotangent(d_algebra: LieAlgebra, theta=None,
@@ -361,14 +339,7 @@ def bordemann_cotangent(d_algebra: LieAlgebra, theta=None,
     theta(x, y)(z) + theta(x, z)(y) = 0; the resulting metric is
     ad-invariant, hence Ricci-parallel with connection half the bracket.
     """
-    n = d_algebra.dim
-    if not d_algebra.is_validated:
-        d_algebra.validate(tol)
-    theta = np.zeros((n, n, n)) if theta is None else np.asarray(theta, dtype=float)
-    if theta.shape != (n, n, n):
-        raise BadParamsError(f"theta must have shape ({n}, {n}, {n}), got {theta.shape}")
-    _check_antisymmetric(theta, tol, "theta")
-
+    theta, t, gram = _dual_extension(d_algebra, theta, tol)
     theta_scale = max(1.0, operator_residual(theta))
     cyc_res = operator_residual(theta + theta.transpose(0, 2, 1))
     if cyc_res > tol.threshold(theta_scale):
@@ -392,28 +363,9 @@ def bordemann_cotangent(d_algebra: LieAlgebra, theta=None,
     if res > tol.threshold(scale):
         raise CocycleError(f"theta fails the coadjoint cocycle condition (residual {res:.3e})")
 
-    dim = 2 * n
-    structure = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            vec = np.zeros(dim)
-            vec[:n] = c[a, b]
-            vec[n:] = theta[a, b]
-            if np.any(vec != 0.0):
-                structure[(a, b)] = vec
-    for a in range(n):
-        for b in range(n):
-            vec = np.zeros(dim)
-            vec[n:] = -c[a, :, b]  # (x_a . f^b)_c = -C[a, c, b]
-            if np.any(vec != 0.0):
-                structure[(a, n + b)] = vec
-
-    gram = np.zeros((dim, dim))
-    gram[:n, n:] = np.eye(n)
-    gram[n:, :n] = np.eye(n)
-
-    algebra = LieAlgebra(dim, structure).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
+    n = d_algebra.dim
+    t[:n, n:, n:] = coad.transpose(0, 2, 1)  # [x_a, f^b] = x_a . f^b, (x_a . f^b)_c = -C[a, c, b]
+    return _metric_algebra(t, gram, tol)
 
 
 def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=None,
@@ -429,7 +381,8 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
     p, q = int(g0_signature[0]), int(g0_signature[1])
     if p + q != g0_dim:
         raise BadParamsError(f"signature ({p}, {q}) does not sum to g0_dim {g0_dim}")
-    ders = [as_matrix(dmat, dim=g0_dim, name="derivation") for dmat in derivations]
+    ders = np.array([as_matrix(dmat, dim=g0_dim, name="derivation") for dmat in derivations])
+    ders = ders.reshape(nd, g0_dim, g0_dim)
 
     scale = max([1.0] + [operator_residual(dmat) for dmat in ders])
     for i in range(nd):
@@ -443,7 +396,7 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
         raise BadParamsError(f"alpha must have shape ({nd}, {nd}, {g0_dim})")
     _check_antisymmetric(alpha, tol, "alpha")
     if nd:
-        cyc = np.einsum("ape,bce->abcp", np.stack(ders), alpha)
+        cyc = np.einsum("ape,bce->abcp", ders, alpha)
         cyc = cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)
         if operator_residual(cyc) > tol.threshold(scale * max(1.0, operator_residual(alpha))):
             raise CocycleError("alpha fails its cyclic derivation condition")
@@ -456,180 +409,102 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
 
     # bracket [.,.]' on D + g0 (lands in g0)
     brp = np.zeros((nm, nm, g0_dim))
-    for a in range(nd):
-        for b in range(nd):
-            brp[a, b] = alpha[a, b]
-        for e in range(g0_dim):
-            brp[a, nd + e] = ders[a][:, e]
-            brp[nd + e, a] = -ders[a][:, e]
+    brp[:nd, :nd] = alpha
+    brp[:nd, nd:] = ders.transpose(0, 2, 1)    # [d_a, e] = d_a e
+    brp[nd:, :nd] = -ders.transpose(2, 0, 1)
     cocycle = np.einsum("abe,ecf->abcf", brp, theta[nd:, :, :])
     cocycle = cocycle + cocycle.transpose(1, 2, 0, 3) + cocycle.transpose(2, 0, 1, 3)
     if operator_residual(cocycle) > tol.threshold(max(1.0, scale, operator_residual(theta)) ** 2):
         raise CocycleError("theta fails the cocycle condition for the built bracket")
 
     dim = nd + g0_dim + nd
-    structure = {}
-    for a in range(nm):
-        for b in range(a + 1, nm):
-            vec = np.zeros(dim)
-            vec[nd:nd + g0_dim] = brp[a, b]
-            vec[nd + g0_dim:] = theta[a, b]
-            if np.any(vec != 0.0):
-                structure[(a, b)] = vec
+    t = np.zeros((dim, dim, dim))
+    t[:nm, :nm, nd:nm] = brp
+    t[:nm, :nm, nm:] = theta
 
     gram = np.zeros((dim, dim))
     gram[:nd, nd + g0_dim:] = np.eye(nd)
     gram[nd + g0_dim:, :nd] = np.eye(nd)
     g0 = np.diag([-1.0] * p + [1.0] * q)
     gram[nd:nd + g0_dim, nd:nd + g0_dim] = g0
-
-    algebra = LieAlgebra(dim, structure).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
+    return _metric_algebra(t, gram, tol)
 
 
 # ---------------------------------------------------------------------------
 # named catalog
 # ---------------------------------------------------------------------------
 
-CATALOG_NAMES = (
-    "heisenberg",
-    "einstein_solvable",
-    "sl_killing",
-    "sl_complex_typeI",
-    "affine_plane",
-    "abelian",
-    "double_ext_demo",
-)
-
-
-def _require_int(params, key, minimum):
-    if key not in params:
-        raise BadParamsError(f"missing parameter {key!r}")
-    val = params[key]
-    if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < minimum:
-        raise BadParamsError(f"parameter {key!r} must be an integer >= {minimum}, got {val!r}")
-    return int(val)
-
-
 def _heisenberg_algebra(n: int) -> LieAlgebra:
     dim = 2 * n + 1
-    coeff = math.sqrt(2.0 / (n + 2))
-    structure = {}
-    for i in range(n):
-        vec = np.zeros(dim)
-        vec[dim - 1] = coeff
-        structure[(2 * i, 2 * i + 1)] = vec
+    t = np.zeros((dim, dim, dim))
+    i = np.arange(n)
+    t[2 * i, 2 * i + 1, dim - 1] = math.sqrt(2.0 / (n + 2))
     names = [f"E{i + 1}" for i in range(2 * n)] + ["Z"]
-    return LieAlgebra(dim, structure, basis_names=names)
+    return LieAlgebra._from_upper(t, basis_names=names)
 
 
-def _catalog_heisenberg(tol, **params):
-    n = _require_int(params, "n", 1)
+def _catalog_heisenberg(tol, n):
     algebra = _heisenberg_algebra(n).validate(tol)
     return MetricLieAlgebra(algebra, SymmetricForm(np.eye(2 * n + 1), tol), tol)
 
 
-def _catalog_einstein_solvable(tol, **params):
-    n = _require_int(params, "n", 1)
+def _catalog_einstein_solvable(tol, n):
     dim = 2 * n + 2  # basis (A, E_1..E_2n, Z)
     sigma = (n + 1.0) / (n + 2.0)
-    coeff = math.sqrt(2.0 / (n + 2))
-    structure = {}
-    for i in range(1, 2 * n + 1):
-        vec = np.zeros(dim)
-        vec[i] = sigma
-        structure[(0, i)] = vec
-    vec = np.zeros(dim)
-    vec[dim - 1] = 2.0 * sigma
-    structure[(0, dim - 1)] = vec
-    for i in range(n):
-        vec = np.zeros(dim)
-        vec[dim - 1] = coeff
-        structure[(2 * i + 1, 2 * i + 2)] = vec
+    t = np.zeros((dim, dim, dim))
+    e = np.arange(1, 2 * n + 1)
+    t[0, e, e] = sigma                        # [A, E_i] = sigma E_i
+    t[0, dim - 1, dim - 1] = 2.0 * sigma      # [A, Z] = 2 sigma Z
+    i = np.arange(n)
+    t[2 * i + 1, 2 * i + 2, dim - 1] = math.sqrt(2.0 / (n + 2))
     gram = np.eye(dim)
     gram[0, 0] = 2.0 * (n + 1.0) ** 2 / (n + 2.0)
     names = ["A"] + [f"E{i + 1}" for i in range(2 * n)] + ["Z"]
-    algebra = LieAlgebra(dim, structure, basis_names=names).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
-
-
-def _sl_matrix_basis(n: int):
-    mats = []
-    names = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = np.zeros((n, n))
-                m[i, j] = 1.0
-                mats.append(m)
-                names.append(f"E{i + 1}{j + 1}")
-    for k in range(n - 1):
-        m = np.zeros((n, n))
-        m[k, k] = 1.0
-        m[k + 1, k + 1] = -1.0
-        mats.append(m)
-        names.append(f"H{k + 1}")
-    return mats, names
-
-
-def _sl_coords(x: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates of a traceless matrix in the _sl_matrix_basis order."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out.append(x[i, j])
-    partial = 0.0
-    for k in range(n - 1):
-        partial += x[k, k]
-        out.append(partial)
-    return np.array(out)
+    return _metric_algebra(t, gram, tol, basis_names=names)
 
 
 def _sl_algebra(n: int):
-    mats, names = _sl_matrix_basis(n)
-    dim = len(mats)
-    structure = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            coords = _sl_coords(comm, n)
-            if np.any(coords != 0.0):
-                structure[(a, b)] = coords
-    gram = np.zeros((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            gram[a, b] = 2.0 * n * float(np.trace(mats[a] @ mats[b]))
-    return LieAlgebra(dim, structure, basis_names=names), gram
+    """sl(n) on the basis E_ij (i != j), H_k = E_kk - E_(k+1)(k+1), with the Gram matrix 2n tr(xy).
+
+    The basis, the commutators and the coordinate map are integer arrays,
+    so every constant is exact.
+    """
+    off_i, off_j = np.nonzero(~np.eye(n, dtype=bool))
+    noff, dim = n * (n - 1), n * n - 1
+    mats = np.zeros((dim, n, n), dtype=np.int64)
+    mats[np.arange(noff), off_i, off_j] = 1
+    k = np.arange(n - 1)
+    mats[noff + k, k, k] = 1
+    mats[noff + k, k + 1, k + 1] = -1
+    # coordinates of a traceless x: its off-diagonal entries, then the partial traces x_00 + ... + x_kk
+    coords = np.zeros((dim, n * n), dtype=np.int64)
+    coords[np.arange(noff), off_i * n + off_j] = 1
+    coords[noff:, np.arange(n) * (n + 1)] = np.tri(n - 1, n, dtype=np.int64)
+
+    prod = np.einsum("aij,bjk->abik", mats, mats)
+    comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(dim, dim, n * n)
+    t = (comm @ coords.T).astype(float)
+    gram = (2 * n * np.einsum("aij,bji->ab", mats, mats)).astype(float)
+    names = [f"E{i + 1}{j + 1}" for i, j in zip(off_i, off_j)] + [f"H{k + 1}" for k in range(n - 1)]
+    return LieAlgebra._from_upper(t, basis_names=names), gram
 
 
-def _catalog_sl_killing(tol, **params):
-    n = _require_int(params, "n", 2)
+def _catalog_sl_killing(tol, n):
     algebra, gram = _sl_algebra(n)
     return MetricLieAlgebra(algebra.validate(tol), SymmetricForm(gram, tol), tol)
 
 
-def _catalog_sl_complex(tol, **params):
-    n = _require_int(params, "n", 2)
-    if "lam" not in params or "mu" not in params:
-        raise BadParamsError("sl_complex_typeI requires parameters n, lam, mu")
-    lam = float(params["lam"])
-    mu = float(params["mu"])
-    base = _catalog_sl_killing(tol, n=n)
-    return type_I_metric(base, lam, mu, tol)
+def _catalog_sl_complex(tol, n, lam, mu):
+    return type_I_metric(_catalog_sl_killing(tol, n), lam, mu, tol)
 
 
-def _catalog_affine_plane(tol, **params):
-    if params:
-        raise BadParamsError("affine_plane takes no parameters")
-    structure = {(0, 1): [0.0, 1.0]}
-    algebra = LieAlgebra(2, structure, basis_names=["e1", "e2"]).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(np.eye(2), tol), tol)
+def _catalog_affine_plane(tol):
+    t = np.zeros((2, 2, 2))
+    t[0, 1, 1] = 1.0  # [e1, e2] = e2
+    return _metric_algebra(t, np.eye(2), tol, basis_names=["e1", "e2"])
 
 
-def _catalog_abelian(tol, **params):
-    p = _require_int(params, "p", 0)
-    q = _require_int(params, "q", 0)
+def _catalog_abelian(tol, p, q):
     if p + q < 1:
         raise BadParamsError("abelian needs p + q >= 1")
     gram = np.diag([-1.0] * p + [1.0] * q)
@@ -637,45 +512,75 @@ def _catalog_abelian(tol, **params):
     return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
 
 
-def _catalog_double_ext_demo(tol, **params):
-    kind = params.pop("kind", "nilpotent")
-    dim = params.pop("dim", 2)
-    if params:
-        raise BadParamsError(f"unknown double_ext_demo parameters: {sorted(params)}")
-    dim = int(dim)
-    if dim < 2:
-        raise BadParamsError("double_ext_demo needs dim >= 2")
-    base = _catalog_abelian(tol, p=0, q=dim)
+def _catalog_double_ext_demo(tol, kind, dim):
+    base = _catalog_abelian(tol, 0, dim)
     if kind == "solvable":
         spec = DoubleExtensionSpec(base, np.eye(dim), np.zeros((dim, dim)), np.zeros(dim))
-    elif kind == "nilpotent":
-        k = np.zeros((dim, dim))
-        for i in range(0, dim - 1, 2):
-            k[i, i + 1] = 1.0
-            k[i + 1, i] = -1.0
-        spec = DoubleExtensionSpec(base, np.zeros((dim, dim)), k, np.zeros(dim))
     else:
-        raise BadParamsError(f"double_ext_demo kind must be 'solvable' or 'nilpotent', got {kind!r}")
+        k = np.zeros((dim, dim))
+        i = np.arange(0, dim - 1, 2)
+        k[i, i + 1] = 1.0
+        k[i + 1, i] = -1.0
+        spec = DoubleExtensionSpec(base, np.zeros((dim, dim)), k, np.zeros(dim))
     return double_extension(spec, tol)
 
 
+# entry -> (builder, {parameter: (kind, minimum or choices, default)}); default None = required
 _CATALOG = {
-    "heisenberg": _catalog_heisenberg,
-    "einstein_solvable": _catalog_einstein_solvable,
-    "sl_killing": _catalog_sl_killing,
-    "sl_complex_typeI": _catalog_sl_complex,
-    "affine_plane": _catalog_affine_plane,
-    "abelian": _catalog_abelian,
-    "double_ext_demo": _catalog_double_ext_demo,
+    "heisenberg": (_catalog_heisenberg, {"n": ("int", 1, None)}),
+    "einstein_solvable": (_catalog_einstein_solvable, {"n": ("int", 1, None)}),
+    "sl_killing": (_catalog_sl_killing, {"n": ("int", 2, None)}),
+    "sl_complex_typeI": (_catalog_sl_complex, {"n": ("int", 2, None), "lam": ("real", None, None),
+                                               "mu": ("real", None, None)}),
+    "affine_plane": (_catalog_affine_plane, {}),
+    "abelian": (_catalog_abelian, {"p": ("int", 0, None), "q": ("int", 0, None)}),
+    "double_ext_demo": (_catalog_double_ext_demo, {"kind": ("choice", ("solvable", "nilpotent"), "nilpotent"),
+                                                   "dim": ("int", 2, 2)}),
 }
 
+CATALOG_NAMES = tuple(_CATALOG)
 
-def catalog(name: str, tol: Tolerance = DEFAULT_TOL, **params) -> MetricLieAlgebra:
+
+def _param_value(name: str, key: str, val, kind: str, bound):
+    """``val`` converted for the builder, or BadParamsError saying what the parameter must be."""
+    if kind == "int":
+        if isinstance(val, (int, np.integer)) and not isinstance(val, bool) and val >= bound:
+            return int(val)
+        need = f"an integer >= {bound}"
+    elif kind == "real":
+        x = finite_number(val)
+        if x is not None:
+            return x
+        need = "a finite number"
+    else:
+        if isinstance(val, str) and val in bound:
+            return val
+        need = f"one of {list(bound)}"
+    raise BadParamsError(f"{name}: parameter {key!r} must be {need}, got {val!r}")
+
+
+def _checked_params(name: str, params: dict) -> dict:
+    """The entry's declared parameters, converted, with defaults filled in."""
+    declared = _CATALOG[name][1]
+    unknown = sorted(set(params) - set(declared))
+    if unknown:
+        raise BadParamsError(f"{name}: unknown parameters {unknown}; accepted: {sorted(declared)}")
+    out = {}
+    for key, (kind, bound, default) in declared.items():
+        if key not in params and default is None:
+            raise BadParamsError(f"{name}: missing parameter {key!r}")
+        out[key] = _param_value(name, key, params.get(key, default), kind, bound)
+    return out
+
+
+def catalog(name: str, tol: Tolerance = DEFAULT_TOL, /, **params) -> MetricLieAlgebra:
     """Named metric Lie algebras with their published constants.
 
     Irrational constants (sqrt(2/(n+2)) and the (n+1)/(n+2) fractions)
-    are computed at call time, never hard-coded as decimals.
+    are computed at call time, never hard-coded as decimals.  ``name`` and
+    ``tol`` are positional-only, so every keyword is an entry parameter;
+    unknown, missing or ill-typed parameters raise BadParamsError.
     """
     if name not in _CATALOG:
         raise UnknownNameError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    return _CATALOG[name](tol, **params)
+    return _CATALOG[name][0](tol, **_checked_params(name, params))

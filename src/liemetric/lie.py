@@ -1,15 +1,19 @@
 """Lie algebras presented by structure constants.
 
-Structure constants are stored sparsely on ordered pairs i < j; the
-antisymmetric completion is computed, never stored, which removes a whole
-class of inconsistent-input errors.  Construction is two-phase: raw load,
-then :meth:`LieAlgebra.validate` after the Jacobi check.  The geometry
-layer only accepts validated algebras.
+The stored form is the dense antisymmetric bracket tensor
+C[i, j, :] = [e_i, e_j].  Every way of building an algebra (a dict of
+bracket rows, a dense tensor, a construction writing blocks) fills the
+strict upper triangle i < j and :func:`_complete` derives the rest, so the
+lower triangle never disagrees with the upper one.  The sparse
+``structure`` dict is a read-only view for file output.  Construction is
+two-phase: raw load, then :meth:`LieAlgebra.validate` after the Jacobi
+check.  The geometry layer only accepts validated algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,6 +29,30 @@ __all__ = [
     "structure_report",
     "direct_sum",
 ]
+
+# largest |C + C^T| relative to max(1, |C|) that from_tensor accepts
+_ANTISYMMETRY_ATOL = 1e-12
+
+
+def _nonzero_pairs(t: np.ndarray):
+    """Index arrays (i, j), i < j in row-major order, of the nonzero rows t[i, j]."""
+    return np.nonzero(np.triu(np.any(t != 0.0, axis=2), 1))
+
+
+def _complete(upper: np.ndarray) -> np.ndarray:
+    """Read-only antisymmetric tensor from the strict upper triangle (i < j) of ``upper``.
+
+    Rows that are entirely zero stay +0.0 in both triangles; the lower
+    triangle of every other row is the negated upper row.
+    """
+    dim = upper.shape[0]
+    i, j = _nonzero_pairs(upper)
+    rows = upper[i, j]
+    c = np.zeros((dim, dim, dim))
+    c[i, j] = rows
+    c[j, i] = -rows
+    c.flags.writeable = False
+    return c
 
 
 class LieAlgebra:
@@ -44,55 +72,61 @@ class LieAlgebra:
         dim = int(dim)
         if dim < 0:
             raise ValueError("dim must be nonnegative")
-        self.dim = dim
-        entries = {}
+        upper = np.zeros((dim, dim, dim))
         for key, coeffs in dict(structure or {}).items():
             i, j = (int(key[0]), int(key[1]))
             if not (0 <= i < j < dim):
                 raise DimensionMismatchError(
                     f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < {dim}"
                 )
-            vec = as_vector(coeffs, dim, name=f"coefficients of [e_{i}, e_{j}]")
-            vec = vec.copy()
-            vec.flags.writeable = False
-            entries[(i, j)] = vec
-        self.structure = entries
+            upper[i, j] = as_vector(coeffs, dim, name=f"coefficients of [e_{i}, e_{j}]")
+        self._set(upper, basis_names)
+
+    @classmethod
+    def _from_upper(cls, upper: np.ndarray, basis_names=None) -> "LieAlgebra":
+        """Algebra whose brackets are the strict upper triangle of a cubic array."""
+        g = cls.__new__(cls)
+        g._set(upper, basis_names)
+        return g
+
+    def _set(self, upper: np.ndarray, basis_names):
+        self.dim = upper.shape[0]
+        self._tensor = _complete(upper)
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
-            if len(basis_names) != dim:
+            if len(basis_names) != self.dim:
                 raise DimensionMismatchError("basis_names length must equal dim")
         self.basis_names = basis_names
-        self._tensor = None
         self._validated = False
 
     @classmethod
-    def from_tensor(cls, tensor, basis_names=None, atol: float = 1e-12) -> "LieAlgebra":
-        """Build from a dense bracket tensor C[i, j, :] = [e_i, e_j]."""
+    def from_tensor(cls, tensor, basis_names=None) -> "LieAlgebra":
+        """Build from a dense bracket tensor C[i, j, :] = [e_i, e_j].
+
+        C must be antisymmetric in (i, j) to a relative 1e-12; the upper
+        triangle is kept exactly and the lower one rebuilt from it.
+        """
         tensor = np.asarray(tensor, dtype=float)
         dim = tensor.shape[0]
         if tensor.shape != (dim, dim, dim):
             raise DimensionMismatchError(f"bracket tensor must be cubic, got {tensor.shape}")
         asym = operator_residual(tensor + tensor.transpose(1, 0, 2))
-        if asym > atol * max(1.0, operator_residual(tensor)):
+        if asym > _ANTISYMMETRY_ATOL * max(1.0, operator_residual(tensor)):
             raise ValueError(f"bracket tensor is not antisymmetric (residual {asym:.3e})")
-        structure = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if np.any(tensor[i, j] != 0.0):
-                    structure[(i, j)] = tensor[i, j]
-        return cls(dim, structure, basis_names=basis_names)
+        return cls._from_upper(tensor, basis_names)
 
     @property
     def tensor(self) -> np.ndarray:
-        """Dense antisymmetric tensor C with C[i, j, :] = [e_i, e_j]."""
-        if self._tensor is None:
-            c = np.zeros((self.dim, self.dim, self.dim))
-            for (i, j), vec in self.structure.items():
-                c[i, j] = vec
-                c[j, i] = -vec
-            c.flags.writeable = False
-            self._tensor = c
+        """Dense antisymmetric tensor C with C[i, j, :] = [e_i, e_j] (read-only)."""
         return self._tensor
+
+    @property
+    def structure(self) -> MappingProxyType:
+        """Read-only {(i, j): [e_i, e_j]} over the nonzero brackets with i < j, in (i, j) order."""
+        i, j = _nonzero_pairs(self._tensor)
+        rows = self._tensor[i, j]
+        rows.flags.writeable = False
+        return MappingProxyType(dict(zip(zip(i.tolist(), j.tolist()), rows)))
 
     @property
     def ad_basis(self) -> np.ndarray:
@@ -249,17 +283,10 @@ def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureRe
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Direct sum of two algebras (block brackets, no interaction)."""
-    dim = a.dim + b.dim
-    structure = {}
-    for (i, j), vec in a.structure.items():
-        out = np.zeros(dim)
-        out[: a.dim] = vec
-        structure[(i, j)] = out
-    for (i, j), vec in b.structure.items():
-        out = np.zeros(dim)
-        out[a.dim :] = vec
-        structure[(i + a.dim, j + a.dim)] = out
+    t = np.zeros((a.dim + b.dim,) * 3)
+    t[: a.dim, : a.dim, : a.dim] = a.tensor
+    t[a.dim :, a.dim :, a.dim :] = b.tensor
     names = None
     if a.basis_names is not None and b.basis_names is not None:
         names = a.basis_names + b.basis_names
-    return LieAlgebra(dim, structure, basis_names=names)
+    return LieAlgebra._from_upper(t, basis_names=names)

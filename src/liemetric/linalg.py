@@ -8,6 +8,7 @@ bases and metric adjoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,6 +85,17 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def finite_number(val) -> float | None:
+    """``val`` as a float if it is a real number (not a bool) of finite value, else None."""
+    if isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        x = float(val)
+    except OverflowError:  # an int beyond the double range
+        return None
+    return x if math.isfinite(x) else None
 
 
 def operator_residual(a) -> float:

@@ -246,34 +246,27 @@ def _random_cocycle_skew(rng: np.random.Generator, base) -> np.ndarray:
     dim = base.dim
     g0 = base.gram
     c0 = base.algebra.tensor
-    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    triples = [(a, b, c) for a in range(dim) for b in range(a + 1, dim) for c in range(b + 1, dim)]
-    if not pairs:
+    p, q = np.triu_indices(dim, 1)  # skew parameters: W[p, q] = -W[q, p]
+    if not p.size:
         return np.zeros((dim, dim))
-    rows = []
-    for (a, b, c) in triples:
-        row = np.zeros(len(pairs))
-        for idx, (p, q) in enumerate(pairs):
-            w = np.zeros((dim, dim))
-            w[p, q] = 1.0
-            w[q, p] = -1.0
-            # sum_cyc <K e_a, [e_b, e_c]>_0 with G0 K = W
-            row[idx] = (
-                w[:, a] @ c0[b, c] + w[:, b] @ c0[c, a] + w[:, c] @ c0[a, b]
-            )
-        rows.append(row)
-    if rows:
-        mat = np.vstack(rows)
+    basis = np.zeros((p.size, dim, dim))
+    basis[np.arange(p.size), p, q] = 1.0
+    basis[np.arange(p.size), q, p] = -1.0
+    # pair[k, a, b, c] = <K e_a, [e_b, e_c]>_0 with G0 K the k-th basis matrix
+    pair = np.einsum("kma,bcm->kabc", basis, c0)
+    r = np.arange(dim)
+    a, b, c = np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :]))
+    if a.size:
+        mat = (pair[:, a, b, c] + pair[:, b, c, a] + pair[:, c, a, b]).T
         _, svals, vt = np.linalg.svd(mat)
         rank = int(np.count_nonzero(svals > 1e-10 * svals[0])) if svals.size and svals[0] > 0 else 0
         null = vt[rank:]
     else:
-        null = np.eye(len(pairs))
+        null = np.eye(p.size)
     if null.shape[0] == 0:
         return np.zeros((dim, dim))
     params = null.T @ rng.normal(size=null.shape[0])
     w = np.zeros((dim, dim))
-    for idx, (p, q) in enumerate(pairs):
-        w[p, q] = params[idx]
-        w[q, p] = -params[idx]
+    w[p, q] = params
+    w[q, p] = -params
     return np.linalg.solve(g0, w)

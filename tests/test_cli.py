@@ -50,6 +50,28 @@ def test_validate_jacobi_failure(tmp_path):
     assert run(["validate", path]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": float("nan")}}]}, "coefficient value for index 1"),
+    ({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": float("-inf")}}]}, "coefficient value for index 0"),
+    ({"dim": 2, "metric": [[1.0, 0.0], [0.0, float("inf")]]}, "field 'metric'"),
+])
+def test_non_finite_numbers_are_parse_errors(tmp_path, capsys, doc, field):
+    doc = {"brackets": [], "metric": np.eye(2).tolist(), **doc}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity, as Python's json writes them
+    assert run(["validate", path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "ParseError" in err and field in err and "finite" in err
+
+
+def test_non_finite_extension_data_is_parse_error(tmp_path, capsys):
+    base = write_catalog(tmp_path, "abelian", "base.json", p=0, q=2)
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"D": [[float("nan"), 0.0], [0.0, 1.0]]}), encoding="utf-8")
+    assert run(["double-extend", base, ext]) == EXIT_PARSE
+    assert "finite" in capsys.readouterr().err
+
+
 def test_validate_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -211,6 +233,16 @@ def test_catalog_unknown_and_bad_params(tmp_path):
     assert run(["catalog", "nonsense"]) == EXIT_PRECONDITION
     assert run(["catalog", "heisenberg", "--params", '{"n": 0}']) == EXIT_PRECONDITION
     assert run(["catalog", "heisenberg", "--params", "not json"]) == EXIT_PRECONDITION
+    for name, params in [
+        ("heisenberg", {"n": 1, "bogus": 3}),
+        ("heisenberg", {"name": 1}),
+        ("heisenberg", {"tol": 1}),
+        ("double_ext_demo", {"dim": "x"}),
+        ("double_ext_demo", {"dim": 2.7}),
+        ("double_ext_demo", {"kind": "x"}),
+        ("sl_complex_typeI", {"n": 2, "lam": "x", "mu": 1}),
+    ]:
+        assert run(["catalog", name, "--params", json.dumps(params)]) == EXIT_PRECONDITION, (name, params)
 
 
 def test_verification_failures_map_to_exit_4(tmp_path, monkeypatch, capsys):

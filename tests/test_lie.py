@@ -183,3 +183,26 @@ def test_direct_sum():
     assert_allclose(g.bracket([1, 0, 0, 0], [0, 1, 0, 0]), [0, 1, 0, 0])
     rep = structure_report(g.validate())
     assert rep.is_solvable and not rep.is_nilpotent
+
+
+def test_structure_tensor_round_trip():
+    g = make_sl2()
+    back = LieAlgebra.from_tensor(g.tensor)
+    assert list(back.structure) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(g.structure) == list(back.structure)
+    for key, vec in g.structure.items():
+        assert np.array_equal(back.structure[key], vec)
+    assert np.array_equal(back.tensor, g.tensor)
+    assert np.array_equal(g.tensor, -g.tensor.transpose(1, 0, 2))
+
+
+def test_from_tensor_completes_from_upper_triangle():
+    c = np.array(make_sl2().tensor)
+    c[1, 0, 2] += 1e-13  # below the antisymmetry cutoff
+    g = LieAlgebra.from_tensor(c)
+    assert g.tensor[0, 1, 2] == 1.0
+    assert g.tensor[1, 0, 2] == -1.0
+    assert np.array_equal(g.tensor, make_sl2().tensor)
+    c[1, 0, 2] += 1e-6
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LieAlgebra.from_tensor(c)
