@@ -9,9 +9,14 @@ Algebra files are UTF-8 JSON:
       "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     }
 
+``dim`` may be at most :data:`liemetric.lie.MAX_DIM`.
+
 Exit codes: 0 success, 2 parse/validation failure, 3 mathematical
 precondition failure, 4 verification failure (a certified invariant of a
-constructed object did not hold).
+constructed object did not hold).  ``report <dir>`` reports every ``*.json``
+file in name order; a file that fails gives a ``{"file", "error",
+"exit_code"}`` record in its place, and the command exits with the largest
+code met.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .errors import (
     VerificationError,
 )
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
-from .lie import LieAlgebra, structure_report, validate_jacobi
+from .lie import MAX_DIM, LieAlgebra, structure_report
 from .linalg import SymmetricForm, Tolerance, finite_number, signature
 
 EXIT_OK = 0
@@ -57,6 +62,10 @@ def _exit_code(exc: LieMetricError) -> int:
     if isinstance(exc, _VERIFY_ERRORS):
         return EXIT_VERIFY
     return EXIT_PRECONDITION
+
+
+def _error_text(exc: LieMetricError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _dump(obj) -> str:
@@ -96,8 +105,8 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] < 1:
-        raise ParseError(f"{path}: field 'dim' must be a positive integer")
+    if "dim" not in doc or not isinstance(doc["dim"], int) or not 1 <= doc["dim"] <= MAX_DIM:
+        raise ParseError(f"{path}: field 'dim' must be an integer from 1 to {MAX_DIM}")
     dim = doc["dim"]
 
     structure = {}
@@ -202,7 +211,7 @@ def build_report(m: MetricLieAlgebra, tol: Tolerance) -> dict:
         "tolerance": {"abs": tol.abs, "rel": tol.rel, "rank": tol.rank},
         "dim": m.dim,
         "signature": {"p": sig.p, "q": sig.q},
-        "jacobi_residual": float(validate_jacobi(m.algebra)),
+        "jacobi_residual": float(m.algebra.jacobi_residual),
         "structure": {
             "is_nilpotent": rep.is_nilpotent,
             "is_solvable": rep.is_solvable,
@@ -266,7 +275,7 @@ def _cmd_validate(args, tol: Tolerance) -> int:
     diag = {
         "file": str(args.path),
         "dim": m.dim,
-        "jacobi_residual": float(validate_jacobi(m.algebra)),
+        "jacobi_residual": float(m.algebra.jacobi_residual),
         "metric_signature": {"p": sig.p, "q": sig.q},
         "valid": True,
     }
@@ -281,12 +290,16 @@ def _cmd_validate(args, tol: Tolerance) -> int:
 def _cmd_report(args, tol: Tolerance) -> int:
     path = Path(args.path)
     if path.is_dir():
-        reports = []
+        records, code = [], EXIT_OK
         for child in sorted(path.glob("*.json")):
-            m = load_algebra_file(child, tol)
-            reports.append({"file": child.name, "report": build_report(m, tol)})
-        _emit(reports, args.out)
-        return EXIT_OK
+            try:
+                records.append({"file": child.name, "report": build_report(load_algebra_file(child, tol), tol)})
+            except LieMetricError as exc:
+                print(f"error: {_error_text(exc)}", file=sys.stderr)
+                records.append({"file": child.name, "error": _error_text(exc), "exit_code": _exit_code(exc)})
+                code = max(code, _exit_code(exc))
+        _emit(records, args.out)
+        return code
     m = load_algebra_file(path, tol)
     report = build_report(m, tol)
     if args.json or args.out:
@@ -453,7 +466,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, tol)
     except LieMetricError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     ZeroMuError,
 )
 from .geometry import MetricLieAlgebra, ParallelCheck, connection_matrices, is_einstein, is_ricci_parallel, ricci
-from .lie import LieAlgebra, trace_functional
+from .lie import MAX_DIM, LieAlgebra, trace_functional
 from .linalg import (
     DEFAULT_TOL,
     SymmetricForm,
@@ -525,17 +525,18 @@ def _catalog_double_ext_demo(tol, kind, dim):
     return double_extension(spec, tol)
 
 
-# entry -> (builder, {parameter: (kind, minimum or choices, default)}); default None = required
+# entry -> (builder, {parameter: (kind, minimum or choices, default)}, dimension from the parameters);
+# default None = required
 _CATALOG = {
-    "heisenberg": (_catalog_heisenberg, {"n": ("int", 1, None)}),
-    "einstein_solvable": (_catalog_einstein_solvable, {"n": ("int", 1, None)}),
-    "sl_killing": (_catalog_sl_killing, {"n": ("int", 2, None)}),
+    "heisenberg": (_catalog_heisenberg, {"n": ("int", 1, None)}, lambda p: 2 * p["n"] + 1),
+    "einstein_solvable": (_catalog_einstein_solvable, {"n": ("int", 1, None)}, lambda p: 2 * p["n"] + 2),
+    "sl_killing": (_catalog_sl_killing, {"n": ("int", 2, None)}, lambda p: p["n"] ** 2 - 1),
     "sl_complex_typeI": (_catalog_sl_complex, {"n": ("int", 2, None), "lam": ("real", None, None),
-                                               "mu": ("real", None, None)}),
-    "affine_plane": (_catalog_affine_plane, {}),
-    "abelian": (_catalog_abelian, {"p": ("int", 0, None), "q": ("int", 0, None)}),
+                                               "mu": ("real", None, None)}, lambda p: 2 * (p["n"] ** 2 - 1)),
+    "affine_plane": (_catalog_affine_plane, {}, lambda p: 2),
+    "abelian": (_catalog_abelian, {"p": ("int", 0, None), "q": ("int", 0, None)}, lambda p: p["p"] + p["q"]),
     "double_ext_demo": (_catalog_double_ext_demo, {"kind": ("choice", ("solvable", "nilpotent"), "nilpotent"),
-                                                   "dim": ("int", 2, 2)}),
+                                                   "dim": ("int", 2, 2)}, lambda p: p["dim"] + 2),
 }
 
 CATALOG_NAMES = tuple(_CATALOG)
@@ -560,8 +561,12 @@ def _param_value(name: str, key: str, val, kind: str, bound):
 
 
 def _checked_params(name: str, params: dict) -> dict:
-    """The entry's declared parameters, converted, with defaults filled in."""
-    declared = _CATALOG[name][1]
+    """The entry's declared parameters, converted, with defaults filled in.
+
+    Parameters that would build an algebra of dimension above ``MAX_DIM``
+    are rejected here, before any builder allocates.
+    """
+    _, declared, dim_of = _CATALOG[name]
     unknown = sorted(set(params) - set(declared))
     if unknown:
         raise BadParamsError(f"{name}: unknown parameters {unknown}; accepted: {sorted(declared)}")
@@ -570,6 +575,9 @@ def _checked_params(name: str, params: dict) -> dict:
         if key not in params and default is None:
             raise BadParamsError(f"{name}: missing parameter {key!r}")
         out[key] = _param_value(name, key, params.get(key, default), kind, bound)
+    dim = dim_of(out)
+    if dim > MAX_DIM:
+        raise BadParamsError(f"{name}: the parameters give dimension {dim}, above the limit {MAX_DIM}")
     return out
 
 

@@ -5,9 +5,14 @@ connection has constant coefficients, so curvature and Ricci reduce to
 finite contractions of the structure tensor against the Gram matrix.
 
 The Ricci tensor is computed along two independent routes: the primary
-path traces the curvature tensor (no basis change needed), and
-:func:`ricci_structural` evaluates the closed orthonormal-basis formula
-term by term.  Their agreement is the module's central correctness check.
+path contracts the connection matrices directly (no basis change, and no
+dim^4 curvature array), and :func:`ricci_structural` evaluates the closed
+orthonormal-basis formula term by term.  Neither calls the other; their
+agreement is the module's central correctness check.  :func:`curvature`
+builds the full dim^4 tensor on request and is not on the Ricci path.
+
+Contractions of three or more operands go through ``einsum(...,
+optimize=True)``, which contracts pairwise in BLAS-backed steps.
 """
 
 from __future__ import annotations
@@ -171,11 +176,21 @@ def curvature(m: MetricLieAlgebra) -> np.ndarray:
 
 
 def ricci(m: MetricLieAlgebra) -> RicciData:
-    """Ricci data via the trace of curvature (basis-free primary path)."""
+    """Ricci data straight from the connection matrices (basis-free primary path).
+
+    ric_jk = sum_i (N_i N_j - N_j N_i - sum_m c_ijm N_m)_{ik}, the trace of
+    curvature without the dim^4 array: every intermediate is dim^3.  The
+    result is symmetrised.
+    """
 
     def build():
-        riem = curvature(m)
-        ric = np.einsum("ijki->jk", riem)
+        c = m.algebra.tensor
+        nm = connection_matrices(m)
+        idx = np.arange(m.dim)
+        d = nm[idx, idx]  # d[i] = row i of N_i
+        terms = (np.einsum("ib,jbk->ijk", d, nm) - np.einsum("jib,ibk->ijk", nm, nm)
+                 - np.einsum("ijm,mik->ijk", c, nm))
+        ric = np.einsum("ijk->jk", terms)
         ric = 0.5 * (ric + ric.T)
         operator = m.metric.solve(ric)
         tau = trace_functional(m.algebra)
@@ -212,12 +227,12 @@ def ricci_structural(m: MetricLieAlgebra) -> np.ndarray:
 
         # [e_i, b_a]
         br = np.einsum("ijk,ja->iak", c, basis)
-        term3 = -0.5 * np.einsum("iak,kl,jal,a->ij", br, g, br, eps)
+        term3 = -0.5 * np.einsum("iak,kl,jal,a->ij", br, g, br, eps, optimize=True)
 
         # <[b_a, b_b], e_i>
-        bb = np.einsum("ijk,ia,jb->abk", c, basis, basis)
+        bb = np.einsum("ijk,ia,jb->abk", c, basis, basis, optimize=True)
         p = np.einsum("abk,ki->abi", bb, g)
-        term4 = 0.25 * np.einsum("abi,abj,a,b->ij", p, p, eps, eps)
+        term4 = 0.25 * np.einsum("abi,abj,a,b->ij", p, p, eps, eps, optimize=True)
 
         out = term_k + term_z + term3 + term4
         out = 0.5 * (out + out.T)
@@ -293,8 +308,8 @@ def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra,
     invertible = bool(svals.size == 0 or svals[-1] > tol.rank * max(1.0, svals[0]))
 
     c1, c2 = m1.algebra.tensor, m2.algebra.tensor
-    lhs = np.einsum("ijm,lm->ijl", c1, phi)                    # phi [e_i, e_j]_1
-    rhs = np.einsum("abl,ai,bj->ijl", c2, phi, phi)            # [phi e_i, phi e_j]_2
+    lhs = np.einsum("ijm,lm->ijl", c1, phi)  # phi [e_i, e_j]_1
+    rhs = np.einsum("abl,ai,bj->ijl", c2, phi, phi, optimize=True)  # [phi e_i, phi e_j]_2
     bracket_res = operator_residual(lhs - rhs)
 
     metric_res = operator_residual(m1.gram - phi.T @ m2.gram @ phi)
@@ -311,7 +326,7 @@ def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
     p = as_matrix(p, dim=m.dim, name="p")
     pinv = np.linalg.inv(p)
     c = m.algebra.tensor
-    new_c = np.einsum("abm,ai,bj,lm->ijl", c, p, p, pinv)
+    new_c = np.einsum("abm,ai,bj,lm->ijl", c, p, p, pinv, optimize=True)
     new_c = 0.5 * (new_c - new_c.transpose(1, 0, 2))
     new_g = p.T @ m.gram @ p
     algebra = LieAlgebra.from_tensor(new_c)

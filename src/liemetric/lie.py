@@ -8,6 +8,17 @@ lower triangle never disagrees with the upper one.  The sparse
 ``structure`` dict is a read-only view for file output.  Construction is
 two-phase: raw load, then :meth:`LieAlgebra.validate` after the Jacobi
 check.  The geometry layer only accepts validated algebras.
+
+Rank policy.  A bracket span (a step of the lower central or derived
+series) keeps the singular directions above ``tol.rank`` times the
+algebra's largest structure constant, never above a fraction of the step's
+own largest singular value: a step that should vanish holds only rounding
+noise, and a cut relative to that noise would count it as rank.  The
+center is the null space of x -> ad(x), cut relative to its own largest
+singular value.
+
+No kernel here builds a dim^4 array: brackets of spans are contracted
+pairwise, and the Jacobi residual is taken one basis index at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +43,11 @@ __all__ = [
 
 # largest |C + C^T| relative to max(1, |C|) that from_tensor accepts
 _ANTISYMMETRY_ATOL = 1e-12
+
+# Largest dimension read from a file or asked of the catalog.  The dense
+# bracket tensor holds dim^3 doubles, so dim 256 is already 128 MiB, and the
+# kernels keep a few arrays of that size alive at once.
+MAX_DIM = 256
 
 
 def _nonzero_pairs(t: np.ndarray):
@@ -98,6 +114,7 @@ class LieAlgebra:
                 raise DimensionMismatchError("basis_names length must equal dim")
         self.basis_names = basis_names
         self._validated = False
+        self._jacobi_residual = None
 
     @classmethod
     def from_tensor(cls, tensor, basis_names=None) -> "LieAlgebra":
@@ -141,6 +158,13 @@ class LieAlgebra:
     def is_validated(self) -> bool:
         return self._validated
 
+    @property
+    def jacobi_residual(self) -> float:
+        """:func:`validate_jacobi` of this algebra, computed once (the tensor is read-only)."""
+        if self._jacobi_residual is None:
+            self._jacobi_residual = validate_jacobi(self)
+        return self._jacobi_residual
+
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] by contraction against the structure tensor."""
         x = as_vector(x, self.dim, name="x")
@@ -154,7 +178,7 @@ class LieAlgebra:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> "LieAlgebra":
         """Check the Jacobi identity; mark validated or raise JacobiError."""
-        res = validate_jacobi(self)
+        res = self.jacobi_residual
         bound = tol.abs * max(1.0, self.max_structure_constant ** 3)
         if res > bound:
             raise JacobiError(
@@ -168,14 +192,21 @@ class LieAlgebra:
 
 
 def validate_jacobi(g: LieAlgebra) -> float:
-    """Max-norm over basis triples of the Jacobi cyclic sum."""
-    c = g.tensor
-    if g.dim == 0:
-        return 0.0
-    # T[i, j, k, :] = [e_i, [e_j, e_k]]
-    t = np.einsum("jkm,iml->ijkl", c, c)
-    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return operator_residual(cyc)
+    """Max-norm over basis triples of the Jacobi cyclic sum.
+
+    Computed as the homomorphism defect ad([e_i, e_j]) - [ad e_i, ad e_j],
+    which is the negated cyclic sum applied to e_k, one index i at a time:
+    O(dim^3) memory, no dim^4 array.  The defect is antisymmetric in
+    (i, j) and zero at i = j, so only j > i is formed.
+    """
+    ads = g.ad_basis
+    res = 0.0
+    for i in range(g.dim):
+        rest = ads[i + 1:]
+        lhs = np.tensordot(g.tensor[i, i + 1:], ads, axes=(1, 0))  # ad([e_i, e_j]) for every j > i
+        defect = lhs - (ads[i] @ rest - rest @ ads[i])
+        res = max(res, operator_residual(defect))
+    return res
 
 
 def killing_form(g: LieAlgebra) -> np.ndarray:
@@ -200,25 +231,18 @@ class StructureReport:
     nilpotency_step: int | None
 
 
-def _span(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal row basis of the span of ``rows`` under the rank cutoff."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.size == 0:
-        return np.zeros((0, rows.shape[-1] if rows.ndim == 2 else 0))
-    rows = rows.reshape(-1, rows.shape[-1])
-    _, svals, vt = np.linalg.svd(rows, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((0, rows.shape[-1]))
-    rank = int(np.count_nonzero(svals > tol.rank * svals[0]))
-    return vt[:rank]
-
-
 def _bracket_span(g: LieAlgebra, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Span of [span(a), span(b)] for row-basis matrices a, b."""
+    """Orthonormal row basis of [span(a), span(b)] for row-basis matrices a, b.
+
+    Singular values count as rank above ``tol.rank * g.max_structure_constant``
+    (see the module docstring).
+    """
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((0, g.dim))
-    prods = np.einsum("ijk,ai,bj->abk", g.tensor, a, b).reshape(-1, g.dim)
-    return _span(prods, tol)
+    prods = np.einsum("ijk,ai,bj->abk", g.tensor, a, b, optimize=True).reshape(-1, g.dim)
+    _, svals, vt = np.linalg.svd(prods, full_matrices=False)
+    rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
+    return vt[:rank]
 
 
 def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureReport:

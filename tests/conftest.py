@@ -33,3 +33,19 @@ def make_heisenberg(n):
         vec[-1] = coeff
         structure[(2 * i, 2 * i + 1)] = vec
     return LieAlgebra(dim, structure)
+
+
+# one small instance of every catalog entry
+CATALOG_CASES = [
+    ("heisenberg", {"n": 1}),
+    ("heisenberg", {"n": 3}),
+    ("einstein_solvable", {"n": 1}),
+    ("einstein_solvable", {"n": 3}),
+    ("sl_killing", {"n": 2}),
+    ("sl_killing", {"n": 3}),
+    ("sl_complex_typeI", {"n": 2, "lam": 1.0, "mu": 2.0}),
+    ("affine_plane", {}),
+    ("abelian", {"p": 1, "q": 2}),
+    ("double_ext_demo", {"kind": "solvable"}),
+    ("double_ext_demo", {"kind": "nilpotent", "dim": 4}),
+]

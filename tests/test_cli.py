@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from liemetric import catalog
-from liemetric.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, main
+from liemetric import Tolerance, catalog, ricci_structural
+from liemetric.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, main
 
 
 def write_catalog(tmp_path, name, filename, **params):
@@ -122,6 +123,42 @@ def test_report_directory_batch(tmp_path, capsys):
     assert run(["report", tmp_path]) == EXIT_OK
     reports = json.loads(capsys.readouterr().out)
     assert [r["file"] for r in reports] == ["a_h1.json", "b_ab.json"]
+
+
+def test_report_directory_keeps_going_past_a_bad_file(tmp_path, capsys):
+    doc = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": float("nan")}}], "metric": np.eye(2).tolist()}
+    (tmp_path / "a_nan.json").write_text(json.dumps(doc), encoding="utf-8")
+    write_catalog(tmp_path, "heisenberg", "b_h1.json", n=1)
+    assert run(["report", tmp_path]) == EXIT_PARSE
+    records = json.loads(capsys.readouterr().out)
+    assert [r["file"] for r in records] == ["a_nan.json", "b_h1.json"]
+    assert records[0]["exit_code"] == EXIT_PARSE
+    assert records[0]["error"].startswith("ParseError: ") and "finite" in records[0]["error"]
+    assert set(records[0]) == {"file", "error", "exit_code"}
+    assert records[1]["report"]["structure"]["is_nilpotent"]
+
+
+def test_size_bounds_reject_before_allocating(tmp_path, capsys):
+    assert run(["catalog", "heisenberg", "--params", json.dumps({"n": 10 ** 40})]) == EXIT_PRECONDITION
+    assert "BadParamsError" in capsys.readouterr().err
+    assert run(["catalog", "sl_killing", "--params", '{"n": 17}']) == EXIT_PRECONDITION  # dim 288
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 1000000, "brackets": [], "metric": []}), encoding="utf-8")
+    assert run(["report", path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "dim" in err and "Traceback" not in err
+
+
+def test_report_path_builds_no_dim4_array():
+    tracemalloc.start()
+    try:
+        m = catalog("sl_killing", n=7)  # dim 48: dim^4 doubles are 40.5 MiB
+        build_report(m, Tolerance())
+        ricci_structural(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 48 ** 4 * 8
 
 
 def test_report_tolerance_override(tmp_path, capsys):

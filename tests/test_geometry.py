@@ -26,7 +26,7 @@ from liemetric import (
 from liemetric.errors import DimensionMismatchError
 from liemetric.sampling import random_metric_lie_algebra
 
-from conftest import make_affine
+from conftest import CATALOG_CASES, make_affine
 
 
 @pytest.fixture
@@ -274,3 +274,21 @@ def test_connection_matrices_act(affine, rng):
     nm = connection_matrices(affine)
     w = rng.normal(size=2)
     assert_allclose(nm[1] @ w, w[0] * connection(affine)[1, 0] + w[1] * connection(affine)[1, 1])
+
+
+def _assert_ricci_is_curvature_trace(m):
+    ref = np.einsum("ijki->jk", curvature(m))
+    ref = 0.5 * (ref + ref.T)
+    assert np.max(np.abs(ricci(m).tensor - ref), initial=0.0) <= m.tol.threshold(m.residual_scale())
+
+
+def test_ricci_matches_curvature_trace_on_random_algebras(rng):
+    for dim in range(2, 13):
+        for _ in range(3):
+            p = int(rng.integers(0, dim + 1))
+            _assert_ricci_is_curvature_trace(random_metric_lie_algebra(rng, dim, sig=(p, dim - p)))
+
+
+@pytest.mark.parametrize("name, params", CATALOG_CASES)
+def test_ricci_matches_curvature_trace_on_catalog(name, params):
+    _assert_ricci_is_curvature_trace(catalog(name, **params))

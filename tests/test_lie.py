@@ -4,6 +4,9 @@ from numpy.testing import assert_allclose
 
 from liemetric import (
     LieAlgebra,
+    MetricLieAlgebra,
+    catalog,
+    change_basis,
     direct_sum,
     killing_form,
     structure_report,
@@ -11,9 +14,9 @@ from liemetric import (
     validate_jacobi,
 )
 from liemetric.errors import DimensionMismatchError, JacobiError
-from liemetric.sampling import random_lie_algebra
+from liemetric.sampling import random_invertible, random_lie_algebra
 
-from conftest import make_affine, make_heisenberg, make_sl2
+from conftest import CATALOG_CASES, make_affine, make_heisenberg, make_sl2
 
 
 def test_bracket_heisenberg():
@@ -206,3 +209,99 @@ def test_from_tensor_completes_from_upper_triangle():
     c[1, 0, 2] += 1e-6
     with pytest.raises(ValueError, match="antisymmetric"):
         LieAlgebra.from_tensor(c)
+
+
+def _cyclic_jacobi(c: np.ndarray) -> float:
+    """Reference: max-norm of the cyclic sum [e_i, [e_j, e_k]] + cyclic, through one dim^4 array."""
+    if c.shape[0] == 0:
+        return 0.0
+    t = np.einsum("jkm,iml->ijkl", c, c)
+    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+    return float(np.max(np.abs(cyc)))
+
+
+def _assert_jacobi_matches_reference(g):
+    ref = _cyclic_jacobi(g.tensor)
+    assert abs(validate_jacobi(g) - ref) <= 1e-12 * max(ref, g.max_structure_constant ** 2)
+
+
+def test_validate_jacobi_matches_cyclic_sum_on_non_lie_tensors(rng):
+    for dim in range(3, 9):
+        for _ in range(3):
+            c = rng.normal(size=(dim, dim, dim))
+            g = LieAlgebra.from_tensor(c - c.transpose(1, 0, 2))
+            assert _cyclic_jacobi(g.tensor) > 1e-3
+            _assert_jacobi_matches_reference(g)
+
+
+@pytest.mark.parametrize("name, params", CATALOG_CASES)
+def test_validate_jacobi_matches_cyclic_sum_on_catalog(name, params):
+    _assert_jacobi_matches_reference(catalog(name, **params).algebra)
+
+
+def test_validate_jacobi_dims_zero_and_one():
+    for dim in (0, 1):
+        g = LieAlgebra(dim, {})
+        assert validate_jacobi(g) == _cyclic_jacobi(g.tensor) == 0.0
+
+
+def test_jacobi_residual_is_computed_once(monkeypatch):
+    from liemetric import lie
+
+    calls = []
+    real = lie.validate_jacobi
+    monkeypatch.setattr(lie, "validate_jacobi", lambda g: calls.append(g) or real(g))
+    g = make_sl2().validate()
+    assert g.jacobi_residual == 0.0
+    g.validate()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [7, 10, 24])
+def test_heisenberg_nilpotent_of_step_two(n):
+    rep = structure_report(make_heisenberg(n).validate())
+    assert rep.is_nilpotent and rep.nilpotency_step == 2
+    assert rep.is_solvable
+    assert rep.center_dim == rep.derived_dim == 1
+
+
+def _in_random_basis(g: LieAlgebra, rng) -> LieAlgebra:
+    return change_basis(MetricLieAlgebra(g.validate(), np.eye(g.dim)), random_invertible(rng, g.dim)).algebra
+
+
+def _almost_abelian(rng, dim):
+    c = np.zeros((dim, dim, dim))
+    c[0, 1:, 1:] = rng.normal(size=(dim - 1, dim - 1)).T  # [e_0, e_j] = A e_j
+    return LieAlgebra.from_tensor(c - c.transpose(1, 0, 2))
+
+
+def _two_step_nilpotent(rng, nv, ncen):
+    dim = nv + ncen
+    c = np.zeros((dim, dim, dim))
+    c[:nv, :nv, nv:] = rng.normal(size=(nv, nv, ncen))  # [v_i, v_j] in the center
+    return LieAlgebra.from_tensor(c - c.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("family, expected", [
+    ("affine", dict(is_nilpotent=False, is_solvable=True, derived_dim=1, center_dim=0, nilpotency_step=None)),
+    ("almost_abelian", dict(is_nilpotent=False, is_solvable=True, derived_dim=5, center_dim=0,
+                            nilpotency_step=None)),
+    ("two_step", dict(is_nilpotent=True, is_solvable=True, derived_dim=3, center_dim=3, nilpotency_step=2)),
+])
+def test_structure_report_in_random_basis(family, expected):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        g = {"affine": lambda: make_affine(),
+             "almost_abelian": lambda: _almost_abelian(rng, 6),
+             "two_step": lambda: _two_step_nilpotent(rng, 4, 3)}[family]()
+        rep = structure_report(_in_random_basis(g, rng))
+        assert {key: getattr(rep, key) for key in expected} == expected, seed
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_sl2_plus_abelian_is_not_solvable(k, rng):
+    g = direct_sum(make_sl2(), LieAlgebra(k, {}))
+    for h in (g.validate(), _in_random_basis(g, rng)):
+        rep = structure_report(h)
+        assert not rep.is_solvable and not rep.is_nilpotent
+        assert rep.derived_dim == 3 and rep.center_dim == k
