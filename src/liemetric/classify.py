@@ -74,14 +74,14 @@ def classify_ricci(m: MetricLieAlgebra, tol: Tolerance | None = None) -> RicciCl
 
     Precedence under tolerance: Einstein beats type I beats type II beats
     other, since mu -> 0 and Ric -> 0 are boundary degenerations of the
-    non-Einstein types.
+    non-Einstein types.  Type I is tested (and its residual reported) only
+    for mu above the threshold; Ric^2 = 0 is tested on Ric / |Ric|.
     """
     tol = tol or m.tol
     op = ricci(m).operator
     d = m.dim
     norm = operator_residual(op)
     thr = tol.threshold(m.residual_scale())
-    thr_sq = tol.threshold(max(m.residual_scale(), norm ** 2))
 
     lam = float(np.trace(op)) / d if d else 0.0
     einstein_res = operator_residual(op - lam * np.eye(d))
@@ -89,13 +89,13 @@ def classify_ricci(m: MetricLieAlgebra, tol: Tolerance | None = None) -> RicciCl
     shifted = op - lam * np.eye(d)
     mu_sq = -float(np.trace(shifted @ shifted)) / d if d else 0.0
     mu = float(np.sqrt(max(mu_sq, 0.0)))
-    type_i_res = operator_residual(shifted @ shifted + mu_sq * np.eye(d)) if mu_sq > 0 else np.inf
+    type_i_res = operator_residual(shifted @ shifted + mu_sq * np.eye(d)) if mu > thr else None
 
     type_ii_sq = operator_residual(op @ op)
 
     residuals = {
         "einstein": einstein_res,
-        "type_I_minpoly": type_i_res if np.isfinite(type_i_res) else None,
+        "type_I_minpoly": type_i_res,
         "type_II_square": type_ii_sq,
         "operator_norm": norm,
         "mu": mu,
@@ -103,9 +103,9 @@ def classify_ricci(m: MetricLieAlgebra, tol: Tolerance | None = None) -> RicciCl
 
     if einstein_res <= thr:
         return RicciClassification(tag=EINSTEIN, constant=lam, residuals=residuals)
-    if mu > thr and np.isfinite(type_i_res) and type_i_res <= thr_sq:
+    if type_i_res is not None and type_i_res <= tol.threshold(max(m.residual_scale(), norm ** 2)):
         return RicciClassification(tag=TYPE_I, lam=lam, mu=mu, residuals=residuals)
-    if norm > thr and type_ii_sq <= thr_sq:
+    if norm > thr and type_ii_sq / norm ** 2 <= tol.threshold(1.0):
         return RicciClassification(tag=TYPE_II, residuals=residuals)
     return RicciClassification(tag=OTHER, residuals=residuals)
 

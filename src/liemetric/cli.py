@@ -9,7 +9,9 @@ Algebra files are UTF-8 JSON:
       "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     }
 
-``dim`` may be at most :data:`liemetric.lie.MAX_DIM`.
+``dim`` may be at most :data:`liemetric.lie.MAX_DIM`, and every number (in
+these files, in extension data and after ``--type1``) must be finite and of
+magnitude at most :data:`liemetric.linalg.MAX_ABS`.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 mathematical
 precondition failure, 4 verification failure (a certified invariant of a
@@ -45,7 +47,7 @@ from .errors import (
 )
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
 from .lie import MAX_DIM, LieAlgebra, structure_report
-from .linalg import SymmetricForm, Tolerance, finite_number, signature
+from .linalg import MAX_ABS, SymmetricForm, Tolerance, finite_number, signature
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -105,24 +107,30 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    if "dim" not in doc or not isinstance(doc["dim"], int) or not 1 <= doc["dim"] <= MAX_DIM:
+    if type(doc.get("dim")) is not int or not 1 <= doc["dim"] <= MAX_DIM:  # a bool is not a dim
         raise ParseError(f"{path}: field 'dim' must be an integer from 1 to {MAX_DIM}")
     dim = doc["dim"]
 
+    brackets = doc.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ParseError(f"{path}: field 'brackets' must be a list")
     structure = {}
-    for rec_no, rec in enumerate(doc.get("brackets", [])):
+    for rec_no, rec in enumerate(brackets):
         where = f"{path}: brackets[{rec_no}]"
         if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
             raise ParseError(f"{where}: each record needs integer fields 'i' and 'j'")
         i, j = rec["i"], rec["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:
             raise ParseError(f"{where}: 'i' and 'j' must be integers")
         if not (0 <= i < j < dim):
             raise ParseError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
         if (i, j) in structure:
             raise ParseError(f"{where}: duplicate bracket pair ({i}, {j})")
+        items = rec.get("coeffs", {})
+        if not isinstance(items, dict):
+            raise ParseError(f"{where}: 'coeffs' must be an object from index to value")
         coeffs = np.zeros(dim)
-        for key, val in rec.get("coeffs", {}).items():
+        for key, val in items.items():
             try:
                 k = int(key)
             except (TypeError, ValueError):
@@ -131,7 +139,8 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
                 raise ParseError(f"{where}: coefficient index {k} out of range")
             x = finite_number(val)
             if x is None:
-                raise ParseError(f"{where}: coefficient value for index {k} must be a finite number, got {val!r}")
+                raise ParseError(f"{where}: coefficient value for index {k} must be a finite number "
+                                 f"of magnitude at most {MAX_ABS:g}, got {val!r}")
             coeffs[k] = x
         structure[(i, j)] = coeffs
 
@@ -144,8 +153,8 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
         raise ParseError(f"{path}: metric is not a numeric matrix: {exc}") from exc
     if gram.shape != (dim, dim):
         raise ParseError(f"{path}: metric must be {dim}x{dim}, got shape {gram.shape}")
-    if not np.all(np.isfinite(gram)):
-        raise ParseError(f"{path}: field 'metric' must hold finite numbers")
+    if not np.all(np.abs(gram) <= MAX_ABS):  # NaN and the infinities fail too
+        raise ParseError(f"{path}: field 'metric' must hold finite numbers of magnitude at most {MAX_ABS:g}")
 
     names = doc.get("basis_names")
     if names is not None and (not isinstance(names, list) or len(names) != dim):
@@ -201,9 +210,10 @@ def build_report(m: MetricLieAlgebra, tol: Tolerance) -> dict:
     cls = classify_ricci(m, tol)
     data = ricci(m)
 
+    # by imaginary part first: the real parts of a conjugate pair differ only by rounding
     eig = np.linalg.eigvals(data.operator)
     eigs = sorted(({"re": float(z.real), "im": float(z.imag)} for z in eig),
-                  key=lambda e: (e["re"], e["im"]))
+                  key=lambda e: (e["im"], e["re"]))
 
     report = {
         "tool": "liemetric",
@@ -331,8 +341,8 @@ def _load_extension_data(path, dim: int):
         lvec = np.asarray(doc.get("L", np.zeros(dim)), dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: D, K, L must be numeric arrays: {exc}") from exc
-    if not all(np.all(np.isfinite(a)) for a in (d, k, lvec)):
-        raise ParseError(f"{path}: D, K, L must hold finite numbers")
+    if not all(np.all(np.abs(a) <= MAX_ABS) for a in (d, k, lvec)):
+        raise ParseError(f"{path}: D, K, L must hold finite numbers of magnitude at most {MAX_ABS:g}")
     return d, k, lvec
 
 
@@ -363,6 +373,8 @@ def _cmd_complexify(args, tol: Tolerance) -> int:
     base = load_algebra_file(args.base, tol)
     if args.type1 is not None:
         lam, mu = args.type1
+        if finite_number(lam) is None or finite_number(mu) is None:
+            raise ParseError(f"--type1 needs finite numbers of magnitude at most {MAX_ABS:g}")
         m = type_I_metric(base, lam, mu, tol)
         dec = type_I_decomposition(m, None, tol)
         sidecar = {

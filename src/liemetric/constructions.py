@@ -27,6 +27,7 @@ from .geometry import MetricLieAlgebra, ParallelCheck, connection_matrices, is_e
 from .lie import MAX_DIM, LieAlgebra, trace_functional
 from .linalg import (
     DEFAULT_TOL,
+    MAX_ABS,
     SymmetricForm,
     Tolerance,
     as_matrix,
@@ -552,7 +553,7 @@ def _param_value(name: str, key: str, val, kind: str, bound):
         x = finite_number(val)
         if x is not None:
             return x
-        need = "a finite number"
+        need = f"a finite number of magnitude at most {MAX_ABS:g}"
     else:
         if isinstance(val, str) and val in bound:
             return val

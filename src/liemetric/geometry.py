@@ -17,6 +17,7 @@ optimize=True)``, which contracts pairwise in BLAS-backed steps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,13 +89,20 @@ class MetricLieAlgebra:
         """Scale for predicate residuals: ric is quadratic in the brackets."""
         return max(1.0, operator_residual(self.gram), self.algebra.max_structure_constant ** 2)
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
     def __repr__(self):
         return f"MetricLieAlgebra(dim={self.dim})"
+
+
+def _memoised(fn):
+    """``fn(m)``, computed once per metric algebra and kept in its cache."""
+
+    @functools.wraps(fn)
+    def cached(m: MetricLieAlgebra):
+        if fn.__name__ not in m._cache:
+            m._cache[fn.__name__] = fn(m)
+        return m._cache[fn.__name__]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -134,47 +142,36 @@ def u_map(m: MetricLieAlgebra, x, y) -> np.ndarray:
     return m.metric.solve(rhs)
 
 
+@_memoised
 def connection(m: MetricLieAlgebra) -> np.ndarray:
     """Connection coefficients N[i, j, :] = components of nabla_{e_i} e_j."""
-
-    def build():
-        c, g = m.algebra.tensor, m.gram
-        b = np.einsum("ijm,mk->ijk", c, g)  # <[e_i, e_j], e_k>
-        u_low = 0.5 * (b.transpose(1, 2, 0) + b.transpose(2, 1, 0))
-        u = np.einsum("km,ijm->ijk", np.linalg.inv(g), u_low)
-        n = 0.5 * c + u
-        n.flags.writeable = False
-        return n
-
-    return m._memo("connection", build)
+    c, g = m.algebra.tensor, m.gram
+    b = np.einsum("ijm,mk->ijk", c, g)  # <[e_i, e_j], e_k>
+    u_low = 0.5 * (b.transpose(1, 2, 0) + b.transpose(2, 1, 0))
+    u = np.einsum("km,ijm->ijk", np.linalg.inv(g), u_low)
+    n = 0.5 * c + u
+    n.flags.writeable = False
+    return n
 
 
 def connection_matrices(m: MetricLieAlgebra) -> np.ndarray:
-    """Stack of matrices of nabla_{e_i} acting on coefficient vectors."""
-
-    def build():
-        mats = connection(m).transpose(0, 2, 1)
-        mats.flags.writeable = False
-        return mats
-
-    return m._memo("connection_matrices", build)
+    """Stack of matrices of nabla_{e_i} acting on coefficient vectors (a read-only view)."""
+    return connection(m).transpose(0, 2, 1)
 
 
+@_memoised
 def curvature(m: MetricLieAlgebra) -> np.ndarray:
     """Curvature tensor riem[i, j, k, l]: component of R(e_i, e_j) e_k along e_l."""
-
-    def build():
-        c = m.algebra.tensor
-        nm = connection_matrices(m)
-        comp = np.einsum("iab,jbc->ijac", nm, nm)
-        rmat = comp - comp.transpose(1, 0, 2, 3) - np.einsum("ijm,mlk->ijlk", c, nm)
-        riem = rmat.transpose(0, 1, 3, 2)
-        riem.flags.writeable = False
-        return riem
-
-    return m._memo("curvature", build)
+    c = m.algebra.tensor
+    nm = connection_matrices(m)
+    comp = np.einsum("iab,jbc->ijac", nm, nm)
+    rmat = comp - comp.transpose(1, 0, 2, 3) - np.einsum("ijm,mlk->ijlk", c, nm)
+    riem = rmat.transpose(0, 1, 3, 2)
+    riem.flags.writeable = False
+    return riem
 
 
+@_memoised
 def ricci(m: MetricLieAlgebra) -> RicciData:
     """Ricci data straight from the connection matrices (basis-free primary path).
 
@@ -182,26 +179,23 @@ def ricci(m: MetricLieAlgebra) -> RicciData:
     curvature without the dim^4 array: every intermediate is dim^3.  The
     result is symmetrised.
     """
-
-    def build():
-        c = m.algebra.tensor
-        nm = connection_matrices(m)
-        idx = np.arange(m.dim)
-        d = nm[idx, idx]  # d[i] = row i of N_i
-        terms = (np.einsum("ib,jbk->ijk", d, nm) - np.einsum("jib,ibk->ijk", nm, nm)
-                 - np.einsum("ijm,mik->ijk", c, nm))
-        ric = np.einsum("ijk->jk", terms)
-        ric = 0.5 * (ric + ric.T)
-        operator = m.metric.solve(ric)
-        tau = trace_functional(m.algebra)
-        z = m.metric.solve(tau)
-        for arr in (ric, operator, z):
-            arr.flags.writeable = False
-        return RicciData(tensor=ric, operator=operator, scalar=float(np.trace(operator)), mean_curvature=z)
-
-    return m._memo("ricci", build)
+    c = m.algebra.tensor
+    nm = connection_matrices(m)
+    idx = np.arange(m.dim)
+    d = nm[idx, idx]  # d[i] = row i of N_i
+    terms = (np.einsum("ib,jbk->ijk", d, nm) - np.einsum("jib,ibk->ijk", nm, nm)
+             - np.einsum("ijm,mik->ijk", c, nm))
+    ric = np.einsum("ijk->jk", terms)
+    ric = 0.5 * (ric + ric.T)
+    operator = m.metric.solve(ric)
+    tau = trace_functional(m.algebra)
+    z = m.metric.solve(tau)
+    for arr in (ric, operator, z):
+        arr.flags.writeable = False
+    return RicciData(tensor=ric, operator=operator, scalar=float(np.trace(operator)), mean_curvature=z)
 
 
+@_memoised
 def ricci_structural(m: MetricLieAlgebra) -> np.ndarray:
     """Ricci tensor from the closed formula over a pseudo-orthonormal basis.
 
@@ -212,47 +206,40 @@ def ricci_structural(m: MetricLieAlgebra) -> np.ndarray:
 
     This is the independent oracle for :func:`ricci`.
     """
+    c, g = m.algebra.tensor, m.gram
+    basis, signs = pseudo_orthonormal_basis(m.metric, m.tol)
+    eps = signs.astype(float)
 
-    def build():
-        c, g = m.algebra.tensor, m.gram
-        basis, signs = pseudo_orthonormal_basis(m.metric, m.tol)
-        eps = signs.astype(float)
+    term_k = -0.5 * killing_form(m.algebra)
 
-        term_k = -0.5 * killing_form(m.algebra)
+    z = m.metric.solve(trace_functional(m.algebra))
+    az = m.algebra.ad(z)
+    azg = az.T @ g
+    term_z = -0.5 * (azg + azg.T)
 
-        z = m.metric.solve(trace_functional(m.algebra))
-        az = m.algebra.ad(z)
-        azg = az.T @ g
-        term_z = -0.5 * (azg + azg.T)
+    # [e_i, b_a]
+    br = np.einsum("ijk,ja->iak", c, basis)
+    term3 = -0.5 * np.einsum("iak,kl,jal,a->ij", br, g, br, eps, optimize=True)
 
-        # [e_i, b_a]
-        br = np.einsum("ijk,ja->iak", c, basis)
-        term3 = -0.5 * np.einsum("iak,kl,jal,a->ij", br, g, br, eps, optimize=True)
+    # <[b_a, b_b], e_i>
+    bb = np.einsum("ijk,ia,jb->abk", c, basis, basis, optimize=True)
+    p = np.einsum("abk,ki->abi", bb, g)
+    term4 = 0.25 * np.einsum("abi,abj,a,b->ij", p, p, eps, eps, optimize=True)
 
-        # <[b_a, b_b], e_i>
-        bb = np.einsum("ijk,ia,jb->abk", c, basis, basis, optimize=True)
-        p = np.einsum("abk,ki->abi", bb, g)
-        term4 = 0.25 * np.einsum("abi,abj,a,b->ij", p, p, eps, eps, optimize=True)
-
-        out = term_k + term_z + term3 + term4
-        out = 0.5 * (out + out.T)
-        out.flags.writeable = False
-        return out
-
-    return m._memo("ricci_structural", build)
+    out = term_k + term_z + term3 + term4
+    out = 0.5 * (out + out.T)
+    out.flags.writeable = False
+    return out
 
 
+@_memoised
 def nabla_ric(m: MetricLieAlgebra) -> np.ndarray:
     """(nabla_{e_i} ric)(e_j, e_k) using the left-invariant simplification."""
-
-    def build():
-        n = connection(m)
-        ric = ricci(m).tensor
-        out = -np.einsum("ijm,mk->ijk", n, ric) - np.einsum("ikm,jm->ijk", n, ric)
-        out.flags.writeable = False
-        return out
-
-    return m._memo("nabla_ric", build)
+    n = connection(m)
+    ric = ricci(m).tensor
+    out = -np.einsum("ijm,mk->ijk", n, ric) - np.einsum("ikm,jm->ijk", n, ric)
+    out.flags.writeable = False
+    return out
 
 
 def is_ricci_parallel(m: MetricLieAlgebra, tol: Tolerance | None = None) -> ParallelCheck:

@@ -9,13 +9,18 @@ lower triangle never disagrees with the upper one.  The sparse
 two-phase: raw load, then :meth:`LieAlgebra.validate` after the Jacobi
 check.  The geometry layer only accepts validated algebras.
 
-Rank policy.  A bracket span (a step of the lower central or derived
-series) keeps the singular directions above ``tol.rank`` times the
-algebra's largest structure constant, never above a fraction of the step's
-own largest singular value: a step that should vanish holds only rounding
-noise, and a cut relative to that noise would count it as rank.  The
-center is the null space of x -> ad(x), cut relative to its own largest
-singular value.
+Jacobi bound.  The Jacobi residual is quadratic in the structure
+constants, so :meth:`LieAlgebra.validate` accepts it when it is at most
+``tol.threshold(max(1, C)**2)``, C the largest structure constant.
+
+Rank policy.  The lower central and the derived series both start at
+[g, g], computed once, and run until a term vanishes or stops shrinking.
+A term keeps the singular directions above ``tol.rank`` times the
+algebra's largest structure constant, never above a fraction of the
+term's own largest singular value: a term that should vanish holds only
+rounding noise, and a cut relative to that noise would count it as rank.
+The center is the null space of x -> ad(x), cut relative to its own
+largest singular value.
 
 No kernel here builds a dim^4 array: brackets of spans are contracted
 pairwise, and the Jacobi residual is taken one basis index at a time.
@@ -108,6 +113,7 @@ class LieAlgebra:
     def _set(self, upper: np.ndarray, basis_names):
         self.dim = upper.shape[0]
         self._tensor = _complete(upper)
+        self._max_structure_constant = operator_residual(self._tensor)
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
             if len(basis_names) != self.dim:
@@ -152,7 +158,8 @@ class LieAlgebra:
 
     @property
     def max_structure_constant(self) -> float:
-        return operator_residual(self.tensor)
+        """Largest |C[i, j, k]|, computed once (the tensor is read-only)."""
+        return self._max_structure_constant
 
     @property
     def is_validated(self) -> bool:
@@ -179,8 +186,8 @@ class LieAlgebra:
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> "LieAlgebra":
         """Check the Jacobi identity; mark validated or raise JacobiError."""
         res = self.jacobi_residual
-        bound = tol.abs * max(1.0, self.max_structure_constant ** 3)
-        if res > bound:
+        bound = tol.threshold(max(1.0, self.max_structure_constant) ** 2)
+        if not res <= bound:
             raise JacobiError(
                 f"Jacobi residual {res:.3e} exceeds bound {bound:.3e}", residual=res
             )
@@ -237,71 +244,49 @@ def _bracket_span(g: LieAlgebra, a: np.ndarray, b: np.ndarray, tol: Tolerance) -
     Singular values count as rank above ``tol.rank * g.max_structure_constant``
     (see the module docstring).
     """
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, g.dim))
-    prods = np.einsum("ijk,ai,bj->abk", g.tensor, a, b, optimize=True).reshape(-1, g.dim)
+    dim = g.dim
+    left = (a @ g.tensor.reshape(dim, dim * dim)).reshape(a.shape[0], dim, dim)  # [a_r, e_j]
+    prods = (b @ left).reshape(a.shape[0] * b.shape[0], dim)  # [a_r, b_s]
     _, svals, vt = np.linalg.svd(prods, full_matrices=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
     return vt[:rank]
+
+
+def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
+    """Terms from ``term`` = [g, g] through the first zero one; ``nxt`` gives the next term.
+
+    None when a term is no smaller than the one before it (g before [g, g]).
+    """
+    size, length = g.dim, 1
+    while term.shape[0]:
+        if term.shape[0] >= size:
+            return None
+        size, term, length = term.shape[0], nxt(term), length + 1
+    return length
 
 
 def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Series-based structural predicates with an explicit numerical rank policy."""
     dim = g.dim
     full = np.eye(dim)
-
-    # lower central series
-    step = None
-    cur = full
-    nilpotent = dim == 0
-    if dim:
-        for k in range(1, dim + 2):
-            nxt = _bracket_span(g, full, cur, tol)
-            if nxt.shape[0] == 0:
-                nilpotent = True
-                step = k
-                break
-            if nxt.shape[0] >= cur.shape[0]:
-                break
-            cur = nxt
-    else:
-        step = 1
-
-    # derived series
-    solvable = dim == 0
-    cur = full
-    if dim:
-        for _ in range(dim + 1):
-            nxt = _bracket_span(g, cur, cur, tol)
-            if nxt.shape[0] == 0:
-                solvable = True
-                break
-            if nxt.shape[0] >= cur.shape[0]:
-                break
-            cur = nxt
-
     derived = _bracket_span(g, full, full, tol)
-    derived_dim = int(derived.shape[0])
+    step = _series_length(g, derived, lambda t: _bracket_span(g, full, t, tol))
+    derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
 
-    if dim:
-        # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix
-        flat = g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim)
-        svals = np.linalg.svd(flat, compute_uv=False)
-        rank = int(np.count_nonzero(svals > tol.rank * svals[0])) if svals.size and svals[0] > 0 else 0
-        center_dim = dim - rank
-    else:
-        center_dim = 0
+    # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix
+    svals = np.linalg.svd(g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim), compute_uv=False)
+    rank = int(np.count_nonzero(svals > tol.rank * svals[0])) if svals.size and svals[0] > 0 else 0
 
     tau = trace_functional(g)
     unimodular = operator_residual(tau) <= tol.threshold(max(1.0, g.max_structure_constant))
 
     return StructureReport(
-        is_nilpotent=nilpotent,
-        is_solvable=solvable,
+        is_nilpotent=step is not None,
+        is_solvable=derived_length is not None,
         is_unimodular=unimodular,
-        center_dim=center_dim,
-        derived_dim=derived_dim,
-        nilpotency_step=step if nilpotent else None,
+        center_dim=dim - rank,
+        derived_dim=int(derived.shape[0]),
+        nilpotency_step=step,
     )
 
 

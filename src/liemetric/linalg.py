@@ -8,7 +8,6 @@ bases and metric adjoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,8 +41,8 @@ class Tolerance:
     rank: float = 1e-8
 
     def __post_init__(self):
-        if not (self.abs > 0 and self.rel > 0 and self.rank > 0):
-            raise ValueError("tolerance fields must be strictly positive")
+        if not all(0 < x < np.inf for x in (self.abs, self.rel, self.rank)):
+            raise ValueError("tolerance fields must be strictly positive and finite")
 
     def threshold(self, scale: float = 1.0) -> float:
         return self.abs + self.rel * scale
@@ -53,6 +52,10 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# Largest magnitude of a number read from a file or the command line: residual
+# scales reach the fourth power of the inputs, which must stay a finite double.
+MAX_ABS = 1e50
 
 
 class Signature(NamedTuple):
@@ -88,14 +91,14 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def finite_number(val) -> float | None:
-    """``val`` as a float if it is a real number (not a bool) of finite value, else None."""
+    """``val`` as a float if it is a real number (not a bool) of magnitude at most MAX_ABS, else None."""
     if isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, float, np.integer, np.floating)):
         return None
     try:
         x = float(val)
     except OverflowError:  # an int beyond the double range
         return None
-    return x if math.isfinite(x) else None
+    return x if abs(x) <= MAX_ABS else None  # NaN fails the comparison
 
 
 def operator_residual(a) -> float:
@@ -111,7 +114,9 @@ class SymmetricForm:
 
     The Gram matrix is symmetrised and frozen at construction; degeneracy
     (an eigenvalue within ``tol.rank`` of zero) is rejected immediately so
-    downstream code never has to re-check.
+    downstream code never has to re-check.  Its one symmetric
+    eigendecomposition is taken here and read by :func:`signature` and
+    :func:`pseudo_orthonormal_basis`.
     """
 
     def __init__(self, gram, tol: Tolerance = DEFAULT_TOL):
@@ -120,7 +125,7 @@ class SymmetricForm:
         if operator_residual(gram - gram.T) > tol.threshold(scale):
             raise ValueError("gram matrix is not symmetric to tolerance")
         gram = 0.5 * (gram + gram.T)
-        vals = np.linalg.eigvalsh(gram) if gram.size else np.array([])
+        vals, vecs = np.linalg.eigh(gram)
         if gram.shape[0] and np.min(np.abs(vals)) <= tol.rank:
             raise DegenerateFormError(
                 f"form is degenerate: eigenvalue magnitude {np.min(np.abs(vals)):.3e} <= rank cutoff {tol.rank:.3e}"
@@ -128,7 +133,7 @@ class SymmetricForm:
         gram.flags.writeable = False
         self.gram = gram
         self.dim = gram.shape[0]
-        self._eigvals = vals
+        self._eigh = (vals, vecs)
 
     def inner(self, x, y) -> float:
         x = as_vector(x, self.dim)
@@ -145,7 +150,7 @@ class SymmetricForm:
 
 def signature(form: SymmetricForm, tol: Tolerance = DEFAULT_TOL) -> Signature:
     """Inertia (p, q) of the form: counts of negative and positive eigenvalues."""
-    vals = np.linalg.eigvalsh(form.gram)
+    vals = form._eigh[0]
     if form.dim and np.min(np.abs(vals)) <= tol.rank:
         raise DegenerateFormError("cannot read signature of a degenerate form")
     p = int(np.count_nonzero(vals < 0))
@@ -159,7 +164,7 @@ def pseudo_orthonormal_basis(form: SymmetricForm, tol: Tolerance = DEFAULT_TOL):
     scaled by |eigenvalue|^(-1/2); stable for indefinite forms where naive
     Gram-Schmidt can hit null vectors.
     """
-    vals, vecs = np.linalg.eigh(form.gram)
+    vals, vecs = form._eigh
     if form.dim and np.min(np.abs(vals)) <= tol.rank:
         raise DegenerateFormError("cannot orthonormalise a degenerate form")
     signs = np.where(vals < 0, -1, 1).astype(int)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from liemetric import (
     DoubleExtensionSpec,
+    LieAlgebra,
     MetricLieAlgebra,
     catalog,
     change_basis,
@@ -240,3 +241,27 @@ def test_decompose_recovers_euclidean_abelian_base(solvable_demo):
     assert dec.spec.base.dim == 2
     assert dec.spec.base.algebra.structure == {}
     assert_allclose(dec.spec.base.gram, np.eye(2), atol=1e-12)
+
+
+def test_small_lorentz_heisenberg_is_not_type_ii():
+    # Ric is diagonal and nonzero; only its absolute size (~1e-6) is small
+    m = MetricLieAlgebra(LieAlgebra(3, {(0, 1): [0.0, 0.0, 1e-3]}), np.diag([1.0, 1.0, -1.0]))
+    cls = classify_ricci(m)
+    assert cls.tag == "other"
+    assert cls.residuals["operator_norm"] == pytest.approx(5e-7)
+
+
+def test_scaled_nilpotent_double_extension_is_type_ii(nilpotent_demo):
+    m = MetricLieAlgebra(LieAlgebra.from_tensor(1e-3 * nilpotent_demo.algebra.tensor), nilpotent_demo.gram)
+    assert classify_ricci(m).tag == "type_II"
+    assert type_II_canonical_basis(m).gram_sign == type_II_canonical_basis(nilpotent_demo).gram_sign
+
+
+def test_type_I_residual_only_reported_for_mu_above_threshold():
+    # sl(3) with the Killing metric is Einstein, so mu is rounding noise in every basis
+    m = catalog("sl_killing", n=3)
+    for seed in range(40):
+        cls = classify_ricci(change_basis(m, random_invertible(np.random.default_rng(seed), m.dim)))
+        assert cls.tag == "einstein"
+        assert cls.residuals["type_I_minpoly"] is None, seed
+    assert classify_ricci(type_I_metric(catalog("affine_plane"), 0.0, 1.0)).residuals["type_I_minpoly"] < 1e-12

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liemetric import Tolerance, catalog, ricci_structural
+from liemetric import Tolerance, catalog, change_basis, ricci_structural
 from liemetric.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, main
+from liemetric.sampling import random_invertible
 
 
 def write_catalog(tmp_path, name, filename, **params):
@@ -303,3 +304,78 @@ def test_algebra_file_round_trip_exact(tmp_path):
     doc = json.loads(path.read_text())
     coeff = doc["brackets"][0]["coeffs"]["4"]
     assert coeff == np.sqrt(2.0 / 4.0)
+
+
+def test_validate_rejects_scaled_perturbed_sl2(tmp_path, capsys):
+    # sl(2) scaled by 1e3 with [E, F] given an E-component of 0.0025: Jacobi residual 5.0
+    doc = {"dim": 3,
+           "brackets": [{"i": 0, "j": 1, "coeffs": {"0": 2.5e-3, "2": 1e3}},
+                        {"i": 0, "j": 2, "coeffs": {"0": -2e3}},
+                        {"i": 1, "j": 2, "coeffs": {"1": 2e3}}],
+           "metric": np.eye(3).tolist()}
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert "Jacobi" in capsys.readouterr().err
+
+
+def test_report_small_lorentz_heisenberg(tmp_path, capsys):
+    doc = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": 1e-3}}], "metric": np.diag([1.0, 1.0, -1.0]).tolist()}
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["report", path, "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"]["tag"] == "other" and report["type_II"] is None
+
+
+def test_ricci_eigenvalue_order_follows_the_imaginary_parts(tmp_path, capsys):
+    # Ric = Id + 2J: three conjugate pairs 1 +- 2i, whose real parts differ only by rounding
+    m = catalog("sl_complex_typeI", n=2, lam=1.0, mu=2.0)
+    for seed in range(40):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(algebra_to_dict(change_basis(m, random_invertible(np.random.default_rng(seed), m.dim)))))
+        assert run(["report", path, "--json"]) == EXIT_OK
+        eigs = json.loads(capsys.readouterr().out)["ricci_eigenvalues"]
+        assert "".join("-" if e["im"] < 0 else "+" for e in eigs) == "---+++", seed
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 2, "brackets": 5},
+    {"dim": 2, "brackets": {"i": 0, "j": 1}},
+    {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [1, 2]}]},
+    {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": None}]},
+    {"dim": True},
+    {"dim": 2, "brackets": [{"i": False, "j": 1, "coeffs": {"1": 1.0}}]},
+    {"dim": 2, "brackets": [{"i": 0, "j": True, "coeffs": {"1": 1.0}}]},
+    {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": 1e300}}]},
+    {"dim": 2, "metric": [[1e300, 0.0], [0.0, 1.0]]},
+])
+def test_malformed_algebra_files_are_parse_errors(tmp_path, capsys, doc):
+    doc = {"brackets": [], "metric": np.eye(2).tolist(), **doc}
+    (tmp_path / "a_bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    write_catalog(tmp_path, "affine_plane", "b_aff.json")
+    assert run(["validate", tmp_path / "a_bad.json"]) == EXIT_PARSE
+    assert "ParseError" in capsys.readouterr().err
+    assert run(["report", tmp_path]) == EXIT_PARSE
+    records = json.loads(capsys.readouterr().out)
+    assert records[0]["error"].startswith("ParseError: ") and "report" in records[1]
+
+
+@pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel", "--tol-rank"])
+def test_infinite_tolerance_is_rejected(tmp_path, capsys, flag):
+    path = write_catalog(tmp_path, "affine_plane", "aff.json")
+    assert run(["report", path, "--json", flag, "inf"]) == EXIT_PARSE
+    assert "finite" in capsys.readouterr().err
+
+
+def test_out_of_range_numbers_elsewhere(tmp_path, capsys):
+    base = write_catalog(tmp_path, "affine_plane", "aff.json")
+    assert run(["complexify", base, "--type1", "nan", "1"]) == EXIT_PARSE
+    assert run(["complexify", base, "--type1", "1", "1e300"]) == EXIT_PARSE
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"L": [1e300, 0.0]}), encoding="utf-8")
+    assert run(["double-extend", base, ext]) == EXIT_PARSE
+    params = {"n": 2, "lam": 1e300, "mu": 1}
+    assert run(["catalog", "sl_complex_typeI", "--params", json.dumps(params)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.count("magnitude at most 1e+50") == 4 and "Traceback" not in err

@@ -1,0 +1,98 @@
+"""Fuzzed algebra, extension and catalog inputs: every command exits 0, 2, 3 or 4, never with a traceback."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from liemetric.cli import main
+from liemetric.constructions import CATALOG_NAMES
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# finite numbers of every size, the bounds of the accepted range, NaN and the infinities
+numbers = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1e-300, 5e-324, 1e50, -1e50, 1.0000001e50, 1e154, 1e300]),
+    st.integers(-10 ** 400, 10 ** 400),
+)
+junk = st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=3),
+                 st.lists(st.integers(-1, 3), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def matrices(n):
+    return st.lists(st.lists(st.one_of(numbers, junk), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def well_formed(draw):
+    """An algebra document of the right shape: dim 1-4, i < j, a diagonal metric; any numbers."""
+    dim = draw(st.integers(1, 4))
+    keys = st.sampled_from([str(k) for k in range(dim)])
+    brackets = [{"i": i, "j": j, "coeffs": draw(st.dictionaries(keys, numbers, max_size=dim))}
+                for i in range(dim) for j in range(i + 1, dim) if draw(st.booleans())]
+    diag = draw(st.lists(numbers, min_size=dim, max_size=dim))
+    metric = [[diag[r] if r == c else 0 for c in range(dim)] for r in range(dim)]
+    return {"dim": dim, "brackets": brackets, "metric": metric}
+
+
+@st.composite
+def corrupted(draw):
+    """A well-formed document with one field, or one field of one bracket record, replaced by junk."""
+    doc = draw(well_formed())
+    field = draw(st.sampled_from(["dim", "brackets", "metric", "basis_names", "i", "j", "coeffs"]))
+    if field in ("i", "j", "coeffs"):
+        doc["brackets"] = doc["brackets"] or [{"i": 0, "j": 1, "coeffs": {}}]
+        doc["brackets"][0][field] = draw(junk)
+    else:
+        doc[field] = draw(junk)
+    return doc
+
+
+index = st.one_of(st.integers(-1, 4), junk)
+record = st.one_of(junk, st.fixed_dictionaries({"i": index, "j": index}, optional={
+    "coeffs": st.one_of(junk, st.dictionaries(st.sampled_from(["0", "1", "2", "-1", "x", "1.0"]), st.one_of(numbers, junk),
+                                              max_size=3))}))
+malformed = st.one_of(junk, st.fixed_dictionaries({}, optional={
+    "dim": st.one_of(st.integers(-1, 4), junk),
+    "brackets": st.one_of(junk, st.lists(record, max_size=3)),
+    "metric": st.one_of(junk, st.integers(1, 3).flatmap(matrices)),
+    "basis_names": st.one_of(junk, st.lists(junk, max_size=3)),
+}))
+extension = st.one_of(junk, st.fixed_dictionaries({}, optional={
+    "D": st.one_of(junk, st.integers(0, 3).flatmap(matrices)),
+    "K": st.one_of(junk, st.integers(0, 3).flatmap(matrices)),
+    "L": st.one_of(junk, st.lists(numbers, max_size=3)),
+}))
+params = st.dictionaries(st.sampled_from(["n", "lam", "mu", "p", "q", "kind", "dim"]),
+                         st.one_of(numbers, st.integers(-1, 4), st.sampled_from(["solvable", "nilpotent"]), junk),
+                         max_size=3)
+
+
+def exit_code(args) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main([str(a) for a in args])
+        except SystemExit as exc:  # argparse rejecting an argument
+            return exc.code
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                     suppress_health_check=list(hypothesis.HealthCheck))
+@hypothesis.given(st.one_of(well_formed(), corrupted(), malformed), extension, st.sampled_from(CATALOG_NAMES), params,
+                  numbers, numbers)
+def test_cli_exit_codes_are_documented(doc, ext_doc, name, catalog_params, lam, mu):
+    with tempfile.TemporaryDirectory() as tmp:
+        algebra, ext = Path(tmp) / "a.json", Path(tmp) / "ext.json"
+        algebra.write_text(json.dumps(doc), encoding="utf-8")
+        ext.write_text(json.dumps(ext_doc), encoding="utf-8")
+        for args in (["validate", algebra], ["report", algebra], ["report", tmp], ["decompose", algebra],
+                     ["complexify", algebra], ["complexify", algebra, "--type1", lam, mu],
+                     ["double-extend", algebra, ext], ["catalog", name, "--params", json.dumps(catalog_params)]):
+            assert exit_code(args) in (0, 2, 3, 4), args

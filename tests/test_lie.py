@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from liemetric import (
     LieAlgebra,
     MetricLieAlgebra,
+    StructureReport,
     catalog,
     change_basis,
     direct_sum,
@@ -305,3 +306,21 @@ def test_sl2_plus_abelian_is_not_solvable(k, rng):
         rep = structure_report(h)
         assert not rep.is_solvable and not rep.is_nilpotent
         assert rep.derived_dim == 3 and rep.center_dim == k
+
+
+def test_jacobi_bound_scales_with_the_square_of_the_brackets():
+    # sl(2) scaled by 1e3: C = 2e3, so the bound is tol.threshold(4e6) = 4e-3
+    c = 1e3 * make_sl2().tensor
+    g = LieAlgebra.from_tensor(c).validate()
+    assert g.jacobi_residual <= 1e-9 * g.max_structure_constant ** 2
+    c[0, 1, 0] += 0.0025  # [E, F] gains an E-component
+    c[1, 0, 0] -= 0.0025
+    bad = LieAlgebra.from_tensor(c)
+    assert bad.jacobi_residual == pytest.approx(5.0)
+    with pytest.raises(JacobiError):
+        bad.validate()
+
+
+def test_structure_report_dims_zero_and_one():
+    assert structure_report(LieAlgebra(0, {})) == StructureReport(True, True, True, 0, 0, 1)
+    assert structure_report(LieAlgebra(1, {})) == StructureReport(True, True, True, 1, 0, 1)

@@ -145,3 +145,24 @@ def test_metric_adjoint_defining_identity_and_involution(rng):
             x, y = rng.normal(size=dim), rng.normal(size=dim)
             assert abs(form.inner(a @ x, y) - form.inner(x, astar @ y)) < 1e-10
         assert_allclose(metric_adjoint(astar, form), a, atol=1e-10)
+
+
+def test_form_is_diagonalised_once(rng, monkeypatch):
+    form = random_form(rng, 5, 2)
+    calls = []
+    for name in ("eig", "eigh", "eigvalsh", "eigvals"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
+    assert signature(form) == Signature(2, 3)
+    basis, signs = pseudo_orthonormal_basis(form)
+    assert_allclose(basis.T @ form.gram @ basis, np.diag(signs), atol=1e-12)
+    assert calls == []
+
+
+def test_stored_spectrum_is_checked_against_the_given_tolerance():
+    form = SymmetricForm(np.diag([1e-3, -1.0]))
+    assert signature(form) == Signature(1, 1)
+    with pytest.raises(DegenerateFormError):
+        signature(form, Tolerance(rank=1e-2))
+    with pytest.raises(DegenerateFormError):
+        pseudo_orthonormal_basis(form, Tolerance(rank=1e-2))
