@@ -75,21 +75,24 @@ def classify_ricci(m: MetricLieAlgebra, tol: Tolerance | None = None) -> RicciCl
     Precedence under tolerance: Einstein beats type I beats type II beats
     other, since mu -> 0 and Ric -> 0 are boundary degenerations of the
     non-Einstein types.  Type I is tested (and its residual reported) only
-    for mu above the threshold; Ric^2 = 0 is tested on Ric / |Ric|.
+    when Ric is not Einstein and mu is nonzero: mu^2 is tested on
+    (Ric - lambda) / |Ric - lambda|, because for a nilpotent Ric - lambda it
+    is rounding noise of |Ric - lambda|^2.  Ric^2 = 0 is tested on Ric / |Ric|.
     """
     tol = tol or m.tol
+    exps = m.exponents
     op = ricci(m).operator
     d = m.dim
     norm = operator_residual(op)
-    thr = tol.threshold(m.residual_scale())
 
     lam = float(np.trace(op)) / d if d else 0.0
-    einstein_res = operator_residual(op - lam * np.eye(d))
-
     shifted = op - lam * np.eye(d)
+    einstein_res = operator_residual(shifted)
     mu_sq = -float(np.trace(shifted @ shifted)) / d if d else 0.0
     mu = float(np.sqrt(max(mu_sq, 0.0)))
-    type_i_res = operator_residual(shifted @ shifted + mu_sq * np.eye(d)) if mu > thr else None
+    einstein = tol.passes(einstein_res, "Ric", exps)
+    complex_pair = not einstein and not tol.passes((mu / einstein_res) ** 2, "unit_free", (0, 0))
+    type_i_res = operator_residual(shifted @ shifted + mu_sq * np.eye(d)) if complex_pair else None
 
     type_ii_sq = operator_residual(op @ op)
 
@@ -101,13 +104,19 @@ def classify_ricci(m: MetricLieAlgebra, tol: Tolerance | None = None) -> RicciCl
         "mu": mu,
     }
 
-    if einstein_res <= thr:
+    if einstein:
         return RicciClassification(tag=EINSTEIN, constant=lam, residuals=residuals)
-    if type_i_res is not None and type_i_res <= tol.threshold(max(m.residual_scale(), norm ** 2)):
+    if complex_pair and tol.passes(type_i_res, "Ric2", exps):
         return RicciClassification(tag=TYPE_I, lam=lam, mu=mu, residuals=residuals)
-    if norm > thr and type_ii_sq / norm ** 2 <= tol.threshold(1.0):
+    unit = op / norm if norm else op
+    if not tol.passes(norm, "Ric", exps) and tol.passes(operator_residual(unit @ unit), "unit_free", (0, 0)):
         return RicciClassification(tag=TYPE_II, residuals=residuals)
     return RicciClassification(tag=OTHER, residuals=residuals)
+
+
+# degree-table entry of each type-I verification residual (J is unit-free, gp has the units of ric)
+_TYPE_I_RESIDUALS = {"complex_structure": "unit_free", "symmetric": "unit_free", "einstein": "ric",
+                     "einstein_constant": "unit_free", "parallel": "connection", "reconstruction": "metric"}
 
 
 @dataclass(frozen=True)
@@ -157,8 +166,7 @@ def type_I_decomposition(m: MetricLieAlgebra, cls: RicciClassification | None = 
     recon = (lam * gp - mu * (gp @ j)) / (lam ** 2 + mu ** 2)
     residuals["reconstruction"] = operator_residual(g - recon)
 
-    thr = tol.threshold(m.residual_scale() * max(1.0, abs(lam), mu) ** 2)
-    bad = {k: v for k, v in residuals.items() if not v <= thr}
+    bad = {k: v for k, v in residuals.items() if not tol.passes(v, _TYPE_I_RESIDUALS[k], m.exponents)}
     if bad:
         raise VerificationError(f"type-I pair failed verification: {bad}", residuals=residuals)
     return TypeIDecomposition(J=j, einstein_metric=form, lam=lam, mu=mu, residuals=residuals)
@@ -209,12 +217,11 @@ def type_II_canonical_basis(m: MetricLieAlgebra, tol: Tolerance | None = None) -
         raise NotTypeIIError(f"Ricci image is {rank}-dimensional, expected 1")
     v0 = u_svd[:, 0]
     v0_norm = float(v0 @ g @ v0)
-    thr = tol.threshold(m.residual_scale())
-    if abs(v0_norm) > thr:
+    if not tol.passes(abs(v0_norm), "metric", m.exponents):
         raise NullImageError(f"Ricci image is not null: <v, v> = {v0_norm:.3e}")
 
     w, *_ = np.linalg.lstsq(op, v0, rcond=None)
-    if operator_residual(op @ w - v0) > thr:
+    if not tol.passes(operator_residual(op @ w - v0), "unit_free", m.exponents):
         raise NotTypeIIError("Ricci image vector has no preimage; operator is inconsistent")
 
     s = float(w @ g @ v0)
@@ -238,7 +245,7 @@ def type_II_canonical_basis(m: MetricLieAlgebra, tol: Tolerance | None = None) -
         "ricci_block": operator_residual(np.linalg.solve(basis, op @ basis) - _expected_type_ii_ric(m.dim)),
         "complement_signs": float(np.count_nonzero(signs < 0)),
     }
-    bad = {k: v_ for k, v_ in residuals.items() if not v_ <= tol.threshold(m.residual_scale())}
+    bad = {k: v_ for k, v_ in residuals.items() if not tol.passes(v_, "unit_free", m.exponents)}
     if bad:
         raise VerificationError(f"canonical basis failed verification: {bad}", residuals=residuals)
     return TypeIICanonicalBasis(basis=basis, gram_sign=sign, residuals=residuals)
@@ -277,7 +284,6 @@ def decompose_double_extension(m: MetricLieAlgebra, tol: Tolerance | None = None
     mc = change_basis(m, basis)
     c = mc.algebra.tensor
     n = m.dim - 2
-    thr = tol.threshold(m.residual_scale() * max(1.0, operator_residual(np.linalg.inv(basis)) ** 2))
 
     checks = {
         "v_central": operator_residual(c[1]),
@@ -285,7 +291,7 @@ def decompose_double_extension(m: MetricLieAlgebra, tol: Tolerance | None = None
         "base_abelian": operator_residual(c[2:, 2:, 2:]),
     }
     for name, res in checks.items():
-        if res > thr:
+        if not tol.passes(res, "bracket", mc.exponents):
             raise StructureMismatchError(
                 f"bracket data outside the double-extension pattern ({name} residual {res:.3e})",
                 residual=res,

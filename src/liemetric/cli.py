@@ -10,8 +10,10 @@ Algebra files are UTF-8 JSON:
     }
 
 ``dim`` may be at most :data:`liemetric.lie.MAX_DIM`, and every number (in
-these files, in extension data and after ``--type1``) must be finite and of
-magnitude at most :data:`liemetric.linalg.MAX_ABS`.
+these files, in extension data and after ``--type1``) must be a real number,
+not a string or a boolean, finite and of magnitude at most
+:data:`liemetric.linalg.MAX_ABS`.  ``--tol-abs`` and ``--tol-rel`` hold at
+unit brackets and unit metric (see :data:`liemetric.linalg.DEGREES`).
 
 Exit codes: 0 success, 2 parse/validation failure, 3 mathematical
 precondition failure, 4 verification failure (a certified invariant of a
@@ -36,7 +38,6 @@ from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditio
 from .errors import (
     BadParamsError,
     DegenerateFormError,
-    DimensionMismatchError,
     JacobiError,
     LieMetricError,
     NullImageError,
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
 from .lie import MAX_DIM, LieAlgebra, structure_report
-from .linalg import MAX_ABS, SymmetricForm, Tolerance, finite_number, signature
+from .linalg import MAX_ABS, SymmetricForm, Tolerance, as_matrix, as_vector, finite_number, signature
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -147,29 +148,22 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
     metric = doc.get("metric")
     if metric is None:
         raise ParseError(f"{path}: field 'metric' is required")
-    try:
-        gram = np.asarray(metric, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: metric is not a numeric matrix: {exc}") from exc
-    if gram.shape != (dim, dim):
-        raise ParseError(f"{path}: metric must be {dim}x{dim}, got shape {gram.shape}")
-    if not np.all(np.abs(gram) <= MAX_ABS):  # NaN and the infinities fail too
-        raise ParseError(f"{path}: field 'metric' must hold finite numbers of magnitude at most {MAX_ABS:g}")
-
     names = doc.get("basis_names")
     if names is not None and (not isinstance(names, list) or len(names) != dim):
         raise ParseError(f"{path}: basis_names must list {dim} labels")
 
     try:
+        gram = as_matrix(metric, dim=dim, name="field 'metric'")
         algebra = LieAlgebra(dim, structure, basis_names=names).validate(tol)
+        form = SymmetricForm(gram, tol)
     except JacobiError as exc:
         raise ValidationError(f"{path}: Jacobi identity fails (residual {exc.residual:.3e})") from exc
-    try:
-        form = SymmetricForm(gram, tol)
     except DegenerateFormError as exc:
         raise ValidationError(f"{path}: metric nondegeneracy fails: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"{path}: metric symmetry fails: {exc}") from exc
+    except LieMetricError as exc:  # the metric's entries or shape
+        raise ParseError(f"{path}: {exc}") from exc
     return MetricLieAlgebra(algebra, form, tol)
 
 
@@ -336,23 +330,17 @@ def _load_extension_data(path, dim: int):
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: extension data must be an object")
     try:
-        d = np.asarray(doc.get("D", np.zeros((dim, dim))), dtype=float)
-        k = np.asarray(doc.get("K", np.zeros((dim, dim))), dtype=float)
-        lvec = np.asarray(doc.get("L", np.zeros(dim)), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: D, K, L must be numeric arrays: {exc}") from exc
-    if not all(np.all(np.abs(a) <= MAX_ABS) for a in (d, k, lvec)):
-        raise ParseError(f"{path}: D, K, L must hold finite numbers of magnitude at most {MAX_ABS:g}")
-    return d, k, lvec
+        return (as_matrix(doc.get("D", np.zeros((dim, dim))), dim=dim, name="D"),
+                as_matrix(doc.get("K", np.zeros((dim, dim))), dim=dim, name="K"),
+                as_vector(doc.get("L", np.zeros(dim)), dim, name="L"))
+    except LieMetricError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _cmd_double_extend(args, tol: Tolerance) -> int:
     base = load_algebra_file(args.base, tol)
     d, k, lvec = _load_extension_data(args.ext, base.dim)
-    try:
-        spec = DoubleExtensionSpec(base=base, D=d, K=k, L=lvec)
-    except DimensionMismatchError as exc:
-        raise ParseError(f"{args.ext}: {exc}") from exc
+    spec = DoubleExtensionSpec(base=base, D=d, K=k, L=lvec)
     ext = double_extension(spec, tol)
     inv = extension_invariants(spec)
     cond = check_parallel_conditions(spec, tol)
@@ -372,10 +360,7 @@ def _cmd_double_extend(args, tol: Tolerance) -> int:
 def _cmd_complexify(args, tol: Tolerance) -> int:
     base = load_algebra_file(args.base, tol)
     if args.type1 is not None:
-        lam, mu = args.type1
-        if finite_number(lam) is None or finite_number(mu) is None:
-            raise ParseError(f"--type1 needs finite numbers of magnitude at most {MAX_ABS:g}")
-        m = type_I_metric(base, lam, mu, tol)
+        m = type_I_metric(base, *args.type1, tol)
         dec = type_I_decomposition(m, None, tol)
         sidecar = {
             "lambda": dec.lam,
@@ -417,8 +402,8 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--tol-abs", type=float, default=1e-9, help="absolute residual floor")
-    parser.add_argument("--tol-rel", type=float, default=1e-9, help="scale-relative residual factor")
+    parser.add_argument("--tol-abs", type=float, default=1e-9, help="residual floor at unit brackets and metric")
+    parser.add_argument("--tol-rel", type=float, default=1e-9, help="added to --tol-abs at unit brackets and metric")
     parser.add_argument("--tol-rank", type=float, default=1e-8, help="singular-value cutoff")
     parser.add_argument("--out", default=None, help="write JSON output to this path")
 

@@ -31,7 +31,9 @@ from .linalg import (
     SymmetricForm,
     Tolerance,
     as_matrix,
+    as_real_array,
     as_vector,
+    exponent,
     finite_number,
     metric_adjoint,
     operator_residual,
@@ -106,14 +108,17 @@ class DoubleExtensionSpec:
         return {"skew": skew, "derivation": derivation,
                 "compatibility": compatibility, "cocycle": cocycle}
 
-    def scale(self) -> float:
-        return max(
-            1.0,
-            operator_residual(self.D),
-            operator_residual(self.K),
-            operator_residual(self.L),
-            self.base.residual_scale(),
-        )
+    @property
+    def exponents(self) -> tuple[int, int]:
+        """(k_C, k_g) of the extension: its brackets hold C0, D, g0 L and K^T g0, its metric 1 and g0.
+
+        The degrees of the residuals in ``linalg.DEGREES`` are those of a homothety of
+        the extension that keeps <u, v> = 1: (C0, g0, D, K, L) -> (s C0, t g0, s D/t, s K/t, s L/t^2).
+        """
+        g0 = self.base.gram
+        brackets = max(self.base.algebra.max_structure_constant, operator_residual(self.D),
+                       operator_residual(g0 @ self.L), operator_residual(self.K.T @ g0))
+        return exponent(brackets), exponent(max(1.0, operator_residual(g0)))
 
 
 def double_extension(spec: DoubleExtensionSpec, tol: Tolerance = DEFAULT_TOL) -> MetricLieAlgebra:
@@ -123,10 +128,9 @@ def double_extension(spec: DoubleExtensionSpec, tol: Tolerance = DEFAULT_TOL) ->
     v central.  Metric: hyperbolic pairing <u, v> = 1 on top of the base
     metric, so the signature gains (1, 1).
     """
-    residuals = spec.validate(tol)
-    thr = tol.threshold(spec.scale() ** 2)
-    for name, res in residuals.items():
-        if res > thr:
+    exps = spec.exponents
+    for name, res in spec.validate(tol).items():
+        if not tol.passes(res, name, exps):
             raise InvalidSpecError(
                 f"double-extension data violates the {name} condition (residual {res:.3e})",
                 condition=name, residual=res,
@@ -224,8 +228,8 @@ def check_parallel_conditions(spec: DoubleExtensionSpec, tol: Tolerance = DEFAUL
         "C5": operator_residual(np.einsum("iab,b->ia", nm0, delta) + 0.5 * (ric0 @ b_plus).T),
     }
     base_parallel = is_ricci_parallel(base, tol)
-    thr = tol.threshold(spec.scale() ** 2 * base.residual_scale())
-    ok = base_parallel.ok and all(res <= thr for res in conditions.values())
+    exps = spec.exponents
+    ok = base_parallel.ok and all(tol.passes(res, name, exps) for name, res in conditions.items())
     return ParallelConditionReport(conditions=conditions, base_parallel=base_parallel, ok=ok)
 
 
@@ -262,13 +266,14 @@ def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float,
     Requires an Einstein base with nonzero constant and mu != 0.
     """
     tol = tol or base.tol
+    lam, mu = as_vector([lam, mu], 2, name="(lam, mu)")
     c, res = is_einstein(base, tol)
     if c is None:
         raise NotEinsteinError(f"base is not Einstein (residual {res:.3e})")
-    if abs(c) <= tol.threshold(1.0):
+    if tol.passes(abs(c), "Ric", base.exponents):
         raise NotEinsteinError("base Einstein constant must be nonzero")
-    if abs(mu) <= tol.abs:
-        raise ZeroMuError("mu must be nonzero for a complex-pair minimal polynomial")
+    if tol.passes(abs(mu), "bracket", (exponent(max(abs(lam), abs(mu))), 0)):
+        raise ZeroMuError("mu must be nonzero relative to lam for a complex-pair minimal polynomial")
 
     doubled, j = complexify(base)
     gp = doubled.gram
@@ -279,8 +284,13 @@ def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float,
 
 def _check_antisymmetric(theta: np.ndarray, tol: Tolerance, what: str):
     res = operator_residual(theta + theta.transpose(1, 0, 2))
-    if res > tol.threshold(max(1.0, operator_residual(theta))):
+    if not tol.passes(res, "bracket", (_block_exponent(theta), 0)):
         raise CocycleError(f"{what} must be antisymmetric in its two arguments (residual {res:.3e})")
+
+
+def _block_exponent(*blocks) -> int:
+    """k_C of a bracket tensor assembled from these blocks."""
+    return exponent(max(operator_residual(b) for b in blocks))
 
 
 def _metric_algebra(upper: np.ndarray, gram: np.ndarray, tol: Tolerance, basis_names=None) -> MetricLieAlgebra:
@@ -298,7 +308,7 @@ def _dual_extension(d_algebra: LieAlgebra, theta, tol: Tolerance):
     n = d_algebra.dim
     if not d_algebra.is_validated:
         d_algebra.validate(tol)
-    theta = np.zeros((n, n, n)) if theta is None else np.asarray(theta, dtype=float)
+    theta = np.zeros((n, n, n)) if theta is None else as_real_array(theta, "theta")
     if theta.shape != (n, n, n):
         raise BadParamsError(f"theta must have shape ({n}, {n}, {n}), got {theta.shape}")
     _check_antisymmetric(theta, tol, "theta")
@@ -326,8 +336,7 @@ def central_extension_metric(d_algebra: LieAlgebra, theta=None,
     cyc = np.einsum("abm,mcf->abcf", c, theta)
     cyc = cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)
     res = operator_residual(cyc)
-    scale = max(1.0, operator_residual(theta) * max(1.0, d_algebra.max_structure_constant))
-    if res > tol.threshold(scale):
+    if not tol.passes(res, "jacobi", (_block_exponent(c, theta), 0)):
         raise CocycleError(f"theta fails the cocycle condition (residual {res:.3e})")
     return _metric_algebra(t, gram, tol)
 
@@ -341,9 +350,8 @@ def bordemann_cotangent(d_algebra: LieAlgebra, theta=None,
     ad-invariant, hence Ricci-parallel with connection half the bracket.
     """
     theta, t, gram = _dual_extension(d_algebra, theta, tol)
-    theta_scale = max(1.0, operator_residual(theta))
     cyc_res = operator_residual(theta + theta.transpose(0, 2, 1))
-    if cyc_res > tol.threshold(theta_scale):
+    if not tol.passes(cyc_res, "bracket", (_block_exponent(theta), 0)):
         raise CyclicityError(f"theta(x,y)(z) + theta(x,z)(y) != 0 (residual {cyc_res:.3e})")
 
     c = d_algebra.tensor
@@ -360,8 +368,7 @@ def bordemann_cotangent(d_algebra: LieAlgebra, theta=None,
         - t2.transpose(1, 2, 0, 3)
     )
     res = operator_residual(dres)
-    scale = max(1.0, theta_scale * max(1.0, d_algebra.max_structure_constant))
-    if res > tol.threshold(scale):
+    if not tol.passes(res, "jacobi", (_block_exponent(c, theta), 0)):
         raise CocycleError(f"theta fails the coadjoint cocycle condition (residual {res:.3e})")
 
     n = d_algebra.dim
@@ -385,25 +392,25 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
     ders = np.array([as_matrix(dmat, dim=g0_dim, name="derivation") for dmat in derivations])
     ders = ders.reshape(nd, g0_dim, g0_dim)
 
-    scale = max([1.0] + [operator_residual(dmat) for dmat in ders])
+    k_ders = _block_exponent(ders)
     for i in range(nd):
         for j in range(i + 1, nd):
             res = operator_residual(ders[i] @ ders[j] - ders[j] @ ders[i])
-            if res > tol.threshold(scale ** 2):
+            if not tol.passes(res, "jacobi", (k_ders, 0)):
                 raise NonCommutingError(f"derivations {i} and {j} do not commute (residual {res:.3e})")
 
-    alpha = np.zeros((nd, nd, g0_dim)) if alpha is None else np.asarray(alpha, dtype=float)
+    alpha = np.zeros((nd, nd, g0_dim)) if alpha is None else as_real_array(alpha, "alpha")
     if alpha.shape != (nd, nd, g0_dim):
         raise BadParamsError(f"alpha must have shape ({nd}, {nd}, {g0_dim})")
     _check_antisymmetric(alpha, tol, "alpha")
     if nd:
         cyc = np.einsum("ape,bce->abcp", ders, alpha)
         cyc = cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)
-        if operator_residual(cyc) > tol.threshold(scale * max(1.0, operator_residual(alpha))):
+        if not tol.passes(operator_residual(cyc), "jacobi", (_block_exponent(ders, alpha), 0)):
             raise CocycleError("alpha fails its cyclic derivation condition")
 
     nm = nd + g0_dim
-    theta = np.zeros((nm, nm, nd)) if theta is None else np.asarray(theta, dtype=float)
+    theta = np.zeros((nm, nm, nd)) if theta is None else as_real_array(theta, "theta")
     if theta.shape != (nm, nm, nd):
         raise BadParamsError(f"theta must have shape ({nm}, {nm}, {nd})")
     _check_antisymmetric(theta, tol, "theta")
@@ -415,7 +422,7 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
     brp[nd:, :nd] = -ders.transpose(2, 0, 1)
     cocycle = np.einsum("abe,ecf->abcf", brp, theta[nd:, :, :])
     cocycle = cocycle + cocycle.transpose(1, 2, 0, 3) + cocycle.transpose(2, 0, 1, 3)
-    if operator_residual(cocycle) > tol.threshold(max(1.0, scale, operator_residual(theta)) ** 2):
+    if not tol.passes(operator_residual(cocycle), "jacobi", (_block_exponent(brp, theta), 0)):
         raise CocycleError("theta fails the cocycle condition for the built bracket")
 
     dim = nd + g0_dim + nd

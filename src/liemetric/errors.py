@@ -95,7 +95,7 @@ class BadParamsError(LieMetricError):
 
 
 class ParseError(LieMetricError):
-    """An input file is malformed."""
+    """An input is malformed: an unreadable file, or entries that are not finite real numbers."""
 
 
 class ValidationError(LieMetricError):

@@ -30,6 +30,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
+    exponent,
     operator_residual,
     pseudo_orthonormal_basis,
 )
@@ -85,8 +86,13 @@ class MetricLieAlgebra:
     def gram(self) -> np.ndarray:
         return self.metric.gram
 
+    @property
+    def exponents(self) -> tuple[int, int]:
+        """(k_C, k_g): the power-of-two exponents of max|C| and max|g|."""
+        return self.algebra.exponent, self.metric.exponent
+
     def residual_scale(self) -> float:
-        """Scale for predicate residuals: ric is quadratic in the brackets."""
+        """The degree-blind ``max(1, |g|, max|C|**2)``: no predicate reads it, the gates in ``perfbench/`` do."""
         return max(1.0, operator_residual(self.gram), self.algebra.max_structure_constant ** 2)
 
     def __repr__(self):
@@ -254,9 +260,8 @@ def is_ricci_parallel(m: MetricLieAlgebra, tol: Tolerance | None = None) -> Para
     comm = np.einsum("ab,ibc->iac", op, nm) - np.einsum("iab,bc->iac", nm, op)
     comm_res = operator_residual(comm)
     nab_res = operator_residual(nabla_ric(m))
-    thr = tol.threshold(m.residual_scale())
-    return ParallelCheck(ok=(comm_res <= thr and nab_res <= thr),
-                         commutator_residual=comm_res, nabla_residual=nab_res)
+    ok = tol.passes(comm_res, "ric_commutator", m.exponents) and tol.passes(nab_res, "nabla_ric", m.exponents)
+    return ParallelCheck(ok=ok, commutator_residual=comm_res, nabla_residual=nab_res)
 
 
 def is_einstein(m: MetricLieAlgebra, tol: Tolerance | None = None):
@@ -265,7 +270,7 @@ def is_einstein(m: MetricLieAlgebra, tol: Tolerance | None = None):
     data = ricci(m)
     c = data.scalar / m.dim if m.dim else 0.0
     res = operator_residual(data.tensor - c * m.gram)
-    if res <= tol.threshold(m.residual_scale()):
+    if tol.passes(res, "ric", m.exponents):
         return c, res
     return None, res
 
@@ -273,7 +278,7 @@ def is_einstein(m: MetricLieAlgebra, tol: Tolerance | None = None):
 def is_ricci_flat(m: MetricLieAlgebra, tol: Tolerance | None = None):
     tol = tol or m.tol
     res = operator_residual(ricci(m).tensor)
-    return res <= tol.threshold(m.residual_scale()), res
+    return tol.passes(res, "ric", m.exponents), res
 
 
 def is_ad_invariant(m: MetricLieAlgebra, tol: Tolerance | None = None):
@@ -281,12 +286,12 @@ def is_ad_invariant(m: MetricLieAlgebra, tol: Tolerance | None = None):
     tol = tol or m.tol
     b = np.einsum("ijm,mk->ijk", m.algebra.tensor, m.gram)
     res = operator_residual(b + b.transpose(0, 2, 1))
-    return res <= tol.threshold(m.residual_scale()), res
+    return tol.passes(res, "ad_invariance", m.exponents), res
 
 
 def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra,
                     tol: Tolerance | None = None) -> IsometryCheck:
-    """Check that phi is a metric Lie algebra isometry from m1 to m2."""
+    """Check that phi is a metric Lie algebra isometry from m1 to m2 (each residual against its larger side)."""
     tol = tol or m1.tol
     if m1.dim != m2.dim:
         raise DimensionMismatchError("isometry requires equal dimensions")
@@ -298,12 +303,14 @@ def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra,
     lhs = np.einsum("ijm,lm->ijl", c1, phi)  # phi [e_i, e_j]_1
     rhs = np.einsum("abl,ai,bj->ijl", c2, phi, phi, optimize=True)  # [phi e_i, phi e_j]_2
     bracket_res = operator_residual(lhs - rhs)
+    k_bracket = exponent(max(operator_residual(lhs), operator_residual(rhs)))
 
-    metric_res = operator_residual(m1.gram - phi.T @ m2.gram @ phi)
+    pulled = phi.T @ m2.gram @ phi
+    metric_res = operator_residual(m1.gram - pulled)
+    k_metric = exponent(max(operator_residual(m1.gram), operator_residual(pulled)))
 
-    scale = max(m1.residual_scale(), m2.residual_scale()) * max(1.0, operator_residual(phi) ** 2)
-    thr = tol.threshold(scale)
-    ok = invertible and bracket_res <= thr and metric_res <= thr
+    ok = (invertible and tol.passes(bracket_res, "bracket", (k_bracket, 0))
+          and tol.passes(metric_res, "metric", (0, k_metric)))
     return IsometryCheck(ok=ok, invertible=invertible,
                          bracket_residual=bracket_res, metric_residual=metric_res)
 

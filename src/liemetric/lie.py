@@ -9,9 +9,9 @@ lower triangle never disagrees with the upper one.  The sparse
 two-phase: raw load, then :meth:`LieAlgebra.validate` after the Jacobi
 check.  The geometry layer only accepts validated algebras.
 
-Jacobi bound.  The Jacobi residual is quadratic in the structure
-constants, so :meth:`LieAlgebra.validate` accepts it when it is at most
-``tol.threshold(max(1, C)**2)``, C the largest structure constant.
+Tolerances.  An algebra stores k_C (``exponent``) for
+:meth:`~liemetric.linalg.Tolerance.passes`: the Jacobi residual is
+quadratic in the structure constants, tr ad and antisymmetry are linear.
 
 Rank policy.  The lower central and the derived series both start at
 [g, g], computed once, and run until a term vanishes or stops shrinking.
@@ -34,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatchError, JacobiError
-from .linalg import DEFAULT_TOL, Tolerance, as_vector, operator_residual
+from .linalg import DEFAULT_TOL, Tolerance, as_real_array, as_vector, exponent, operator_residual
 
 __all__ = [
     "LieAlgebra",
@@ -46,8 +46,8 @@ __all__ = [
     "direct_sum",
 ]
 
-# largest |C + C^T| relative to max(1, |C|) that from_tensor accepts
-_ANTISYMMETRY_ATOL = 1e-12
+# from_tensor accepts |C + C^T| up to 1e-12 at unit brackets
+_ANTISYMMETRY_TOL = Tolerance(abs=5e-13, rel=5e-13)
 
 # Largest dimension read from a file or asked of the catalog.  The dense
 # bracket tensor holds dim^3 doubles, so dim 256 is already 128 MiB, and the
@@ -87,6 +87,8 @@ class LieAlgebra:
         Expansion of [e_i, e_j] in the basis.  Pairs that are absent
         bracket to zero.
     basis_names : optional sequence of labels for reporting.
+
+    ``exponent`` is k_C, with max|C| * 2**-k_C in [1, 2) (0 for C = 0).
     """
 
     def __init__(self, dim, structure=None, basis_names=None):
@@ -114,6 +116,7 @@ class LieAlgebra:
         self.dim = upper.shape[0]
         self._tensor = _complete(upper)
         self._max_structure_constant = operator_residual(self._tensor)
+        self.exponent = exponent(self._max_structure_constant)
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
             if len(basis_names) != self.dim:
@@ -126,15 +129,15 @@ class LieAlgebra:
     def from_tensor(cls, tensor, basis_names=None) -> "LieAlgebra":
         """Build from a dense bracket tensor C[i, j, :] = [e_i, e_j].
 
-        C must be antisymmetric in (i, j) to a relative 1e-12; the upper
-        triangle is kept exactly and the lower one rebuilt from it.
+        C must be antisymmetric in (i, j) to 1e-12 relative to 2**k_C; the
+        upper triangle is kept exactly and the lower one rebuilt from it.
         """
-        tensor = np.asarray(tensor, dtype=float)
+        tensor = as_real_array(tensor, "bracket tensor")
         dim = tensor.shape[0]
         if tensor.shape != (dim, dim, dim):
             raise DimensionMismatchError(f"bracket tensor must be cubic, got {tensor.shape}")
         asym = operator_residual(tensor + tensor.transpose(1, 0, 2))
-        if asym > _ANTISYMMETRY_ATOL * max(1.0, operator_residual(tensor)):
+        if not _ANTISYMMETRY_TOL.passes(asym, "bracket", (exponent(operator_residual(tensor)), 0)):
             raise ValueError(f"bracket tensor is not antisymmetric (residual {asym:.3e})")
         return cls._from_upper(tensor, basis_names)
 
@@ -186,10 +189,10 @@ class LieAlgebra:
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> "LieAlgebra":
         """Check the Jacobi identity; mark validated or raise JacobiError."""
         res = self.jacobi_residual
-        bound = tol.threshold(max(1.0, self.max_structure_constant) ** 2)
-        if not res <= bound:
+        if not tol.passes(res, "jacobi", (self.exponent, 0)):
             raise JacobiError(
-                f"Jacobi residual {res:.3e} exceeds bound {bound:.3e}", residual=res
+                f"Jacobi residual {res:.3e} exceeds tolerance (largest constant {self.max_structure_constant:.3e})",
+                residual=res
             )
         self._validated = True
         return self
@@ -278,7 +281,7 @@ def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureRe
     rank = int(np.count_nonzero(svals > tol.rank * svals[0])) if svals.size and svals[0] > 0 else 0
 
     tau = trace_functional(g)
-    unimodular = operator_residual(tau) <= tol.threshold(max(1.0, g.max_structure_constant))
+    unimodular = tol.passes(operator_residual(tau), "trace_ad", (g.exponent, 0))
 
     return StructureReport(
         is_nilpotent=step is not None,

@@ -2,24 +2,29 @@
 
 Everything downstream (brackets, connections, curvature) reduces to small
 dense matrices, so this module fixes the numerical conventions once:
-the tolerance policy, the rank cutoff, signatures, pseudo-orthonormal
-bases and metric adjoints.
+the tolerance policy (:data:`DEGREES`, :meth:`Tolerance.passes`), the
+input checks, the rank cutoff, signatures, pseudo-orthonormal bases and
+metric adjoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFormError, DimensionMismatchError
+from .errors import DegenerateFormError, DimensionMismatchError, ParseError
 
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
+    "DEGREES",
+    "exponent",
     "Signature",
     "SymmetricForm",
+    "as_real_array",
     "as_matrix",
     "operator_residual",
     "signature",
@@ -50,12 +55,46 @@ class Tolerance:
     def ok(self, residual: float, scale: float = 1.0) -> bool:
         return residual <= self.threshold(scale)
 
+    def passes(self, residual: float, kind: str, exponents: tuple[int, int]) -> bool:
+        """Whether ``residual`` is within tolerance at unit brackets and metric.
+
+        With (a, b) = ``DEGREES[kind]`` and (k_C, k_g) = ``exponents``, the residual
+        times 2**-(a*k_C + b*k_g) must be at most ``abs + rel``; NaN fails.
+        """
+        a, b = DEGREES[kind]
+        try:
+            return math.ldexp(residual, -(a * exponents[0] + b * exponents[1])) <= self.threshold(1.0)
+        except OverflowError:  # beyond the double range at unit brackets and metric
+            return False
+
 
 DEFAULT_TOL = Tolerance()
 
-# Largest magnitude of a number read from a file or the command line: residual
-# scales reach the fourth power of the inputs, which must stay a finite double.
+# Degree (a, b) of each residual: it becomes s**a * t**b times itself when the
+# brackets C become s*C and the metric g becomes t*g.  An input checked against
+# its own size (theta, alpha, derivations, mu) passes its own exponent as k_C.
+DEGREES = {
+    "bracket": (1, 0),          # bracket components, antisymmetry, an input against itself
+    "trace_ad": (1, 0),
+    "connection": (1, 0),       # [J, nabla_i]
+    "metric": (0, 1),           # Gram symmetry and reconstruction, <v, v>
+    "unit_free": (0, 0),        # J^2 + 1, J* - J, c - 1, Ric^2 on Ric/|Ric|, mu^2/|Ric - lam|^2, type-II basis
+    "jacobi": (2, 0),           # Jacobi and its blocks: cocycles, commuting derivations
+    "ric": (2, 0),              # ric, ric - c*g
+    "Ric": (2, -1),             # Ric - lam*Id, |Ric|, the Einstein constant
+    "nabla_ric": (3, 0),
+    "ric_commutator": (3, -1),  # [Ric, nabla_i]
+    "ad_invariance": (1, 1),
+    "Ric2": (4, -2),            # Ric^2, (Ric - lam)^2 + mu^2
+    # DoubleExtensionSpec residuals, in its data (see DoubleExtensionSpec.exponents)
+    "skew": (1, -1), "derivation": (2, -1), "compatibility": (2, -1), "cocycle": (2, 0),
+    "C1": (3, -3), "C2": (3, -3), "C3": (3, -2), "C4": (3, -3), "C5": (3, -2),
+}
+
+# Largest magnitude of an input number: residuals such as Ric^2 reach the
+# fourth power of the inputs, which must stay a finite double.
 MAX_ABS = 1e50
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 class Signature(NamedTuple):
@@ -65,34 +104,53 @@ class Signature(NamedTuple):
     q: int
 
 
+def exponent(x: float) -> int:
+    """The k with x * 2**-k in [1, 2), for x > 0; 0 for x = 0."""
+    return math.frexp(x)[1] - 1 if x else 0
+
+
+def as_real_array(a, name: str = "array") -> np.ndarray:
+    """``a`` as a float array if every entry is a real number (not a bool) of magnitude at most MAX_ABS.
+
+    The types are checked before any cast, so strings and booleans are never read as numbers.
+    """
+    a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
+    types = {type(x) for x in a.flat} if a.dtype == object else {a.dtype.type}
+    try:
+        if all(t is not bool and issubclass(t, _REAL_TYPES) for t in types):
+            arr = a.astype(float, copy=False)
+            if not arr.size or np.abs(arr).max() <= MAX_ABS:  # NaN and the infinities fail
+                return arr
+    except OverflowError:  # an int beyond the double range
+        pass
+    raise ParseError(f"{name} must hold real numbers, finite and of magnitude at most {MAX_ABS:g}")
+
+
 def as_matrix(a, square: bool = False, dim: int | None = None, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float array, checking shape constraints."""
-    arr = np.asarray(a, dtype=float)
+    """Coerce to a 2-d float array of real numbers (see :func:`as_real_array`), checking shape constraints."""
+    arr = as_real_array(a, name)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if square and arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
     if dim is not None and arr.shape != (dim, dim):
         raise DimensionMismatchError(f"{name} must have shape ({dim}, {dim}), got {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    """Coerce to a 1-d float array of real numbers (see :func:`as_real_array`), checking its length."""
+    arr = as_real_array(x, name)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(f"{name} must have length {dim}, got {arr.shape[0]}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def finite_number(val) -> float | None:
     """``val`` as a float if it is a real number (not a bool) of magnitude at most MAX_ABS, else None."""
-    if isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, float, np.integer, np.floating)):
+    if isinstance(val, (bool, np.bool_)) or not isinstance(val, _REAL_TYPES):
         return None
     try:
         x = float(val)
@@ -116,13 +174,14 @@ class SymmetricForm:
     (an eigenvalue within ``tol.rank`` of zero) is rejected immediately so
     downstream code never has to re-check.  Its one symmetric
     eigendecomposition is taken here and read by :func:`signature` and
-    :func:`pseudo_orthonormal_basis`.
+    :func:`pseudo_orthonormal_basis`.  ``exponent`` is k_g of the module's
+    tolerance policy.
     """
 
     def __init__(self, gram, tol: Tolerance = DEFAULT_TOL):
         gram = as_matrix(gram, square=True, name="gram")
-        scale = max(1.0, operator_residual(gram))
-        if operator_residual(gram - gram.T) > tol.threshold(scale):
+        self.exponent = exponent(operator_residual(gram))
+        if not tol.passes(operator_residual(gram - gram.T), "metric", (0, self.exponent)):
             raise ValueError("gram matrix is not symmetric to tolerance")
         gram = 0.5 * (gram + gram.T)
         vals, vecs = np.linalg.eigh(gram)

@@ -265,3 +265,14 @@ def test_type_I_residual_only_reported_for_mu_above_threshold():
         assert cls.tag == "einstein"
         assert cls.residuals["type_I_minpoly"] is None, seed
     assert classify_ricci(type_I_metric(catalog("affine_plane"), 0.0, 1.0)).residuals["type_I_minpoly"] < 1e-12
+
+
+def test_nilpotent_extensions_in_random_bases_are_type_ii():
+    # mu of a nilpotent Ricci operator is the square root of rounding noise: tested on mu itself, some of
+    # these would be tagged type I, and the Einstein companion of the type-I pair would be degenerate
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        m = double_extension(random_nilpotent_extension_spec(rng, int(rng.integers(2, 6))))
+        m = change_basis(m, random_invertible(rng, m.dim, 1.5))
+        assert classify_ricci(m).tag == "type_II"
+        type_II_canonical_basis(m)

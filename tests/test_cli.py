@@ -379,3 +379,16 @@ def test_out_of_range_numbers_elsewhere(tmp_path, capsys):
     assert run(["catalog", "sl_complex_typeI", "--params", json.dumps(params)]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert err.count("magnitude at most 1e+50") == 4 and "Traceback" not in err
+
+
+def test_strings_and_booleans_are_not_numbers(tmp_path, capsys):
+    # a cast to float would read the metric as signature (0, 2) and L = [true] as [1.0]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [], "metric": [["1", False], [False, True]]}), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert run(["report", path]) == EXIT_PARSE
+    base = write_catalog(tmp_path, "abelian", "r1.json", p=0, q=1)
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"L": [True]}), encoding="utf-8")
+    assert run(["double-extend", base, ext]) == EXIT_PARSE
+    assert capsys.readouterr().err.count("must hold real numbers") == 3

@@ -1,4 +1,7 @@
-"""Fuzzed algebra, extension and catalog inputs: every command exits 0, 2, 3 or 4, never with a traceback."""
+"""Fuzzed algebra, extension and catalog inputs: every command exits 0, 2, 3 or 4, never with a traceback.
+
+A document whose only fault is a string or a boolean in place of a number exits 2.
+"""
 
 import contextlib
 import io
@@ -6,6 +9,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liemetric.cli import main
@@ -96,3 +100,49 @@ def test_cli_exit_codes_are_documented(doc, ext_doc, name, catalog_params, lam, 
                      ["complexify", algebra], ["complexify", algebra, "--type1", lam, mu],
                      ["double-extend", algebra, ext], ["catalog", name, "--params", json.dumps(catalog_params)]):
             assert exit_code(args) in (0, 2, 3, 4), args
+
+
+non_number = st.one_of(st.booleans(), st.sampled_from(["1", "0", "", "1e3", "nan"]))
+
+
+@st.composite
+def one_non_number(draw):
+    """An algebra document and extension data that are well-formed but for one string or boolean.
+
+    It sits in a metric entry of the document, or in a D, K or L entry of
+    the extension data, whose base is then the Euclidean abelian algebra.
+    """
+    doc = draw(well_formed())
+    dim = doc["dim"]
+    finite = st.floats(-1e3, 1e3)
+    ext = {"D": draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=dim, max_size=dim)),
+           "K": draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=dim, max_size=dim)),
+           "L": draw(st.lists(finite, min_size=dim, max_size=dim))}
+    field = draw(st.sampled_from(["metric", "D", "K", "L"]))
+    r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    if field == "metric":
+        doc["metric"][r][c] = draw(non_number)
+    else:
+        doc = {"dim": dim, "brackets": [], "metric": np.eye(dim).tolist()}
+        if field == "L":
+            ext["L"][r] = draw(non_number)
+        else:
+            ext[field][r][c] = draw(non_number)
+    return field, doc, ext
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                     suppress_health_check=list(hypothesis.HealthCheck))
+@hypothesis.given(one_non_number())
+def test_strings_and_booleans_are_parse_errors(case):
+    field, doc, ext_doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        algebra, ext = Path(tmp) / "a.json", Path(tmp) / "ext.json"
+        algebra.write_text(json.dumps(doc), encoding="utf-8")
+        ext.write_text(json.dumps(ext_doc), encoding="utf-8")
+        commands = [["double-extend", algebra, ext]]
+        if field == "metric":
+            commands += [["validate", algebra], ["report", algebra], ["report", tmp], ["decompose", algebra],
+                         ["complexify", algebra], ["complexify", algebra, "--type1", 1, 2]]
+        for args in commands:
+            assert exit_code(args) == 2, (field, args)

@@ -33,6 +33,7 @@ from liemetric.errors import (
     CocycleError,
     CyclicityError,
     InvalidSpecError,
+    LieMetricError,
     NonCommutingError,
     NotEinsteinError,
     UnknownNameError,
@@ -475,3 +476,29 @@ def test_catalog_bad_params():
         catalog("sl_complex_typeI", n=2)
     with pytest.raises(BadParamsError):
         catalog("affine_plane", n=1)
+
+
+def test_huge_inputs_raise_a_library_error_not_overflow():
+    # squaring these as Python floats would raise OverflowError
+    with pytest.raises(LieMetricError):
+        LieAlgebra(2, {(0, 1): [0.0, 1e200]}).validate()
+    with pytest.raises(LieMetricError):
+        double_extension(DoubleExtensionSpec(euclidean_abelian(1), [[0.0]], [[0.0]], [1e300]))
+    with pytest.raises(LieMetricError):
+        type_I_metric(catalog("sl_killing", n=2), 1e200, 1.0)
+
+
+def test_tensors_reject_strings_and_booleans():
+    # a cast to float would read "1" and True as 1.0
+    c = make_affine().tensor.tolist()
+    c[0][1][1], c[1][0][1] = "1", "-1"
+    with pytest.raises(LieMetricError):
+        LieAlgebra.from_tensor(c)
+    theta = np.zeros((2, 2, 2)).tolist()
+    theta[0][1][0], theta[1][0][0] = True, -1.0
+    with pytest.raises(LieMetricError):
+        central_extension_metric(LieAlgebra(2, {}), theta)
+    alpha = np.zeros((1, 1, 1)).tolist()
+    alpha[0][0][0] = False
+    with pytest.raises(LieMetricError):
+        two_step_parallel(1, (0, 1), [[[0.0]]], alpha=alpha)

@@ -3,10 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from liemetric import (
+    DoubleExtensionSpec,
     LieAlgebra,
     MetricLieAlgebra,
     catalog,
     change_basis,
+    check_parallel_conditions,
+    classify_ricci,
     connection,
     connection_matrices,
     curvature,
@@ -20,11 +23,14 @@ from liemetric import (
     nabla_ric,
     ricci,
     ricci_structural,
+    trace_functional,
     u_map,
+    validate_jacobi,
     verify_isometry,
 )
 from liemetric.errors import DimensionMismatchError
-from liemetric.sampling import random_metric_lie_algebra
+from liemetric.linalg import DEGREES
+from liemetric.sampling import random_invertible, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine
 
@@ -292,3 +298,104 @@ def test_ricci_matches_curvature_trace_on_random_algebras(rng):
 @pytest.mark.parametrize("name, params", CATALOG_CASES)
 def test_ricci_matches_curvature_trace_on_catalog(name, params):
     _assert_ricci_is_curvature_trace(catalog(name, **params))
+
+
+def _scaled(m, s, t):
+    """The metric algebra with brackets s*C and metric t*g."""
+    return MetricLieAlgebra(LieAlgebra.from_tensor(s * m.algebra.tensor), t * m.gram)
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 8))
+    p = int(rng.integers(0, dim + 1))
+    return rng, random_metric_lie_algebra(rng, dim, (p, dim - p))
+
+
+def test_ricci_is_natural_under_change_of_basis():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(hypothesis.strategies.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        rng, m = _random_case(seed)
+        p = random_invertible(rng, m.dim)
+        ric = ricci(m).tensor
+        expected = p.T @ ric @ p
+        atol = 1e-10 * max(1.0, np.max(np.abs(ric))) * np.max(np.abs(p)) ** 2
+        assert_allclose(ricci(change_basis(m, p)).tensor, expected, rtol=0, atol=atol)
+
+    check()
+
+
+def test_ricci_scales_with_the_square_of_the_brackets_and_not_with_the_metric():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    powers = st.floats(-4, 4)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 2 ** 32 - 1), powers, powers, st.sampled_from([-1.0, 1.0]))
+    def check(seed, log_s, log_t, sign):
+        _, m = _random_case(seed)
+        s, t = 10.0 ** log_s, sign * 10.0 ** log_t
+        ric = ricci(m).tensor
+        atol = 1e-12 * max(1.0, np.max(np.abs(ric)))
+        assert_allclose(ricci(_scaled(m, 1.0, t)).tensor, ric, rtol=0, atol=atol)
+        assert_allclose(ricci(_scaled(m, s, 1.0)).tensor, s ** 2 * ric, rtol=0, atol=s ** 2 * atol)
+
+    check()
+
+
+def _degree_sample(rng):
+    """A metric algebra, matrices and double-extension data on which every table residual is nonzero."""
+    # almost abelian, [e0, e_j] = A e_j, in a Lorentz metric: not unimodular, Einstein, parallel or ad-invariant
+    t4 = np.zeros((4, 4, 4))
+    t4[0, 1:, 1:] = rng.normal(size=(3, 3))
+    form = random_invertible(rng, 4)
+    m = MetricLieAlgebra(LieAlgebra.from_tensor(t4 - t4.transpose(1, 0, 2)), form.T @ np.diag([-1.0, 1, 1, 1]) @ form)
+    non_lie = rng.normal(size=(4, 4, 4))
+    return dict(m=m, phi=rng.normal(size=(4, 4)), j=rng.normal(size=(4, 4)),
+                non_lie=non_lie - non_lie.transpose(1, 0, 2), base=random_metric_lie_algebra(rng, 4, (1, 3)),
+                d=rng.normal(size=(4, 4)), k=rng.normal(size=(4, 4)), lvec=rng.normal(size=4))
+
+
+def _table_residuals(x, s, t):
+    """Each table entry's residual on the sample with brackets scaled by s and metrics by t.
+
+    The double-extension data scale as a homothety of the extension that keeps <u, v> = 1:
+    (s C0, t g0, s D/t, s K/t, s L/t^2).
+    """
+    m = _scaled(x["m"], s, t)
+    op = ricci(m).operator
+    unit = op / np.max(np.abs(op))
+    nm = connection_matrices(m)
+    iso = verify_isometry(x["phi"], m, m)
+    cls = classify_ricci(m)
+    par = is_ricci_parallel(m)
+    spec = DoubleExtensionSpec(_scaled(x["base"], s, t), s * x["d"] / t, s * x["k"] / t, s * x["lvec"] / t ** 2)
+    return {
+        "bracket": iso.bracket_residual,
+        "trace_ad": np.max(np.abs(trace_functional(m.algebra))),
+        "connection": np.max(np.abs(x["j"] @ nm - nm @ x["j"])),
+        "metric": iso.metric_residual,
+        "unit_free": np.max(np.abs(unit @ unit)),
+        "jacobi": validate_jacobi(LieAlgebra.from_tensor(s * x["non_lie"])),
+        "ric": is_einstein(m)[1],
+        "Ric": cls.residuals["einstein"],
+        "nabla_ric": par.nabla_residual,
+        "ric_commutator": par.commutator_residual,
+        "ad_invariance": is_ad_invariant(m)[1],
+        "Ric2": cls.residuals["type_II_square"],
+        **spec.validate(),
+        **check_parallel_conditions(spec).conditions,
+    }
+
+
+def test_every_degree_in_the_table_is_the_degree_of_its_residual():
+    sample = _degree_sample(np.random.default_rng(2024))
+    s, t = 1.7, 0.6
+    before, after = _table_residuals(sample, 1.0, 1.0), _table_residuals(sample, s, t)
+    assert sorted(before) == sorted(DEGREES)
+    for kind, (a, b) in DEGREES.items():
+        assert before[kind] > 1e-3, kind
+        assert after[kind] / before[kind] == pytest.approx(s ** a * t ** b, rel=1e-9), kind

@@ -9,7 +9,10 @@ import hashlib
 import json
 import shutil
 
-from liemetric.cli import EXIT_OK, main
+import pytest
+
+from liemetric import DEFAULT_TOL, LieAlgebra, MetricLieAlgebra, catalog
+from liemetric.cli import EXIT_OK, build_report, main
 
 GOLDEN = {
     "catalog/heisenberg": "93bd9029562e499ec47c23258ce2437839c6500dfe7b66d3c1e3175c058ba886",
@@ -109,3 +112,20 @@ def test_cli_outputs_byte_identical(tmp_path, capsys):
     assert sorted(digests) == sorted(GOLDEN)
     changed = [k for k in GOLDEN if digests[k] != GOLDEN[k]]
     assert not changed, {k: digests[k] for k in changed}
+
+
+def _verdicts(m) -> tuple:
+    rep = build_report(m, DEFAULT_TOL)
+    flags = [rep[key]["flag"] for key in ("einstein", "ricci_flat", "ricci_parallel", "ad_invariant")]
+    return rep["classification"]["tag"], flags, rep["structure"], rep["type_I"] is None, rep["type_II"] is None
+
+
+@pytest.mark.parametrize("key", sorted(CATALOG_CASES))
+def test_report_verdicts_do_not_depend_on_units(key):
+    # brackets scaled by s and the metric by t: every predicate is homogeneous, so no verdict may move
+    name, params = CATALOG_CASES[key]
+    m = catalog(name, **(params or {}))
+    expected = _verdicts(m)
+    flips = [(s, t) for s in (1e-4, 1e-2, 1e2, 1e4) for t in (1e-6, 1e-3, 1.0, 1e3, 1e6)
+             if _verdicts(MetricLieAlgebra(LieAlgebra.from_tensor(s * m.algebra.tensor), t * m.gram)) != expected]
+    assert not flips

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import liemetric
 from liemetric import (
     DEFAULT_TOL,
     Signature,
@@ -166,3 +170,12 @@ def test_stored_spectrum_is_checked_against_the_given_tolerance():
         signature(form, Tolerance(rank=1e-2))
     with pytest.raises(DegenerateFormError):
         pseudo_orthonormal_basis(form, Tolerance(rank=1e-2))
+
+
+def test_tolerance_policy_lives_in_linalg():
+    # every pass/fail decision goes through Tolerance.passes and its degree table
+    for path in Path(liemetric.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\.residual_scale\(", text), path.name
+        if path.name != "linalg.py":
+            assert ".threshold(" not in text, path.name
