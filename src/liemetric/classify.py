@@ -19,13 +19,13 @@ from .errors import (
     NotTypeIError,
     NotTypeIIError,
     NullImageError,
-    PreconditionError,
     StructureMismatchError,
     VerificationError,
     WrongSignatureError,
 )
 from .geometry import (
     MetricLieAlgebra,
+    _memoised,
     change_basis,
     connection_matrices,
     is_einstein,
@@ -34,7 +34,6 @@ from .geometry import (
 from .lie import LieAlgebra
 from .linalg import (
     SymmetricForm,
-    Tolerance,
     metric_adjoint,
     operator_residual,
     pseudo_orthonormal_basis,
@@ -69,7 +68,8 @@ class RicciClassification:
     residuals: dict = field(default_factory=dict)
 
 
-def classify_ricci(m: MetricLieAlgebra, tol: Tolerance | None = None) -> RicciClassification:
+@_memoised
+def classify_ricci(m: MetricLieAlgebra) -> RicciClassification:
     """Classify by the shape of the Ricci operator's minimal polynomial.
 
     Precedence under tolerance: Einstein beats type I beats type II beats
@@ -78,8 +78,9 @@ def classify_ricci(m: MetricLieAlgebra, tol: Tolerance | None = None) -> RicciCl
     when Ric is not Einstein and mu is nonzero: mu^2 is tested on
     (Ric - lambda) / |Ric - lambda|, because for a nilpotent Ric - lambda it
     is rounding noise of |Ric - lambda|^2.  Ric^2 = 0 is tested on Ric / |Ric|.
+    Computed once per metric algebra.
     """
-    tol = tol or m.tol
+    tol = m.tol
     exps = m.exponents
     op = ricci(m).operator
     d = m.dim
@@ -130,8 +131,7 @@ class TypeIDecomposition:
     residuals: dict = field(default_factory=dict)
 
 
-def type_I_decomposition(m: MetricLieAlgebra, cls: RicciClassification | None = None,
-                         tol: Tolerance | None = None) -> TypeIDecomposition:
+def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
     """Extract J = (Ric - lambda Id)/mu and the Einstein companion metric.
 
     Verifies every certified property before returning: J^2 = -Id, J is
@@ -139,8 +139,8 @@ def type_I_decomposition(m: MetricLieAlgebra, cls: RicciClassification | None = 
     Einstein with constant 1, and the original metric is reconstructed
     from the pair.
     """
-    tol = tol or m.tol
-    cls = cls or classify_ricci(m, tol)
+    tol = m.tol
+    cls = classify_ricci(m)
     if cls.tag != TYPE_I:
         raise NotTypeIError(f"metric classifies as {cls.tag!r}, not type I")
     lam, mu = cls.lam, cls.mu
@@ -156,7 +156,7 @@ def type_I_decomposition(m: MetricLieAlgebra, cls: RicciClassification | None = 
     residuals = {}
     residuals["complex_structure"] = operator_residual(j @ j + np.eye(d))
     residuals["symmetric"] = operator_residual(metric_adjoint(j, form) - j)
-    constant, einstein_res = is_einstein(mp, tol)
+    constant, einstein_res = is_einstein(mp)
     residuals["einstein"] = einstein_res
     residuals["einstein_constant"] = abs(constant - 1.0) if constant is not None else np.inf
     nm = connection_matrices(m)
@@ -199,13 +199,13 @@ def _expected_type_ii_ric(dim: int) -> np.ndarray:
     return r
 
 
-def type_II_canonical_basis(m: MetricLieAlgebra, tol: Tolerance | None = None) -> TypeIICanonicalBasis:
+def type_II_canonical_basis(m: MetricLieAlgebra) -> TypeIICanonicalBasis:
     """Null basis normalising a Lorentz square-zero Ricci operator."""
-    tol = tol or m.tol
-    sig = signature(m.metric, tol)
+    tol = m.tol
+    sig = signature(m.metric)
     if sig.p != 1:
         raise WrongSignatureError(f"need Lorentz signature (1, {m.dim - 1}), got {tuple(sig)}")
-    cls = classify_ricci(m, tol)
+    cls = classify_ricci(m)
     if cls.tag != TYPE_II:
         raise NotTypeIIError(f"metric classifies as {cls.tag!r}, not type II")
 
@@ -236,7 +236,7 @@ def type_II_canonical_basis(m: MetricLieAlgebra, tol: Tolerance | None = None) -
     _, _, vt = np.linalg.svd(rows)
     null_basis = vt[2:].T  # dim x (dim - 2)
     restricted = SymmetricForm(null_basis.T @ g @ null_basis, tol)
-    on, signs = pseudo_orthonormal_basis(restricted, tol)
+    on, signs = pseudo_orthonormal_basis(restricted)
     ecols = null_basis @ on
 
     basis = np.column_stack([u, v] + [ecols[:, k] for k in range(ecols.shape[1])])
@@ -260,23 +260,18 @@ class DecomposedExtension:
     residuals: dict = field(default_factory=dict)
 
 
-def decompose_double_extension(m: MetricLieAlgebra, tol: Tolerance | None = None) -> DecomposedExtension:
+def decompose_double_extension(m: MetricLieAlgebra) -> DecomposedExtension:
     """Peel a Lorentz type-II metric back into (abelian base, D, K, L).
 
     Nilpotency (or dimension <= 4) guarantees success; the structural
     facts it buys ([v, g] = 0, no bracket component along u, abelian
     Euclidean base) are checked numerically on every input and surfaced
-    as StructureMismatchError when violated, never dropped.
+    as StructureMismatchError when violated, never dropped.  The
+    preconditions (Lorentz signature, type II) are those of
+    :func:`type_II_canonical_basis`.
     """
-    tol = tol or m.tol
-    sig = signature(m.metric, tol)
-    if sig.p != 1:
-        raise PreconditionError(f"need Lorentz signature, got {tuple(sig)}")
-    cls = classify_ricci(m, tol)
-    if cls.tag != TYPE_II:
-        raise PreconditionError(f"need a type-II metric, got {cls.tag!r}")
-
-    canon = type_II_canonical_basis(m, tol)
+    tol = m.tol
+    canon = type_II_canonical_basis(m)
     basis = canon.basis.copy()
     if canon.gram_sign < 0:
         basis[:, 0] = -basis[:, 0]  # restore <u, v> = +1; Ric(u) sign is irrelevant here
@@ -309,5 +304,5 @@ def decompose_double_extension(m: MetricLieAlgebra, tol: Tolerance | None = None
 
     residuals = dict(canon.residuals)
     residuals.update(checks)
-    residuals.update(spec.validate(tol))
+    residuals.update(spec.validate())
     return DecomposedExtension(spec=spec, basis=basis, residuals=residuals)

@@ -13,7 +13,9 @@ Algebra files are UTF-8 JSON:
 these files, in extension data and after ``--type1``) must be a real number,
 not a string or a boolean, finite and of magnitude at most
 :data:`liemetric.linalg.MAX_ABS`.  ``--tol-abs`` and ``--tol-rel`` hold at
-unit brackets and unit metric (see :data:`liemetric.linalg.DEGREES`).
+unit brackets and unit metric (see :data:`liemetric.linalg.DEGREES`), and
+``--tol-rank`` is relative to the size of what it cuts; a loaded file's
+metric algebra keeps these for every verdict on it.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 mathematical
 precondition failure, 4 verification failure (a certified invariant of a
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
 from .lie import MAX_DIM, LieAlgebra, structure_report
-from .linalg import MAX_ABS, SymmetricForm, Tolerance, as_matrix, as_vector, finite_number, signature
+from .linalg import SymmetricForm, Tolerance, as_matrix, as_vector, signature
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -130,7 +132,7 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
         items = rec.get("coeffs", {})
         if not isinstance(items, dict):
             raise ParseError(f"{where}: 'coeffs' must be an object from index to value")
-        coeffs = np.zeros(dim)
+        coeffs = {}
         for key, val in items.items():
             try:
                 k = int(key)
@@ -138,12 +140,10 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
                 raise ParseError(f"{where}: coefficient index {key!r} is not an integer") from None
             if not (0 <= k < dim):
                 raise ParseError(f"{where}: coefficient index {k} out of range")
-            x = finite_number(val)
-            if x is None:
-                raise ParseError(f"{where}: coefficient value for index {k} must be a finite number "
-                                 f"of magnitude at most {MAX_ABS:g}, got {val!r}")
-            coeffs[k] = x
-        structure[(i, j)] = coeffs
+            coeffs[k] = val
+        if len(coeffs) < len(items):
+            raise ParseError(f"{where}: two coefficient keys name the same index")
+        structure[(i, j)] = [coeffs.get(k, 0.0) for k in range(dim)]  # its values are checked by LieAlgebra
 
     metric = doc.get("metric")
     if metric is None:
@@ -194,14 +194,16 @@ def _vector(v) -> list:
 # ---------------------------------------------------------------------------
 
 
-def build_report(m: MetricLieAlgebra, tol: Tolerance) -> dict:
-    sig = signature(m.metric, tol)
+def build_report(m: MetricLieAlgebra) -> dict:
+    """The ``report`` payload, every verdict judged by ``m.tol``."""
+    tol = m.tol
+    sig = signature(m.metric)
     rep = structure_report(m.algebra, tol)
-    einstein_c, einstein_res = is_einstein(m, tol)
-    flat, flat_res = is_ricci_flat(m, tol)
-    par = is_ricci_parallel(m, tol)
-    adinv, adinv_res = is_ad_invariant(m, tol)
-    cls = classify_ricci(m, tol)
+    einstein_c, einstein_res = is_einstein(m)
+    flat, flat_res = is_ricci_flat(m)
+    par = is_ricci_parallel(m)
+    adinv, adinv_res = is_ad_invariant(m)
+    cls = classify_ricci(m)
     data = ricci(m)
 
     # by imaginary part first: the real parts of a conjugate pair differ only by rounding
@@ -250,7 +252,7 @@ def build_report(m: MetricLieAlgebra, tol: Tolerance) -> dict:
     }
 
     if cls.tag == TYPE_I:
-        dec = type_I_decomposition(m, cls, tol)
+        dec = type_I_decomposition(m)
         report["type_I"] = {
             "lambda": dec.lam,
             "mu": dec.mu,
@@ -259,7 +261,7 @@ def build_report(m: MetricLieAlgebra, tol: Tolerance) -> dict:
             "residuals": {k: float(v) for k, v in dec.residuals.items()},
         }
     elif cls.tag == TYPE_II and sig.p == 1:
-        canon = type_II_canonical_basis(m, tol)
+        canon = type_II_canonical_basis(m)
         report["type_II"] = {
             "basis": _matrix(canon.basis),
             "gram_sign": canon.gram_sign,
@@ -275,7 +277,7 @@ def build_report(m: MetricLieAlgebra, tol: Tolerance) -> dict:
 
 def _cmd_validate(args, tol: Tolerance) -> int:
     m = load_algebra_file(args.path, tol)
-    sig = signature(m.metric, tol)
+    sig = signature(m.metric)
     diag = {
         "file": str(args.path),
         "dim": m.dim,
@@ -297,7 +299,7 @@ def _cmd_report(args, tol: Tolerance) -> int:
         records, code = [], EXIT_OK
         for child in sorted(path.glob("*.json")):
             try:
-                records.append({"file": child.name, "report": build_report(load_algebra_file(child, tol), tol)})
+                records.append({"file": child.name, "report": build_report(load_algebra_file(child, tol))})
             except LieMetricError as exc:
                 print(f"error: {_error_text(exc)}", file=sys.stderr)
                 records.append({"file": child.name, "error": _error_text(exc), "exit_code": _exit_code(exc)})
@@ -305,7 +307,7 @@ def _cmd_report(args, tol: Tolerance) -> int:
         _emit(records, args.out)
         return code
     m = load_algebra_file(path, tol)
-    report = build_report(m, tol)
+    report = build_report(m)
     if args.json or args.out:
         _emit(report, args.out)
     else:
@@ -341,10 +343,10 @@ def _cmd_double_extend(args, tol: Tolerance) -> int:
     base = load_algebra_file(args.base, tol)
     d, k, lvec = _load_extension_data(args.ext, base.dim)
     spec = DoubleExtensionSpec(base=base, D=d, K=k, L=lvec)
-    ext = double_extension(spec, tol)
+    ext = double_extension(spec)
     inv = extension_invariants(spec)
-    cond = check_parallel_conditions(spec, tol)
-    par = is_ricci_parallel(ext, tol)
+    cond = check_parallel_conditions(spec)
+    par = is_ricci_parallel(ext)
     sidecar = {
         "delta": _vector(inv.delta),
         "gamma": inv.gamma,
@@ -360,8 +362,8 @@ def _cmd_double_extend(args, tol: Tolerance) -> int:
 def _cmd_complexify(args, tol: Tolerance) -> int:
     base = load_algebra_file(args.base, tol)
     if args.type1 is not None:
-        m = type_I_metric(base, *args.type1, tol)
-        dec = type_I_decomposition(m, None, tol)
+        m = type_I_metric(base, *args.type1)
+        dec = type_I_decomposition(m)
         sidecar = {
             "lambda": dec.lam,
             "mu": dec.mu,
@@ -377,7 +379,7 @@ def _cmd_complexify(args, tol: Tolerance) -> int:
 
 def _cmd_decompose(args, tol: Tolerance) -> int:
     m = load_algebra_file(args.path, tol)
-    dec = decompose_double_extension(m, tol)
+    dec = decompose_double_extension(m)
     sidecar = {
         "D": _matrix(dec.spec.D),
         "K": _matrix(dec.spec.K),
@@ -404,7 +406,7 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--tol-abs", type=float, default=1e-9, help="residual floor at unit brackets and metric")
     parser.add_argument("--tol-rel", type=float, default=1e-9, help="added to --tol-abs at unit brackets and metric")
-    parser.add_argument("--tol-rank", type=float, default=1e-8, help="singular-value cutoff")
+    parser.add_argument("--tol-rank", type=float, default=1e-8, help="rank cutoff, relative to max|C| or max|g|")
     parser.add_argument("--out", default=None, help="write JSON output to this path")
 
 

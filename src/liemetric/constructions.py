@@ -8,6 +8,7 @@ two-step family, and a small catalog of named algebras.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .errors import (
     CocycleError,
     CyclicityError,
     InvalidSpecError,
+    LieMetricError,
     NonCommutingError,
     NotEinsteinError,
     UnknownNameError,
@@ -34,7 +36,6 @@ from .linalg import (
     as_real_array,
     as_vector,
     exponent,
-    finite_number,
     metric_adjoint,
     operator_residual,
 )
@@ -77,7 +78,7 @@ class DoubleExtensionSpec:
         self.K = as_matrix(self.K, dim=n, name="K")
         self.L = as_vector(self.L, n, name="L")
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> dict:
+    def validate(self) -> dict:
         """Residuals of the defining constraints.
 
         Besides K-skewness, the derivation property and the L
@@ -121,15 +122,16 @@ class DoubleExtensionSpec:
         return exponent(brackets), exponent(max(1.0, operator_residual(g0)))
 
 
-def double_extension(spec: DoubleExtensionSpec, tol: Tolerance = DEFAULT_TOL) -> MetricLieAlgebra:
+def double_extension(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     """Build the (n+2)-dimensional metric algebra on basis (u, v, e_1..e_n).
 
     Brackets: [u, e] = D e + <L, e>_0 v, [e, e'] = [e, e']_0 + <K e, e'>_0 v,
     v central.  Metric: hyperbolic pairing <u, v> = 1 on top of the base
-    metric, so the signature gains (1, 1).
+    metric, so the signature gains (1, 1).  The data and the result are
+    judged by the tolerance of the base.
     """
-    exps = spec.exponents
-    for name, res in spec.validate(tol).items():
+    tol, exps = spec.base.tol, spec.exponents
+    for name, res in spec.validate().items():
         if not tol.passes(res, name, exps):
             raise InvalidSpecError(
                 f"double-extension data violates the {name} condition (residual {res:.3e})",
@@ -201,11 +203,12 @@ class ParallelConditionReport:
     ok: bool
 
 
-def check_parallel_conditions(spec: DoubleExtensionSpec, tol: Tolerance = DEFAULT_TOL) -> ParallelConditionReport:
+def check_parallel_conditions(spec: DoubleExtensionSpec) -> ParallelConditionReport:
     """Evaluate the five conditions equivalent to the extension being Ricci-parallel.
 
-    The verdict must agree with a direct parallelism check on the built
-    algebra; the test suite enforces that equivalence, it is never assumed.
+    They are judged by the tolerance of the base.  The verdict must agree
+    with a direct parallelism check on the built algebra; the test suite
+    enforces that equivalence, it is never assumed.
     """
     base = spec.base
     g0 = base.gram
@@ -227,9 +230,9 @@ def check_parallel_conditions(spec: DoubleExtensionSpec, tol: Tolerance = DEFAUL
         "C4": operator_residual(b_minus @ delta),
         "C5": operator_residual(np.einsum("iab,b->ia", nm0, delta) + 0.5 * (ric0 @ b_plus).T),
     }
-    base_parallel = is_ricci_parallel(base, tol)
+    base_parallel = is_ricci_parallel(base)
     exps = spec.exponents
-    ok = base_parallel.ok and all(tol.passes(res, name, exps) for name, res in conditions.items())
+    ok = base_parallel.ok and all(base.tol.passes(res, name, exps) for name, res in conditions.items())
     return ParallelConditionReport(conditions=conditions, base_parallel=base_parallel, ok=ok)
 
 
@@ -259,15 +262,15 @@ def complexify(base: MetricLieAlgebra):
     return _metric_algebra(t, gram, base.tol), j
 
 
-def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float,
-                  tol: Tolerance | None = None) -> MetricLieAlgebra:
+def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float) -> MetricLieAlgebra:
     """Mixed metric on the doubled algebra whose Ricci operator is lam*Id + mu*J.
 
-    Requires an Einstein base with nonzero constant and mu != 0.
+    Requires an Einstein base with nonzero constant and mu != 0; judged by
+    the tolerance of the base.
     """
-    tol = tol or base.tol
+    tol = base.tol
     lam, mu = as_vector([lam, mu], 2, name="(lam, mu)")
-    c, res = is_einstein(base, tol)
+    c, res = is_einstein(base)
     if c is None:
         raise NotEinsteinError(f"base is not Einstein (residual {res:.3e})")
     if tol.passes(abs(c), "Ric", base.exponents):
@@ -503,7 +506,7 @@ def _catalog_sl_killing(tol, n):
 
 
 def _catalog_sl_complex(tol, n, lam, mu):
-    return type_I_metric(_catalog_sl_killing(tol, n), lam, mu, tol)
+    return type_I_metric(_catalog_sl_killing(tol, n), lam, mu)
 
 
 def _catalog_affine_plane(tol):
@@ -530,7 +533,7 @@ def _catalog_double_ext_demo(tol, kind, dim):
         k[i, i + 1] = 1.0
         k[i + 1, i] = -1.0
         spec = DoubleExtensionSpec(base, np.zeros((dim, dim)), k, np.zeros(dim))
-    return double_extension(spec, tol)
+    return double_extension(spec)
 
 
 # entry -> (builder, {parameter: (kind, minimum or choices, default)}, dimension from the parameters);
@@ -557,9 +560,8 @@ def _param_value(name: str, key: str, val, kind: str, bound):
             return int(val)
         need = f"an integer >= {bound}"
     elif kind == "real":
-        x = finite_number(val)
-        if x is not None:
-            return x
+        with contextlib.suppress(LieMetricError):  # not one real number
+            return float(as_vector([val], 1)[0])
         need = f"a finite number of magnitude at most {MAX_ABS:g}"
     else:
         if isinstance(val, str) and val in bound:

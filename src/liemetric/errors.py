@@ -54,20 +54,20 @@ class NotTypeIError(LieMetricError):
     """Operation requires a Ricci operator with complex-pair minimal polynomial."""
 
 
-class NotTypeIIError(LieMetricError):
-    """Operation requires a nonzero square-zero Ricci operator."""
-
-
-class WrongSignatureError(LieMetricError):
-    """The metric signature does not match the operation's requirement."""
-
-
 class NullImageError(LieMetricError):
     """The Ricci image vector fails to be null, contradicting classification."""
 
 
 class PreconditionError(LieMetricError):
     """A mathematical precondition of the operation is not met."""
+
+
+class NotTypeIIError(PreconditionError):
+    """Operation requires a nonzero square-zero Ricci operator."""
+
+
+class WrongSignatureError(PreconditionError):
+    """The metric signature does not match the operation's requirement."""
 
 
 class StructureMismatchError(LieMetricError):

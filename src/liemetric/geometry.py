@@ -59,7 +59,9 @@ __all__ = [
 class MetricLieAlgebra:
     """A validated Lie algebra paired with a nondegenerate metric.
 
-    Derived tensors (connection, curvature, Ricci) are memoised in a
+    ``tol`` is the tolerance of every verdict on the object: the predicates
+    here, the classification and the constructions built from it take no
+    other.  Derived tensors (connection, curvature, Ricci) are memoised in a
     write-once per-object cache, so the object stays cheap to pass around
     and safe to share between readers.
     """
@@ -213,7 +215,7 @@ def ricci_structural(m: MetricLieAlgebra) -> np.ndarray:
     This is the independent oracle for :func:`ricci`.
     """
     c, g = m.algebra.tensor, m.gram
-    basis, signs = pseudo_orthonormal_basis(m.metric, m.tol)
+    basis, signs = pseudo_orthonormal_basis(m.metric)
     eps = signs.astype(float)
 
     term_k = -0.5 * killing_form(m.algebra)
@@ -248,51 +250,46 @@ def nabla_ric(m: MetricLieAlgebra) -> np.ndarray:
     return out
 
 
-def is_ricci_parallel(m: MetricLieAlgebra, tol: Tolerance | None = None) -> ParallelCheck:
+def is_ricci_parallel(m: MetricLieAlgebra) -> ParallelCheck:
     """Both characterisations of nabla ric = 0, each reported separately.
 
     (a) Ric commutes with every nabla_{e_i};
     (b) the nabla_ric array vanishes.
     """
-    tol = tol or m.tol
     op = ricci(m).operator
     nm = connection_matrices(m)
     comm = np.einsum("ab,ibc->iac", op, nm) - np.einsum("iab,bc->iac", nm, op)
     comm_res = operator_residual(comm)
     nab_res = operator_residual(nabla_ric(m))
-    ok = tol.passes(comm_res, "ric_commutator", m.exponents) and tol.passes(nab_res, "nabla_ric", m.exponents)
+    ok = m.tol.passes(comm_res, "ric_commutator", m.exponents) and m.tol.passes(nab_res, "nabla_ric", m.exponents)
     return ParallelCheck(ok=ok, commutator_residual=comm_res, nabla_residual=nab_res)
 
 
-def is_einstein(m: MetricLieAlgebra, tol: Tolerance | None = None):
+def is_einstein(m: MetricLieAlgebra):
     """Einstein constant and residual; (None, residual) when not Einstein."""
-    tol = tol or m.tol
     data = ricci(m)
     c = data.scalar / m.dim if m.dim else 0.0
     res = operator_residual(data.tensor - c * m.gram)
-    if tol.passes(res, "ric", m.exponents):
+    if m.tol.passes(res, "ric", m.exponents):
         return c, res
     return None, res
 
 
-def is_ricci_flat(m: MetricLieAlgebra, tol: Tolerance | None = None):
-    tol = tol or m.tol
+def is_ricci_flat(m: MetricLieAlgebra):
     res = operator_residual(ricci(m).tensor)
-    return tol.passes(res, "ric", m.exponents), res
+    return m.tol.passes(res, "ric", m.exponents), res
 
 
-def is_ad_invariant(m: MetricLieAlgebra, tol: Tolerance | None = None):
+def is_ad_invariant(m: MetricLieAlgebra):
     """Max residual of <[x,y],z> + <y,[x,z]> over basis triples."""
-    tol = tol or m.tol
     b = np.einsum("ijm,mk->ijk", m.algebra.tensor, m.gram)
     res = operator_residual(b + b.transpose(0, 2, 1))
-    return tol.passes(res, "ad_invariance", m.exponents), res
+    return m.tol.passes(res, "ad_invariance", m.exponents), res
 
 
-def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra,
-                    tol: Tolerance | None = None) -> IsometryCheck:
-    """Check that phi is a metric Lie algebra isometry from m1 to m2 (each residual against its larger side)."""
-    tol = tol or m1.tol
+def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> IsometryCheck:
+    """Check that phi is an isometry from m1 to m2, each residual against its larger side, under m1's tolerance."""
+    tol = m1.tol
     if m1.dim != m2.dim:
         raise DimensionMismatchError("isometry requires equal dimensions")
     phi = as_matrix(phi, dim=m1.dim, name="phi")

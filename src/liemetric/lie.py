@@ -102,7 +102,7 @@ class LieAlgebra:
                 raise DimensionMismatchError(
                     f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < {dim}"
                 )
-            upper[i, j] = as_vector(coeffs, dim, name=f"coefficients of [e_{i}, e_{j}]")
+            upper[i, j] = as_vector(coeffs, dim, name=f"[e_{i}, e_{j}] coefficient")
         self._set(upper, basis_names)
 
     @classmethod

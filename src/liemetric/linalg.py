@@ -38,7 +38,7 @@ class Tolerance:
     """Residual policy: a residual r at scale s passes iff r <= abs + rel*s.
 
     ``rank`` is the singular-value cutoff below which a form or subspace
-    direction counts as degenerate.
+    direction counts as degenerate, relative to the size of what is cut.
     """
 
     abs: float = 1e-9
@@ -51,9 +51,6 @@ class Tolerance:
 
     def threshold(self, scale: float = 1.0) -> float:
         return self.abs + self.rel * scale
-
-    def ok(self, residual: float, scale: float = 1.0) -> bool:
-        return residual <= self.threshold(scale)
 
     def passes(self, residual: float, kind: str, exponents: tuple[int, int]) -> bool:
         """Whether ``residual`` is within tolerance at unit brackets and metric.
@@ -113,6 +110,7 @@ def as_real_array(a, name: str = "array") -> np.ndarray:
     """``a`` as a float array if every entry is a real number (not a bool) of magnitude at most MAX_ABS.
 
     The types are checked before any cast, so strings and booleans are never read as numbers.
+    The ParseError names the first entry that fails.
     """
     a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
     types = {type(x) for x in a.flat} if a.dtype == object else {a.dtype.type}
@@ -123,7 +121,10 @@ def as_real_array(a, name: str = "array") -> np.ndarray:
                 return arr
     except OverflowError:  # an int beyond the double range
         pass
-    raise ParseError(f"{name} must hold real numbers, finite and of magnitude at most {MAX_ABS:g}")
+    pos, val = next((pos, x) for pos, x in zip(np.ndindex(a.shape), a.flat)
+                    if type(x) is bool or not isinstance(x, _REAL_TYPES) or not abs(x) <= MAX_ABS)  # NaN fails
+    raise ParseError(f"{name} value for index {pos[0] if len(pos) == 1 else pos} is {val!r}, "
+                     f"but entries must hold real numbers, finite and of magnitude at most {MAX_ABS:g}")
 
 
 def as_matrix(a, square: bool = False, dim: int | None = None, name: str = "matrix") -> np.ndarray:
@@ -148,17 +149,6 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def finite_number(val) -> float | None:
-    """``val`` as a float if it is a real number (not a bool) of magnitude at most MAX_ABS, else None."""
-    if isinstance(val, (bool, np.bool_)) or not isinstance(val, _REAL_TYPES):
-        return None
-    try:
-        x = float(val)
-    except OverflowError:  # an int beyond the double range
-        return None
-    return x if abs(x) <= MAX_ABS else None  # NaN fails the comparison
-
-
 def operator_residual(a) -> float:
     """Max-norm of an array; the residual used to decide 'operator vanishes'."""
     arr = np.asarray(a, dtype=float)
@@ -171,11 +161,12 @@ class SymmetricForm:
     """A nondegenerate symmetric bilinear form given by its Gram matrix.
 
     The Gram matrix is symmetrised and frozen at construction; degeneracy
-    (an eigenvalue within ``tol.rank`` of zero) is rejected immediately so
-    downstream code never has to re-check.  Its one symmetric
-    eigendecomposition is taken here and read by :func:`signature` and
-    :func:`pseudo_orthonormal_basis`.  ``exponent`` is k_g of the module's
-    tolerance policy.
+    (an eigenvalue within ``tol.rank * 2**exponent`` of zero, a cut relative
+    to max|g|, or within 1/MAX_ABS, so that the inverse stays within
+    MAX_ABS) is rejected immediately so downstream code never has to
+    re-check.  Its one symmetric eigendecomposition is taken here and read
+    by :func:`signature` and :func:`pseudo_orthonormal_basis`.  ``exponent``
+    is k_g of the module's tolerance policy.
     """
 
     def __init__(self, gram, tol: Tolerance = DEFAULT_TOL):
@@ -185,9 +176,10 @@ class SymmetricForm:
             raise ValueError("gram matrix is not symmetric to tolerance")
         gram = 0.5 * (gram + gram.T)
         vals, vecs = np.linalg.eigh(gram)
-        if gram.shape[0] and np.min(np.abs(vals)) <= tol.rank:
+        cut = max(math.ldexp(tol.rank, self.exponent), 1 / MAX_ABS)
+        if gram.shape[0] and np.min(np.abs(vals)) <= cut:
             raise DegenerateFormError(
-                f"form is degenerate: eigenvalue magnitude {np.min(np.abs(vals)):.3e} <= rank cutoff {tol.rank:.3e}"
+                f"form is degenerate: eigenvalue magnitude {np.min(np.abs(vals)):.3e} <= rank cutoff {cut:.3e}"
             )
         gram.flags.writeable = False
         self.gram = gram
@@ -207,16 +199,13 @@ class SymmetricForm:
         return f"SymmetricForm(dim={self.dim})"
 
 
-def signature(form: SymmetricForm, tol: Tolerance = DEFAULT_TOL) -> Signature:
+def signature(form: SymmetricForm) -> Signature:
     """Inertia (p, q) of the form: counts of negative and positive eigenvalues."""
-    vals = form._eigh[0]
-    if form.dim and np.min(np.abs(vals)) <= tol.rank:
-        raise DegenerateFormError("cannot read signature of a degenerate form")
-    p = int(np.count_nonzero(vals < 0))
+    p = int(np.count_nonzero(form._eigh[0] < 0))
     return Signature(p=p, q=form.dim - p)
 
 
-def pseudo_orthonormal_basis(form: SymmetricForm, tol: Tolerance = DEFAULT_TOL):
+def pseudo_orthonormal_basis(form: SymmetricForm):
     """Basis columns B with B^T G B = diag(signs), negative signs first.
 
     Built from the symmetric eigendecomposition of G with eigenvectors
@@ -224,8 +213,6 @@ def pseudo_orthonormal_basis(form: SymmetricForm, tol: Tolerance = DEFAULT_TOL):
     Gram-Schmidt can hit null vectors.
     """
     vals, vecs = form._eigh
-    if form.dim and np.min(np.abs(vals)) <= tol.rank:
-        raise DegenerateFormError("cannot orthonormalise a degenerate form")
     signs = np.where(vals < 0, -1, 1).astype(int)
     basis = vecs / np.sqrt(np.abs(vals))[None, :]
     return basis, signs

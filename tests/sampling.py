@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constructions import DoubleExtensionSpec, _heisenberg_algebra
-from .geometry import MetricLieAlgebra, change_basis
-from .lie import LieAlgebra, direct_sum
-from .linalg import DEFAULT_TOL, SymmetricForm, Tolerance
+from liemetric.constructions import DoubleExtensionSpec, _heisenberg_algebra
+from liemetric.geometry import MetricLieAlgebra, change_basis
+from liemetric.lie import LieAlgebra, direct_sum
+from liemetric.linalg import DEFAULT_TOL, SymmetricForm, Tolerance
 
 __all__ = [
     "random_invertible",

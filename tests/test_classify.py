@@ -25,7 +25,7 @@ from liemetric.errors import (
     PreconditionError,
     WrongSignatureError,
 )
-from liemetric.sampling import random_invertible, random_nilpotent_extension_spec
+from sampling import random_invertible, random_nilpotent_extension_spec
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ def test_type_I_round_trip(lam, mu):
     assert cls.tag == "type_I"
     assert cls.lam == pytest.approx(lam, abs=1e-9)
     assert cls.mu == pytest.approx(abs(mu), abs=1e-9)  # mu is reported positive
-    dec = type_I_decomposition(m, cls)
+    dec = type_I_decomposition(m)
     gp = dec.einstein_metric.gram
     recon = (dec.lam * gp - dec.mu * gp @ dec.J) / (dec.lam ** 2 + dec.mu ** 2)
     assert np.max(np.abs(m.gram - recon)) < 1e-10

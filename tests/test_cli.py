@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liemetric import Tolerance, catalog, change_basis, ricci_structural
+from liemetric import catalog, change_basis, ricci_structural
 from liemetric.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, main
-from liemetric.sampling import random_invertible
+from sampling import random_invertible
 
 
 def write_catalog(tmp_path, name, filename, **params):
@@ -154,7 +154,7 @@ def test_report_path_builds_no_dim4_array():
     tracemalloc.start()
     try:
         m = catalog("sl_killing", n=7)  # dim 48: dim^4 doubles are 40.5 MiB
-        build_report(m, Tolerance())
+        build_report(m)
         ricci_structural(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -287,7 +287,7 @@ def test_verification_failures_map_to_exit_4(tmp_path, monkeypatch, capsys):
     from liemetric import cli as cli_mod
     from liemetric.errors import StructureMismatchError
 
-    def boom(m, tol):
+    def boom(m):
         raise StructureMismatchError("bracket data outside the double-extension pattern")
 
     monkeypatch.setattr(cli_mod, "decompose_double_extension", boom)

@@ -1,6 +1,7 @@
 """Fuzzed algebra, extension and catalog inputs: every command exits 0, 2, 3 or 4, never with a traceback.
 
-A document whose only fault is a string or a boolean in place of a number exits 2.
+A document with a field the file format forbids, or whose only fault is a
+string or a boolean in place of a number, exits 2.
 """
 
 import contextlib
@@ -45,17 +46,40 @@ def well_formed(draw):
     return {"dim": dim, "brackets": brackets, "metric": metric}
 
 
+def format_allows(field: str, value, dim: int) -> bool:
+    """Whether the file format (README, "Command line") allows ``value`` in ``field`` of a ``dim``-dimensional file.
+
+    The rest of the document may still make it invalid.
+    """
+    if field in ("dim", "i", "j"):
+        return type(value) is int  # a bool is not an integer here
+    if field == "brackets":
+        return isinstance(value, list) and all(isinstance(rec, dict) for rec in value)
+    if field == "metric":
+        return isinstance(value, list) and len(value) == dim and all(isinstance(row, list) for row in value)
+    if field == "basis_names":
+        return value is None or isinstance(value, list) and len(value) == dim
+    return isinstance(value, dict)  # coeffs
+
+
 @st.composite
 def corrupted(draw):
-    """A well-formed document with one field, or one field of one bracket record, replaced by junk."""
-    doc = draw(well_formed())
+    """A valid document with one field, or one field of its bracket record, replaced by junk.
+
+    The document is [e_0, e_1] = c e_(dim-1) in dim 2-4 with a diagonal metric of
+    any signature.  Returns it and whether the file format allows the replaced value.
+    """
+    dim = draw(st.integers(2, 4))
+    diag = draw(st.lists(st.sampled_from([-1.0, 1.0, 2.5]), min_size=dim, max_size=dim))
+    doc = {"dim": dim, "brackets": [{"i": 0, "j": 1, "coeffs": {str(dim - 1): draw(st.floats(0.5, 2.0))}}],
+           "metric": np.diag(diag).tolist()}
     field = draw(st.sampled_from(["dim", "brackets", "metric", "basis_names", "i", "j", "coeffs"]))
+    value = draw(junk)
     if field in ("i", "j", "coeffs"):
-        doc["brackets"] = doc["brackets"] or [{"i": 0, "j": 1, "coeffs": {}}]
-        doc["brackets"][0][field] = draw(junk)
+        doc["brackets"][0][field] = value
     else:
-        doc[field] = draw(junk)
-    return doc
+        doc[field] = value
+    return doc, format_allows(field, value, dim)
 
 
 index = st.one_of(st.integers(-1, 4), junk)
@@ -89,17 +113,32 @@ def exit_code(args) -> int:
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
                      suppress_health_check=list(hypothesis.HealthCheck))
-@hypothesis.given(st.one_of(well_formed(), corrupted(), malformed), extension, st.sampled_from(CATALOG_NAMES), params,
-                  numbers, numbers)
-def test_cli_exit_codes_are_documented(doc, ext_doc, name, catalog_params, lam, mu):
+@hypothesis.given(st.one_of(well_formed().map(lambda d: (d, True)), corrupted(), malformed.map(lambda d: (d, True))),
+                  extension, st.sampled_from(CATALOG_NAMES), params, numbers, numbers)
+def test_cli_exit_codes_are_documented(case, ext_doc, name, catalog_params, lam, mu):
+    # every command but catalog reads the algebra file first, so a field the format forbids exits 2
+    doc, may_be_valid = case
     with tempfile.TemporaryDirectory() as tmp:
         algebra, ext = Path(tmp) / "a.json", Path(tmp) / "ext.json"
         algebra.write_text(json.dumps(doc), encoding="utf-8")
         ext.write_text(json.dumps(ext_doc), encoding="utf-8")
         for args in (["validate", algebra], ["report", algebra], ["report", tmp], ["decompose", algebra],
                      ["complexify", algebra], ["complexify", algebra, "--type1", lam, mu],
-                     ["double-extend", algebra, ext], ["catalog", name, "--params", json.dumps(catalog_params)]):
-            assert exit_code(args) in (0, 2, 3, 4), args
+                     ["double-extend", algebra, ext]):
+            assert exit_code(args) in ((0, 2, 3, 4) if may_be_valid else (2,)), args
+        args = ["catalog", name, "--params", json.dumps(catalog_params)]
+        assert exit_code(args) in (0, 2, 3, 4), args
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                     suppress_health_check=list(hypothesis.HealthCheck))
+@hypothesis.given(corrupted())
+def test_fields_the_format_forbids_are_parse_errors(case):
+    doc, allowed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        algebra = Path(tmp) / "a.json"
+        algebra.write_text(json.dumps(doc), encoding="utf-8")
+        assert exit_code(["validate", algebra]) in ((0, 2) if allowed else (2,))
 
 
 non_number = st.one_of(st.booleans(), st.sampled_from(["1", "0", "", "1e3", "nan"]))

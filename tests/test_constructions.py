@@ -39,7 +39,7 @@ from liemetric.errors import (
     UnknownNameError,
     ZeroMuError,
 )
-from liemetric.sampling import (
+from sampling import (
     ABELIAN_FAMILIES,
     random_abelian_extension_spec,
     random_general_extension_spec,

@@ -30,7 +30,7 @@ from liemetric import (
 )
 from liemetric.errors import DimensionMismatchError
 from liemetric.linalg import DEGREES
-from liemetric.sampling import random_invertible, random_metric_lie_algebra
+from sampling import random_invertible, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine
 

@@ -11,8 +11,9 @@ import shutil
 
 import pytest
 
-from liemetric import DEFAULT_TOL, LieAlgebra, MetricLieAlgebra, catalog
+from liemetric import LieAlgebra, MetricLieAlgebra, catalog
 from liemetric.cli import EXIT_OK, build_report, main
+from liemetric.errors import LieMetricError
 
 GOLDEN = {
     "catalog/heisenberg": "93bd9029562e499ec47c23258ce2437839c6500dfe7b66d3c1e3175c058ba886",
@@ -115,17 +116,26 @@ def test_cli_outputs_byte_identical(tmp_path, capsys):
 
 
 def _verdicts(m) -> tuple:
-    rep = build_report(m, DEFAULT_TOL)
+    rep = build_report(m)
     flags = [rep[key]["flag"] for key in ("einstein", "ricci_flat", "ricci_parallel", "ad_invariant")]
     return rep["classification"]["tag"], flags, rep["structure"], rep["type_I"] is None, rep["type_II"] is None
 
 
+def _scaled_verdicts(m, s: float, t: float):
+    """Verdicts with the brackets scaled by s and the metric by t; a library error is returned, not raised."""
+    try:
+        return _verdicts(MetricLieAlgebra(LieAlgebra.from_tensor(s * m.algebra.tensor), t * m.gram))
+    except LieMetricError as exc:
+        return exc
+
+
 @pytest.mark.parametrize("key", sorted(CATALOG_CASES))
 def test_report_verdicts_do_not_depend_on_units(key):
-    # brackets scaled by s and the metric by t: every predicate is homogeneous, so no verdict may move
+    # every predicate is homogeneous in (s, t), so no verdict may move and no error may appear
     name, params = CATALOG_CASES[key]
     m = catalog(name, **(params or {}))
     expected = _verdicts(m)
-    flips = [(s, t) for s in (1e-4, 1e-2, 1e2, 1e4) for t in (1e-6, 1e-3, 1.0, 1e3, 1e6)
-             if _verdicts(MetricLieAlgebra(LieAlgebra.from_tensor(s * m.algebra.tensor), t * m.gram)) != expected]
+    flips = [(s, t) for s in (1e-7, 1e-5, 1e-4, 3e-3, 1e-2, 0.37, 7.0, 1e2, 1e4, 1e5, 1e7)
+             for t in (1e-7, 1e-6, 1e-5, 1e-3, 0.3, 1.0, 1e3, 1e5, 1e6, 1e8)
+             if _scaled_verdicts(m, s, t) != expected]
     assert not flips

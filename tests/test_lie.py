@@ -15,7 +15,7 @@ from liemetric import (
     validate_jacobi,
 )
 from liemetric.errors import DimensionMismatchError, JacobiError
-from liemetric.sampling import random_invertible, random_lie_algebra
+from sampling import random_invertible, random_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine, make_heisenberg, make_sl2
 

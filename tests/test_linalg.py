@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from liemetric import (
     pseudo_orthonormal_basis,
     signature,
 )
+from liemetric.cli import build_report
 from liemetric.errors import DegenerateFormError
 
 
@@ -36,9 +38,9 @@ def test_tolerance_fields_positive():
 
 def test_tolerance_threshold():
     tol = Tolerance(abs=1e-9, rel=1e-6, rank=1e-8)
-    assert tol.ok(1e-9, scale=0.0)
-    assert tol.ok(1e-7, scale=1.0)
-    assert not tol.ok(1e-3, scale=1.0)
+    assert 1e-9 <= tol.threshold(0.0)
+    assert 1e-7 <= tol.threshold(1.0)
+    assert not 1e-3 <= tol.threshold(1.0)
 
 
 def test_operator_residual_values():
@@ -67,6 +69,14 @@ def test_signature_hyperbolic_plane():
 def test_degenerate_form_rejected():
     with pytest.raises(DegenerateFormError):
         SymmetricForm(np.diag([1.0, 0.0]))
+
+
+def test_degeneracy_cut_is_relative_to_the_form():
+    # the cut is tol.rank * 2**k_g, never below 1/MAX_ABS (the inverse must stay a finite double)
+    assert signature(SymmetricForm(np.diag([3e-12, -1e-12]))) == Signature(1, 1)
+    for gram in (np.diag([1e6, 1e-3]), [[5e-324]], np.diag([1e-60, 1e-60])):
+        with pytest.raises(DegenerateFormError):
+            SymmetricForm(gram)
 
 
 def test_asymmetric_gram_rejected():
@@ -167,9 +177,7 @@ def test_stored_spectrum_is_checked_against_the_given_tolerance():
     form = SymmetricForm(np.diag([1e-3, -1.0]))
     assert signature(form) == Signature(1, 1)
     with pytest.raises(DegenerateFormError):
-        signature(form, Tolerance(rank=1e-2))
-    with pytest.raises(DegenerateFormError):
-        pseudo_orthonormal_basis(form, Tolerance(rank=1e-2))
+        SymmetricForm(np.diag([1e-3, -1.0]), Tolerance(rank=1e-2))
 
 
 def test_tolerance_policy_lives_in_linalg():
@@ -179,3 +187,19 @@ def test_tolerance_policy_lives_in_linalg():
         assert not re.search(r"\.residual_scale\(", text), path.name
         if path.name != "linalg.py":
             assert ".threshold(" not in text, path.name
+
+
+def test_only_constructors_take_a_tolerance():
+    # every other verdict uses the tolerance of its metric algebra or spec base
+    public = {"cli.build_report": build_report}
+    for name in liemetric.__all__:
+        obj = getattr(liemetric, name)
+        if callable(obj):
+            public[name] = obj
+        if inspect.isclass(obj):
+            public.update({f"{name}.{attr}": getattr(obj, attr) for attr in vars(obj)
+                           if not attr.startswith("_") and callable(getattr(obj, attr))})
+    takes_tol = {name for name, fn in public.items() if "tol" in inspect.signature(fn).parameters}
+    assert takes_tol == {"SymmetricForm", "MetricLieAlgebra", "LieAlgebra.validate", "structure_report", "catalog",
+                         "central_extension_metric", "bordemann_cotangent", "two_step_parallel"}
+    assert "cls" not in inspect.signature(liemetric.type_I_decomposition).parameters
