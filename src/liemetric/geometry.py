@@ -294,7 +294,7 @@ def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> Isometry
         raise DimensionMismatchError("isometry requires equal dimensions")
     phi = as_matrix(phi, dim=m1.dim, name="phi")
     svals = np.linalg.svd(phi, compute_uv=False)
-    invertible = bool(svals.size == 0 or svals[-1] > tol.rank * max(1.0, svals[0]))
+    invertible = bool(svals.size == 0 or svals[-1] > tol.rank * svals[0])
 
     c1, c2 = m1.algebra.tensor, m2.algebra.tensor
     lhs = np.einsum("ijm,lm->ijl", c1, phi)  # phi [e_i, e_j]_1

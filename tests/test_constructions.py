@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -33,12 +35,14 @@ from liemetric.errors import (
     CocycleError,
     CyclicityError,
     InvalidSpecError,
+    JacobiError,
     LieMetricError,
     NonCommutingError,
     NotEinsteinError,
     UnknownNameError,
     ZeroMuError,
 )
+from liemetric.linalg import Tolerance
 from sampling import (
     ABELIAN_FAMILIES,
     random_abelian_extension_spec,
@@ -369,6 +373,41 @@ def test_bordemann_cyclic_theta_accepted():
     assert is_ad_invariant(m)[0]
 
 
+def _three_form(dim, axes):
+    """theta with theta[a, b, c] the sign of (a, b, c) as a permutation of ``axes``, else 0."""
+    theta = np.zeros((dim, dim, dim))
+    for perm in itertools.permutations(range(3)):
+        theta[tuple(axes[i] for i in perm)] = np.linalg.det(np.eye(3)[list(perm)])
+    return theta
+
+
+def test_bordemann_accepts_coadjoint_cocycle_on_non_abelian_base():
+    # aff + R with theta = e^0 ^ e^1 ^ e^2: on a 3-dimensional base every cyclic theta is a coadjoint cocycle
+    m = bordemann_cotangent(LieAlgebra(3, {(0, 1): [0.0, 1.0, 0.0]}), _three_form(3, (0, 1, 2)))
+    assert validate_jacobi(m.algebra) == 0.0
+    assert is_ad_invariant(m)[0]
+    assert np.max(np.abs(ricci(m).tensor + 0.25 * killing_form(m.algebra))) == pytest.approx(0.0, abs=1e-12)
+    assert is_ricci_parallel(m).ok
+    assert classify_ricci(m).tag == "type_II"
+
+
+def test_bordemann_rejects_non_cocycle_through_jacobi():
+    # aff + R^2 with theta = e^1 ^ e^2 ^ e^3 is cyclic but not a coadjoint cocycle
+    dalg = LieAlgebra(4, {(0, 1): [0.0, 1.0, 0.0, 0.0]})
+    with pytest.raises(CocycleError) as info:
+        bordemann_cotangent(dalg, _three_form(4, (1, 2, 3)))
+    assert isinstance(info.value.__cause__, JacobiError)
+
+
+def test_dual_extensions_reject_a_non_lie_base_as_jacobi():
+    # a base passed under a looser tolerance is judged again by the construction's
+    bad = LieAlgebra(3, {(0, 1): [0.0, 0.0, 1.0], (0, 2): [-2.0, 0.0, 0.0], (1, 2): [0.0, 2.0, 1e-3]})
+    bad.validate(Tolerance(abs=1e-1))
+    for build in (central_extension_metric, bordemann_cotangent):
+        with pytest.raises(JacobiError):
+            build(bad)
+
+
 def test_two_step_flat_case():
     m = two_step_parallel(2, (0, 2), [np.zeros((2, 2))])
     assert is_ricci_flat(m)[0]
@@ -425,6 +464,35 @@ def test_two_step_rejects_bad_alpha():
     alpha[1, 0] = [-1.0, 0.0]
     with pytest.raises(CocycleError):
         two_step_parallel(2, (0, 2), [d, d, d], alpha=alpha)
+
+
+def test_two_step_rejects_theta_that_is_not_a_cocycle():
+    # theta(e_0, e_1) = 1 on g0: [d, e_0] = e_0 and [d, e_1] = e_1 make the cyclic sum 2
+    theta = np.zeros((3, 3, 1))
+    theta[1, 2, 0] = 1.0
+    theta[2, 1, 0] = -1.0
+    with pytest.raises(CocycleError) as info:
+        two_step_parallel(2, (0, 2), [np.eye(2)], theta=theta)
+    assert isinstance(info.value.__cause__, JacobiError)
+
+
+@pytest.mark.parametrize("g0_dim,signature,derivations", [
+    (2, (-1, 3), [np.zeros((2, 2))]),
+    (-1, (0, -1), []),
+    (2, ("1", "1"), [np.zeros((2, 2))]),
+    (2, (1.0, 1), [np.zeros((2, 2))]),
+    (2.0, (1, 1), [np.zeros((2, 2))]),
+    (True, (0, True), [np.zeros((1, 1))]),
+    (2, (1, 1, 0), [np.zeros((2, 2))]),
+])
+def test_two_step_rejects_bad_sizes(g0_dim, signature, derivations):
+    with pytest.raises(BadParamsError):
+        two_step_parallel(g0_dim, signature, derivations)
+
+
+def test_two_step_accepts_numpy_integer_sizes():
+    m = two_step_parallel(np.int64(2), (np.int32(1), np.int64(1)), [np.zeros((2, 2))])
+    assert tuple(signature(m.metric)) == (2, 2)
 
 
 # ---------------------------------------------------------------------------

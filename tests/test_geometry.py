@@ -262,6 +262,18 @@ def test_verify_isometry_scaling_fails(affine):
     assert check.metric_residual == pytest.approx(3.0)  # |G - 4G| on the diagonal
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e-3, 1.0, 1e3, 1e9])
+def test_verify_isometry_invertibility_cut_is_unit_free(s):
+    # s * Id maps sl(3) onto its copy with brackets C / s and metric g / s^2
+    m = catalog("sl_killing", n=3)
+    algebra = LieAlgebra.from_tensor(m.algebra.tensor / s).validate(m.tol)
+    copy = MetricLieAlgebra(algebra, m.gram / s ** 2, m.tol)
+    check = verify_isometry(s * np.eye(m.dim), m, copy)
+    assert check.invertible and check.ok
+    zero = verify_isometry(np.zeros((m.dim, m.dim)), m, copy)
+    assert not zero.invertible and not zero.ok
+
+
 def test_verify_isometry_dim_mismatch(affine, abelian3):
     with pytest.raises(DimensionMismatchError):
         verify_isometry(np.eye(3), affine, abelian3)
