@@ -380,8 +380,9 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
     Basis order is (derivation directions, base directions, dual
     directions); the metric pairs D with D* hyperbolically and restricts
     to the diagonal form of the requested signature on the base.  The sizes
-    must be integers >= 0 and the derivations must commute (else
-    NonCommutingError); alpha and theta must satisfy their cocycle
+    must be integers >= 0 and the dimension 2 * len(derivations) + g0_dim at
+    most ``MAX_DIM`` (else BadParamsError); the derivations must commute
+    (else NonCommutingError); alpha and theta must satisfy their cocycle
     conditions: a pair that does not breaks Jacobi on the assembled bracket,
     which raises CocycleError.  The output is Ricci-parallel for every
     admissible input.
@@ -394,6 +395,7 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
                     for key, val in zip(("g0_dim", "p", "q"), sizes))
     if p + q != g0_dim:
         raise BadParamsError(f"signature ({p}, {q}) does not sum to g0_dim {g0_dim}")
+    _check_dim("two_step_parallel", 2 * nd + g0_dim)
     ders = np.array([as_matrix(dmat, dim=g0_dim, name="derivation") for dmat in derivations])
     ders = ders.reshape(nd, g0_dim, g0_dim)
 
@@ -558,6 +560,12 @@ def _param_value(name: str, key: str, val, kind: str, bound):
     raise BadParamsError(f"{name}: parameter {key!r} must be {need}, got {val!r}")
 
 
+def _check_dim(name: str, dim: int):
+    """Reject an output dimension above ``MAX_DIM``, before anything of that size is allocated."""
+    if dim > MAX_DIM:
+        raise BadParamsError(f"{name}: the parameters give dimension {dim}, above the limit {MAX_DIM}")
+
+
 def _checked_params(name: str, params: dict) -> dict:
     """The entry's declared parameters, converted, with defaults filled in.
 
@@ -573,9 +581,7 @@ def _checked_params(name: str, params: dict) -> dict:
         if key not in params and default is None:
             raise BadParamsError(f"{name}: missing parameter {key!r}")
         out[key] = _param_value(name, key, params.get(key, default), kind, bound)
-    dim = dim_of(out)
-    if dim > MAX_DIM:
-        raise BadParamsError(f"{name}: the parameters give dimension {dim}, above the limit {MAX_DIM}")
+    _check_dim(name, dim_of(out))
     return out
 
 

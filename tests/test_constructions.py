@@ -34,6 +34,7 @@ from liemetric.errors import (
     BadParamsError,
     CocycleError,
     CyclicityError,
+    DimensionMismatchError,
     InvalidSpecError,
     JacobiError,
     LieMetricError,
@@ -42,6 +43,7 @@ from liemetric.errors import (
     UnknownNameError,
     ZeroMuError,
 )
+from liemetric.lie import MAX_DIM
 from liemetric.linalg import Tolerance
 from sampling import (
     ABELIAN_FAMILIES,
@@ -488,6 +490,18 @@ def test_two_step_rejects_theta_that_is_not_a_cocycle():
 def test_two_step_rejects_bad_sizes(g0_dim, signature, derivations):
     with pytest.raises(BadParamsError):
         two_step_parallel(g0_dim, signature, derivations)
+
+
+def test_two_step_rejects_dimension_above_max_dim():
+    with pytest.raises(BadParamsError, match="above the limit"):
+        two_step_parallel(10**6, (0, 10**6), [])
+    # a derivation of the wrong shape fails only after the dimension check, so
+    # the boundary is probed by size arithmetic alone, without allocating
+    wrong_shape = [np.zeros((1, 1))]
+    with pytest.raises(BadParamsError, match=f"dimension {MAX_DIM + 1}, above the limit"):
+        two_step_parallel(MAX_DIM - 1, (0, MAX_DIM - 1), wrong_shape)
+    with pytest.raises(DimensionMismatchError, match="derivation must have shape"):
+        two_step_parallel(MAX_DIM - 2, (0, MAX_DIM - 2), wrong_shape)
 
 
 def test_two_step_accepts_numpy_integer_sizes():

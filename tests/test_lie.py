@@ -240,6 +240,68 @@ def test_validate_jacobi_matches_cyclic_sum_on_catalog(name, params):
     _assert_jacobi_matches_reference(catalog(name, **params).algebra)
 
 
+# catalog tensors to perturb; sl(3) (dim 8, 120 products against the cut 64) takes the dense kernel
+_JACOBI_BRANCH_CASES = [
+    ("sl_killing", {"n": 3}),
+    ("sl_killing", {"n": 5}),
+    ("heisenberg", {"n": 6}),
+    ("einstein_solvable", {"n": 5}),
+    ("sl_complex_typeI", {"n": 3, "lam": 1.0, "mu": 2.0}),
+    ("double_ext_demo", {"kind": "nilpotent", "dim": 8}),
+]
+
+
+def _perturbed_and_random_tensors(rng):
+    """Catalog tensors with 1-3 bracket entries perturbed, then random ones of 2-30% density."""
+    for name, params in _JACOBI_BRANCH_CASES:
+        base = catalog(name, **params).algebra.tensor
+        dim = base.shape[0]
+        for _ in range(10):
+            c = np.array(base)
+            for _ in range(rng.integers(1, 4)):
+                a, b = rng.choice(dim, 2, replace=False)
+                m = rng.integers(dim)
+                c[a, b, m] += rng.normal()
+                c[b, a, m] = -c[a, b, m]
+            yield c
+    for dim in range(3, 13):
+        for density in (0.02, 0.05, 0.1, 0.3):
+            c = rng.normal(size=(dim, dim, dim)) * (rng.random((dim, dim, dim)) < density)
+            yield c - c.transpose(1, 0, 2)
+
+
+def test_validate_jacobi_branches_match_cyclic_sum(rng, monkeypatch):
+    from liemetric import lie
+
+    dense_calls = []
+    real = lie._dense_jacobi
+    monkeypatch.setattr(lie, "_dense_jacobi", lambda g: dense_calls.append(g) or real(g))
+    non_lie = {True: 0, False: 0}  # by whether the dense kernel ran
+    for c in _perturbed_and_random_tensors(rng):
+        g = LieAlgebra.from_tensor(c)
+        ran = len(dense_calls)
+        _assert_jacobi_matches_reference(g)
+        dense = len(dense_calls) > ran
+        if _cyclic_jacobi(g.tensor) > 1e-12 * g.max_structure_constant ** 2:
+            assert validate_jacobi(g) > 1e-3
+            non_lie[dense] += 1
+    assert non_lie[True] > 0 and non_lie[False] > 0
+
+
+def test_validate_jacobi_memory_on_sl8():
+    import tracemalloc
+
+    g = catalog("sl_killing", n=8).algebra
+    tracemalloc.start()
+    try:
+        res = validate_jacobi(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res == 0.0
+    assert peak < 2 * g.dim ** 3 * 8
+
+
 def test_validate_jacobi_dims_zero_and_one():
     for dim in (0, 1):
         g = LieAlgebra(dim, {})
