@@ -8,11 +8,12 @@ must leave every byte of these outputs unchanged.
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from liemetric import LieAlgebra, MetricLieAlgebra, catalog
-from liemetric.cli import EXIT_OK, build_report, main
+from liemetric.cli import EXIT_OK, EXIT_PARSE, build_report, main
 from liemetric.errors import LieMetricError
 
 GOLDEN = {
@@ -113,6 +114,40 @@ def test_cli_outputs_byte_identical(tmp_path, capsys):
     assert sorted(digests) == sorted(GOLDEN)
     changed = [k for k in GOLDEN if digests[k] != GOLDEN[k]]
     assert not changed, {k: digests[k] for k in changed}
+
+
+# outputs that print the path they were given: run from tmp_path on relative paths
+GOLDEN_RELATIVE = {
+    "validate/text": "87968fda63fc350b3db86f9e616dc4bf36e2ed7b6cbf8b92d57ef88e158993e8",
+    "validate/json": "7bb5581f0056700d753e5e012864a587826f463b5b410a3ba8c502d0f6ba2d7d",
+    "report/text": "b1d66f8727cc08c00674a2771c646c95386e5eaef9b76154c867548c67669486",
+    "report/directory_with_error": "1c38b324e2961ef33fddbece92d286e8dec9938055b62b3bd174bb3df97c75b1",
+}
+
+
+def _relative_outputs(tmp_path, capsys, monkeypatch) -> dict:
+    monkeypatch.chdir(tmp_path)
+
+    def run(code, *args):
+        capsys.readouterr()
+        assert main(list(args)) == code, args
+        return capsys.readouterr().out.encode("utf-8")
+
+    run(EXIT_OK, "catalog", "sl_killing", "--params", '{"n": 2}', "--out", "sl2.json")
+    Path("batch").mkdir()
+    run(EXIT_OK, "catalog", "heisenberg", "--params", '{"n": 1}', "--out", "batch/h1.json")
+    Path("batch/bad.json").write_text('{"dim": 2,\n "brackets": [}', encoding="utf-8")
+    return {
+        "validate/text": run(EXIT_OK, "validate", "sl2.json"),
+        "validate/json": run(EXIT_OK, "validate", "sl2.json", "--json"),
+        "report/text": run(EXIT_OK, "report", "sl2.json"),
+        "report/directory_with_error": run(EXIT_PARSE, "report", "batch"),
+    }
+
+
+def test_cli_path_outputs_byte_identical(tmp_path, capsys, monkeypatch):
+    digests = {k: hashlib.sha256(v).hexdigest() for k, v in _relative_outputs(tmp_path, capsys, monkeypatch).items()}
+    assert digests == GOLDEN_RELATIVE
 
 
 def _verdicts(m) -> tuple:
