@@ -17,12 +17,14 @@ unit brackets and unit metric (see :data:`liemetric.linalg.DEGREES`), and
 ``--tol-rank`` is relative to the size of what it cuts; a loaded file's
 metric algebra keeps these for every verdict on it.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 mathematical
+Exit codes: 0 success, 2 parse/validation failure (also an input file that
+cannot be read and an ``--out`` that cannot be written), 3 mathematical
 precondition failure, 4 verification failure (a certified invariant of a
 constructed object did not hold).  ``report <dir>`` reports every ``*.json``
 file in name order; a file that fails gives a ``{"file", "error",
 "exit_code"}`` record in its place, and the command exits with the largest
-code met.
+code met.  Every output goes through one writer, which turns numpy arrays and
+scalars into JSON lists and numbers.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .classify import TYPE_I, TYPE_II, classify_ricci, decompose_double_extension, type_I_decomposition, type_II_canonical_basis
+from .classify import (TYPE_I, TYPE_II, TypeIDecomposition, classify_ricci, decompose_double_extension,
+                       type_I_decomposition, type_II_canonical_basis)
 from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditions, complexify, double_extension, extension_invariants, type_I_metric
 from .errors import (
     BadParamsError,
@@ -73,14 +77,24 @@ def _error_text(exc: LieMetricError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _numpy_to_json(obj):
+    """numpy arrays and scalars as Python lists and numbers; anything else is an error, never ``str()``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False, default=_numpy_to_json) + "\n"
 
 
 def _emit(obj, out: str | None):
     text = _dump(obj)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -99,17 +113,21 @@ def _emit_with_sidecar(m: MetricLieAlgebra, sidecar: dict, out: str | None):
 # ---------------------------------------------------------------------------
 
 
-def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
+def _read_object(path) -> dict:
+    """The JSON object in the file at ``path``; ParseError if unreadable, not JSON or not an object."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
+    return doc
+
+
+def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
+    doc = _read_object(path)
     if type(doc.get("dim")) is not int or not 1 <= doc["dim"] <= MAX_DIM:  # a bool is not a dim
         raise ParseError(f"{path}: field 'dim' must be an integer from 1 to {MAX_DIM}")
     dim = doc["dim"]
@@ -177,16 +195,13 @@ def algebra_to_dict(m: MetricLieAlgebra) -> dict:
     if m.algebra.basis_names is not None:
         doc["basis_names"] = list(m.algebra.basis_names)
     doc["brackets"] = brackets
-    doc["metric"] = [[float(x) for x in row] for row in m.gram]
+    doc["metric"] = m.gram.tolist()
     return doc
 
 
-def _matrix(a) -> list:
-    return [[float(x) for x in row] for row in np.asarray(a)]
-
-
-def _vector(v) -> list:
-    return [float(x) for x in np.asarray(v)]
+def _type_I_pair(dec: TypeIDecomposition) -> dict:
+    """The (Einstein metric, J) pair behind a type-I metric, with its Ricci lambda and mu."""
+    return {"lambda": dec.lam, "mu": dec.mu, "J": dec.J, "einstein_metric": dec.einstein_metric.gram}
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +211,8 @@ def _vector(v) -> list:
 
 def build_report(m: MetricLieAlgebra) -> dict:
     """The ``report`` payload, every verdict judged by ``m.tol``."""
-    tol = m.tol
     sig = signature(m.metric)
-    rep = structure_report(m.algebra, tol)
+    rep = structure_report(m.algebra, m.tol)  # before the geometry memo fills, which keeps the peak memory low
     einstein_c, einstein_res = is_einstein(m)
     flat, flat_res = is_ricci_flat(m)
     par = is_ricci_parallel(m)
@@ -214,18 +228,11 @@ def build_report(m: MetricLieAlgebra) -> dict:
     report = {
         "tool": "liemetric",
         "version": __version__,
-        "tolerance": {"abs": tol.abs, "rel": tol.rel, "rank": tol.rank},
+        "tolerance": asdict(m.tol),
         "dim": m.dim,
-        "signature": {"p": sig.p, "q": sig.q},
-        "jacobi_residual": float(m.algebra.jacobi_residual),
-        "structure": {
-            "is_nilpotent": rep.is_nilpotent,
-            "is_solvable": rep.is_solvable,
-            "is_unimodular": rep.is_unimodular,
-            "center_dim": rep.center_dim,
-            "derived_dim": rep.derived_dim,
-            "nilpotency_step": rep.nilpotency_step,
-        },
+        "signature": sig._asdict(),
+        "jacobi_residual": m.algebra.jacobi_residual,
+        "structure": asdict(rep),
         "einstein": {
             "flag": einstein_c is not None,
             "constant": einstein_c,
@@ -243,7 +250,7 @@ def build_report(m: MetricLieAlgebra) -> dict:
             "constant": cls.constant,
             "lambda": cls.lam,
             "mu": cls.mu,
-            "residuals": {k: (None if v is None else float(v)) for k, v in cls.residuals.items()},
+            "residuals": cls.residuals,
         },
         "scalar_curvature": data.scalar,
         "ricci_eigenvalues": eigs,
@@ -253,20 +260,10 @@ def build_report(m: MetricLieAlgebra) -> dict:
 
     if cls.tag == TYPE_I:
         dec = type_I_decomposition(m)
-        report["type_I"] = {
-            "lambda": dec.lam,
-            "mu": dec.mu,
-            "J": _matrix(dec.J),
-            "einstein_metric": _matrix(dec.einstein_metric.gram),
-            "residuals": {k: float(v) for k, v in dec.residuals.items()},
-        }
+        report["type_I"] = {**_type_I_pair(dec), "residuals": dec.residuals}
     elif cls.tag == TYPE_II and sig.p == 1:
         canon = type_II_canonical_basis(m)
-        report["type_II"] = {
-            "basis": _matrix(canon.basis),
-            "gram_sign": canon.gram_sign,
-            "residuals": {k: float(v) for k, v in canon.residuals.items()},
-        }
+        report["type_II"] = {"basis": canon.basis, "gram_sign": canon.gram_sign, "residuals": canon.residuals}
     return report
 
 
@@ -281,8 +278,8 @@ def _cmd_validate(args, tol: Tolerance) -> int:
     diag = {
         "file": str(args.path),
         "dim": m.dim,
-        "jacobi_residual": float(m.algebra.jacobi_residual),
-        "metric_signature": {"p": sig.p, "q": sig.q},
+        "jacobi_residual": m.algebra.jacobi_residual,
+        "metric_signature": sig._asdict(),
         "valid": True,
     }
     if args.json or args.out:
@@ -323,14 +320,7 @@ def _cmd_report(args, tol: Tolerance) -> int:
 
 
 def _load_extension_data(path, dim: int):
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: extension data must be an object")
+    doc = _read_object(path)
     try:
         return (as_matrix(doc.get("D", np.zeros((dim, dim))), dim=dim, name="D"),
                 as_matrix(doc.get("K", np.zeros((dim, dim))), dim=dim, name="K"),
@@ -348,9 +338,9 @@ def _cmd_double_extend(args, tol: Tolerance) -> int:
     cond = check_parallel_conditions(spec)
     par = is_ricci_parallel(ext)
     sidecar = {
-        "delta": _vector(inv.delta),
+        "delta": inv.delta,
         "gamma": inv.gamma,
-        "conditions": {name: float(res) for name, res in cond.conditions.items()},
+        "conditions": cond.conditions,
         "base_ricci_parallel": cond.base_parallel.ok,
         "conditions_verdict": cond.ok,
         "extension_ricci_parallel": par.ok,
@@ -363,16 +353,10 @@ def _cmd_complexify(args, tol: Tolerance) -> int:
     base = load_algebra_file(args.base, tol)
     if args.type1 is not None:
         m = type_I_metric(base, *args.type1)
-        dec = type_I_decomposition(m)
-        sidecar = {
-            "lambda": dec.lam,
-            "mu": dec.mu,
-            "J": _matrix(dec.J),
-            "einstein_metric": _matrix(dec.einstein_metric.gram),
-        }
+        sidecar = _type_I_pair(type_I_decomposition(m))
     else:
         m, j = complexify(base)
-        sidecar = {"J": _matrix(j)}
+        sidecar = {"J": j}
     _emit_with_sidecar(m, sidecar, args.out)
     return EXIT_OK
 
@@ -380,13 +364,7 @@ def _cmd_complexify(args, tol: Tolerance) -> int:
 def _cmd_decompose(args, tol: Tolerance) -> int:
     m = load_algebra_file(args.path, tol)
     dec = decompose_double_extension(m)
-    sidecar = {
-        "D": _matrix(dec.spec.D),
-        "K": _matrix(dec.spec.K),
-        "L": _vector(dec.spec.L),
-        "basis": _matrix(dec.basis),
-        "residuals": {k: float(v) for k, v in dec.residuals.items()},
-    }
+    sidecar = {"D": dec.spec.D, "K": dec.spec.K, "L": dec.spec.L, "basis": dec.basis, "residuals": dec.residuals}
     _emit_with_sidecar(dec.spec.base, sidecar, args.out)
     return EXIT_OK
 
@@ -403,55 +381,35 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--tol-abs", type=float, default=1e-9, help="residual floor at unit brackets and metric")
-    parser.add_argument("--tol-rel", type=float, default=1e-9, help="added to --tol-abs at unit brackets and metric")
-    parser.add_argument("--tol-rank", type=float, default=1e-8, help="rank cutoff, relative to max|C| or max|g|")
-    parser.add_argument("--out", default=None, help="write JSON output to this path")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol-abs", type=float, default=1e-9, help="residual floor at unit brackets and metric")
+    common.add_argument("--tol-rel", type=float, default=1e-9, help="added to --tol-abs at unit brackets and metric")
+    common.add_argument("--tol-rank", type=float, default=1e-8, help="rank cutoff, relative to max|C| or max|g|")
+    common.add_argument("--out", default=None, help="write JSON output to this path")
+
     parser = argparse.ArgumentParser(prog="liemetric",
                                      description="curvature and Ricci classification on metric Lie algebras")
     parser.add_argument("--version", action="version", version=f"liemetric {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check an algebra file")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
+    def command(name, func, summary, positional):
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("report", help="full geometric report (file or directory)")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("double-extend", help="double extension of a base algebra file")
-    p.add_argument("base")
+    for name, func, summary in (("validate", _cmd_validate, "check an algebra file"),
+                                ("report", _cmd_report, "full geometric report (file or directory)")):
+        command(name, func, summary, "path").add_argument("--json", action="store_true")
+    p = command("double-extend", _cmd_double_extend, "double extension of a base algebra file", "base")
     p.add_argument("ext", help="JSON file with fields D, K, L")
-    _add_common(p)
-    p.set_defaults(func=_cmd_double_extend)
-
-    p = sub.add_parser("complexify", help="double the algebra with the split metric")
-    p.add_argument("base")
+    p = command("complexify", _cmd_complexify, "double the algebra with the split metric", "base")
     p.add_argument("--type1", nargs=2, type=float, metavar=("LAM", "MU"), default=None,
                    help="build the mixed metric with Ricci lambda*Id + mu*J")
-    _add_common(p)
-    p.set_defaults(func=_cmd_complexify)
-
-    p = sub.add_parser("decompose", help="peel a Lorentz type-II metric into extension data")
-    p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("catalog", help="emit a named catalog algebra")
-    p.add_argument("name")
+    command("decompose", _cmd_decompose, "peel a Lorentz type-II metric into extension data", "path")
+    p = command("catalog", _cmd_catalog, "emit a named catalog algebra", "name")
     p.add_argument("--params", default=None, help="JSON object of parameters, e.g. '{\"n\": 2}'")
-    _add_common(p)
-    p.set_defaults(func=_cmd_catalog)
-
     return parser
 
 

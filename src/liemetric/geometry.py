@@ -139,15 +139,13 @@ class IsometryCheck:
 
 
 def u_map(m: MetricLieAlgebra, x, y) -> np.ndarray:
-    """Symmetric Koszul correction U(x, y), defined through the metric pairing."""
+    """Symmetric Koszul correction U(x, y) = nabla_x y - 1/2 [x, y], read from the memoised connection.
+
+    It is defined through the metric pairing: <U(x, y), z> = 1/2 (<[z, x], y> + <x, [z, y]>).
+    """
     x = as_vector(x, m.dim, name="x")
     y = as_vector(y, m.dim, name="y")
-    c, g = m.algebra.tensor, m.gram
-    # <U(x,y), e_k> = 1/2 (<[e_k, x], y> + <x, [e_k, y]>)
-    rhs = 0.5 * (
-        np.einsum("kim,i,mn,n->k", c, x, g, y) + np.einsum("kjm,j,mn,n->k", c, y, g, x)
-    )
-    return m.metric.solve(rhs)
+    return np.einsum("i,j,ijk->k", x, y, connection(m) - 0.5 * m.algebra.tensor)
 
 
 @_memoised

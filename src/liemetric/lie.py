@@ -84,6 +84,11 @@ def _complete(upper: np.ndarray) -> np.ndarray:
     return c
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class LieAlgebra:
     """A finite-dimensional real Lie algebra over a fixed basis.
 
@@ -100,15 +105,15 @@ class LieAlgebra:
     """
 
     def __init__(self, dim, structure=None, basis_names=None):
+        if not _is_integer(dim) or dim < 0:
+            raise DimensionMismatchError(f"dim must be a nonnegative integer, got {dim!r}")
         dim = int(dim)
-        if dim < 0:
-            raise ValueError("dim must be nonnegative")
         upper = np.zeros((dim, dim, dim))
         for key, coeffs in dict(structure or {}).items():
-            i, j = (int(key[0]), int(key[1]))
-            if not (0 <= i < j < dim):
+            i, j = key[0], key[1]
+            if not (_is_integer(i) and _is_integer(j) and 0 <= i < j < dim):
                 raise DimensionMismatchError(
-                    f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < {dim}"
+                    f"bracket pair ({i}, {j}) must be integers with 0 <= i < j < {dim}"
                 )
             upper[i, j] = as_vector(coeffs, dim, name=f"[e_{i}, e_{j}] coefficient")
         self._set(upper, basis_names)

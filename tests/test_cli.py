@@ -234,6 +234,33 @@ def test_decompose_round_trip(tmp_path, capsys):
     assert np.asarray(sidecar["D"]).shape == (2, 2)
 
 
+def test_unwritable_out_is_a_parse_error(tmp_path, capsys):
+    sl2 = write_catalog(tmp_path, "sl_killing", "sl2.json", n=2)
+    abelian = write_catalog(tmp_path, "abelian", "ab.json", p=0, q=2)
+    lorentz = write_catalog(tmp_path, "double_ext_demo", "de.json", kind="solvable", dim=3)
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"D": [[1.0, 0.0], [0.0, 1.0]]}), encoding="utf-8")
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "sl2.json").write_text(sl2.read_text(encoding="utf-8"), encoding="utf-8")
+    commands = [
+        ["catalog", "heisenberg", "--params", '{"n": 1}'],
+        ["validate", sl2],
+        ["report", sl2],
+        ["report", batch],
+        ["double-extend", abelian, ext],
+        ["complexify", sl2],
+        ["complexify", sl2, "--type1", "1", "2"],
+        ["decompose", lorentz],
+    ]
+    for out in (tmp_path / "missing" / "out.json", batch):  # a missing directory, an existing directory
+        for args in commands:
+            capsys.readouterr()
+            assert run(args + ["--out", out]) == EXIT_PARSE, (args, out)
+            err = capsys.readouterr().err
+            assert "cannot write" in err and "Traceback" not in err, err
+
+
 def test_decompose_precondition_exit(tmp_path):
     path = write_catalog(tmp_path, "abelian", "flat.json", p=1, q=2)
     assert run(["decompose", path]) == EXIT_PRECONDITION

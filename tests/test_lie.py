@@ -57,6 +57,21 @@ def test_structure_keys_checked():
         LieAlgebra(2, {(1, 0): [1.0, 0.0]})
 
 
+@pytest.mark.parametrize("dim, structure", [
+    ("3", {}), (True, {}), (2.7, {}), (-1, {}),
+    (2, {(0.5, 1.9): [0.0, 1.0]}), (2, {(False, True): [0.0, 1.0]}), (2, {(np.float64(0.0), 1): [0.0, 1.0]}),
+])
+def test_sizes_and_indices_must_be_integers(dim, structure):
+    with pytest.raises(DimensionMismatchError):
+        LieAlgebra(dim, structure)
+
+
+def test_numpy_integer_size_and_indices():
+    g = LieAlgebra(np.int64(2), {(np.int64(0), np.int32(1)): [0.0, 1.0]})
+    assert type(g.dim) is int
+    assert_allclose(g.tensor, make_affine().tensor)
+
+
 def test_jacobi_abelian_and_heisenberg_zero():
     assert validate_jacobi(LieAlgebra(4, {})) == 0.0
     assert validate_jacobi(make_heisenberg(2)) == 0.0
