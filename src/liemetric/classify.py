@@ -160,9 +160,7 @@ def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
     residuals["einstein"] = einstein_res
     residuals["einstein_constant"] = abs(constant - 1.0) if constant is not None else np.inf
     nm = connection_matrices(m)
-    residuals["parallel"] = operator_residual(
-        np.einsum("ab,ibc->iac", j, nm) - np.einsum("iab,bc->iac", nm, j)
-    )
+    residuals["parallel"] = operator_residual(j @ nm - nm @ j)
     recon = (lam * gp - mu * (gp @ j)) / (lam ** 2 + mu ** 2)
     residuals["reconstruction"] = operator_residual(g - recon)
 

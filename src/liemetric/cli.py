@@ -117,7 +117,7 @@ def _read_object(path) -> dict:
     """The JSON object in the file at ``path``; ParseError if unreadable, not JSON or not an object."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc

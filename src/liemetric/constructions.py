@@ -93,18 +93,19 @@ class DoubleExtensionSpec:
 
         skew = operator_residual(metric_adjoint(k, self.base.metric) + k)
 
-        t_apply = np.einsum("abm,cm->abc", c0, d)          # D [e_a, e_b]
-        t_left = np.einsum("ibm,ia->abm", c0, d)           # [D e_a, e_b]
-        t_right = np.einsum("ajm,jb->abm", c0, d)          # [e_a, D e_b]
+        n = c0.shape[0]
+        t_apply = c0 @ d.T                                         # D [e_a, e_b]
+        t_left = (d.T @ c0.reshape(n, n * n)).reshape(n, n, n)     # [D e_a, e_b]
+        t_right = d.T @ c0                                         # [e_a, D e_b]
         derivation = operator_residual(t_apply - t_left - t_right)
 
         dstar = metric_adjoint(d, self.base.metric)
-        lhs = np.einsum("abm,m->ab", c0, g0 @ self.L)
+        lhs = c0 @ (g0 @ self.L)
         comp = k @ d + dstar @ k
         rhs = comp.T @ g0
         compatibility = operator_residual(lhs - rhs)
 
-        pair = np.einsum("ma,bcm->abc", g0 @ k, c0)        # <K e_a, [e_b, e_c]_0>_0
+        pair = (c0 @ (g0 @ k)).transpose(2, 0, 1)                  # <K e_a, [e_b, e_c]_0>_0
         cocycle = operator_residual(pair + pair.transpose(1, 2, 0) + pair.transpose(2, 0, 1))
 
         return {"skew": skew, "derivation": derivation,
@@ -229,7 +230,7 @@ def check_parallel_conditions(spec: DoubleExtensionSpec) -> ParallelConditionRep
         "C2": operator_residual(ric0 @ lvec + 0.5 * a_op @ delta),
         "C3": operator_residual(ric0 @ a_op - a_op @ ric0),
         "C4": operator_residual(b_minus @ delta),
-        "C5": operator_residual(np.einsum("iab,b->ia", nm0, delta) + 0.5 * (ric0 @ b_plus).T),
+        "C5": operator_residual(nm0 @ delta + 0.5 * (ric0 @ b_plus).T),
     }
     base_parallel = is_ricci_parallel(base)
     exps = spec.exponents

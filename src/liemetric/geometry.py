@@ -11,8 +11,12 @@ orthonormal-basis formula term by term.  Neither calls the other; their
 agreement is the module's central correctness check.  :func:`curvature`
 builds the full dim^4 tensor on request and is not on the Ricci path.
 
-Contractions of three or more operands go through ``einsum(...,
-optimize=True)``, which contracts pairwise in BLAS-backed steps.
+Every contraction of a dim^3 tensor is ``@`` on a broadcast or reshaped
+view, so it runs as BLAS matrix products and never as einsum's C loop, and
+no intermediate is larger than dim^3 (:func:`curvature` excepted).  Where
+folding a sum into one product would move the last bits of a result, the
+per-index terms come from batched products and that index is summed
+afterwards, as ``ricci`` does over i.
 """
 
 from __future__ import annotations
@@ -145,16 +149,18 @@ def u_map(m: MetricLieAlgebra, x, y) -> np.ndarray:
     """
     x = as_vector(x, m.dim, name="x")
     y = as_vector(y, m.dim, name="y")
-    return np.einsum("i,j,ijk->k", x, y, connection(m) - 0.5 * m.algebra.tensor)
+    u = connection(m) - 0.5 * m.algebra.tensor
+    n = m.dim
+    return y @ (x @ u.reshape(n, n * n)).reshape(n, n)
 
 
 @_memoised
 def connection(m: MetricLieAlgebra) -> np.ndarray:
     """Connection coefficients N[i, j, :] = components of nabla_{e_i} e_j."""
     c, g = m.algebra.tensor, m.gram
-    b = np.einsum("ijm,mk->ijk", c, g)  # <[e_i, e_j], e_k>
+    b = c @ g  # <[e_i, e_j], e_k>
     u_low = 0.5 * (b.transpose(1, 2, 0) + b.transpose(2, 1, 0))
-    u = np.einsum("km,ijm->ijk", np.linalg.inv(g), u_low)
+    u = u_low @ np.linalg.inv(g).T
     n = 0.5 * c + u
     n.flags.writeable = False
     return n
@@ -170,8 +176,9 @@ def curvature(m: MetricLieAlgebra) -> np.ndarray:
     """Curvature tensor riem[i, j, k, l]: component of R(e_i, e_j) e_k along e_l."""
     c = m.algebra.tensor
     nm = connection_matrices(m)
-    comp = np.einsum("iab,jbc->ijac", nm, nm)
-    rmat = comp - comp.transpose(1, 0, 2, 3) - np.einsum("ijm,mlk->ijlk", c, nm)
+    n = m.dim
+    comp = nm[:, None] @ nm[None, :]
+    rmat = comp - comp.transpose(1, 0, 2, 3) - (c.reshape(n * n, n) @ nm.reshape(n, n * n)).reshape((n,) * 4)
     riem = rmat.transpose(0, 1, 3, 2)
     riem.flags.writeable = False
     return riem
@@ -183,15 +190,18 @@ def ricci(m: MetricLieAlgebra) -> RicciData:
 
     ric_jk = sum_i (N_i N_j - N_j N_i - sum_m c_ijm N_m)_{ik}, the trace of
     curvature without the dim^4 array: every intermediate is dim^3.  The
+    terms of each i are batched products, summed over i afterwards: folding
+    that sum into the products would move the last bits of the result.  The
     result is symmetrised.
     """
     c = m.algebra.tensor
+    n = m.dim
     nm = connection_matrices(m)
-    idx = np.arange(m.dim)
+    idx = np.arange(n)
     d = nm[idx, idx]  # d[i] = row i of N_i
-    terms = (np.einsum("ib,jbk->ijk", d, nm) - np.einsum("jib,ibk->ijk", nm, nm)
-             - np.einsum("ijm,mik->ijk", c, nm))
-    ric = np.einsum("ijk->jk", terms)
+    swapped = nm.transpose(1, 0, 2)  # swapped[i, j] = row i of N_j
+    terms = (d @ swapped.reshape(n, n * n)).reshape(n, n, n) - swapped @ nm - c @ swapped
+    ric = terms.sum(axis=0)
     ric = 0.5 * (ric + ric.T)
     operator = m.metric.solve(ric)
     tau = trace_functional(m.algebra)
@@ -223,14 +233,14 @@ def ricci_structural(m: MetricLieAlgebra) -> np.ndarray:
     azg = az.T @ g
     term_z = -0.5 * (azg + azg.T)
 
+    n = m.dim
     # [e_i, b_a]
-    br = np.einsum("ijk,ja->iak", c, basis)
-    term3 = -0.5 * np.einsum("iak,kl,jal,a->ij", br, g, br, eps, optimize=True)
+    br = basis.T @ c
+    term3 = -0.5 * (br * eps[:, None]).reshape(n, n * n) @ (br @ g).reshape(n, n * n).T
 
     # <[b_a, b_b], e_i>
-    bb = np.einsum("ijk,ia,jb->abk", c, basis, basis, optimize=True)
-    p = np.einsum("abk,ki->abi", bb, g)
-    term4 = 0.25 * np.einsum("abi,abj,a,b->ij", p, p, eps, eps, optimize=True)
+    p = (_pull_back(c, basis) @ g).reshape(n * n, n)
+    term4 = 0.25 * (p.T * np.outer(eps, eps).ravel()) @ p
 
     out = term_k + term_z + term3 + term4
     out = 0.5 * (out + out.T)
@@ -240,10 +250,13 @@ def ricci_structural(m: MetricLieAlgebra) -> np.ndarray:
 
 @_memoised
 def nabla_ric(m: MetricLieAlgebra) -> np.ndarray:
-    """(nabla_{e_i} ric)(e_j, e_k) using the left-invariant simplification."""
-    n = connection(m)
-    ric = ricci(m).tensor
-    out = -np.einsum("ijm,mk->ijk", n, ric) - np.einsum("ikm,jm->ijk", n, ric)
+    """(nabla_{e_i} ric)(e_j, e_k) using the left-invariant simplification.
+
+    -ric(nabla_i e_j, e_k) - ric(e_j, nabla_i e_k): ric is exactly symmetric,
+    so the second term is the first with j and k swapped.
+    """
+    lowered = connection(m) @ ricci(m).tensor  # ric(nabla_i e_j, e_k)
+    out = -lowered - lowered.transpose(0, 2, 1)
     out.flags.writeable = False
     return out
 
@@ -256,7 +269,7 @@ def is_ricci_parallel(m: MetricLieAlgebra) -> ParallelCheck:
     """
     op = ricci(m).operator
     nm = connection_matrices(m)
-    comm = np.einsum("ab,ibc->iac", op, nm) - np.einsum("iab,bc->iac", nm, op)
+    comm = op @ nm - nm @ op
     comm_res = operator_residual(comm)
     nab_res = operator_residual(nabla_ric(m))
     ok = m.tol.passes(comm_res, "ric_commutator", m.exponents) and m.tol.passes(nab_res, "nabla_ric", m.exponents)
@@ -280,7 +293,7 @@ def is_ricci_flat(m: MetricLieAlgebra):
 
 def is_ad_invariant(m: MetricLieAlgebra):
     """Max residual of <[x,y],z> + <y,[x,z]> over basis triples."""
-    b = np.einsum("ijm,mk->ijk", m.algebra.tensor, m.gram)
+    b = m.algebra.tensor @ m.gram
     res = operator_residual(b + b.transpose(0, 2, 1))
     return m.tol.passes(res, "ad_invariance", m.exponents), res
 
@@ -295,8 +308,8 @@ def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> Isometry
     invertible = bool(svals.size == 0 or svals[-1] > tol.rank * svals[0])
 
     c1, c2 = m1.algebra.tensor, m2.algebra.tensor
-    lhs = np.einsum("ijm,lm->ijl", c1, phi)  # phi [e_i, e_j]_1
-    rhs = np.einsum("abl,ai,bj->ijl", c2, phi, phi, optimize=True)  # [phi e_i, phi e_j]_2
+    lhs = c1 @ phi.T  # phi [e_i, e_j]_1
+    rhs = _pull_back(c2, phi)  # [phi e_i, phi e_j]_2
     bracket_res = operator_residual(lhs - rhs)
     k_bracket = exponent(max(operator_residual(lhs), operator_residual(rhs)))
 
@@ -310,12 +323,17 @@ def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> Isometry
                          bracket_residual=bracket_res, metric_residual=metric_res)
 
 
+def _pull_back(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """T[i, j, :] = sum_ab p[a, i] p[b, j] c[a, b, :], the brackets [p e_i, p e_j] in the old coordinates."""
+    n = c.shape[0]
+    return p.T @ (p.T @ c.reshape(n, n * n)).reshape(n, n, n)
+
+
 def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
     """Pull the whole structure back along basis matrix p (columns = new basis)."""
     p = as_matrix(p, dim=m.dim, name="p")
     pinv = np.linalg.inv(p)
-    c = m.algebra.tensor
-    new_c = np.einsum("abm,ai,bj,lm->ijl", c, p, p, pinv, optimize=True)
+    new_c = _pull_back(m.algebra.tensor, p) @ pinv.T
     new_c = 0.5 * (new_c - new_c.transpose(1, 0, 2))
     new_g = p.T @ m.gram @ p
     algebra = LieAlgebra.from_tensor(new_c)

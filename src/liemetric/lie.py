@@ -190,14 +190,13 @@ class LieAlgebra:
 
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] by contraction against the structure tensor."""
-        x = as_vector(x, self.dim, name="x")
-        y = as_vector(y, self.dim, name="y")
-        return np.einsum("ijk,i,j->k", self.tensor, x, y)
+        return self.ad(x) @ as_vector(y, self.dim, name="y")
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x): ad(x) y = [x, y]."""
         x = as_vector(x, self.dim, name="x")
-        return np.einsum("ijk,i->kj", self.tensor, x)
+        n = self.dim
+        return (x @ self.tensor.reshape(n, n * n)).reshape(n, n).T
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> "LieAlgebra":
         """Check the Jacobi identity; mark validated or raise JacobiError."""
@@ -284,14 +283,14 @@ def _sparse_jacobi(c: np.ndarray, row_nnz: np.ndarray, count: int) -> float:
 
 def killing_form(g: LieAlgebra) -> np.ndarray:
     """K_ij = trace(ad e_i . ad e_j); symmetric, possibly degenerate."""
-    ads = g.ad_basis
-    k = np.einsum("iab,jba->ij", ads, ads)
+    n = g.dim
+    k = g.tensor.reshape(n, n * n) @ g.ad_basis.reshape(n, n * n).T  # sum_ab ad(e_i)[b, a] ad(e_j)[a, b]
     return 0.5 * (k + k.T)
 
 
 def trace_functional(g: LieAlgebra) -> np.ndarray:
     """tau_i = trace(ad e_i); the algebra is unimodular iff tau = 0."""
-    return np.einsum("iaa->i", g.ad_basis)
+    return np.trace(g.ad_basis, axis1=1, axis2=2)
 
 
 @dataclass(frozen=True)

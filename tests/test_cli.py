@@ -6,7 +6,7 @@ import pytest
 
 from liemetric import catalog, change_basis, ricci_structural
 from liemetric.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, main
-from sampling import random_invertible
+from sampling import random_invertible, random_metric_lie_algebra
 
 
 def write_catalog(tmp_path, name, filename, **params):
@@ -78,6 +78,31 @@ def test_validate_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     assert run(["validate", path]) == EXIT_PARSE
+
+
+# a UTF-16 byte-order mark, a lone continuation byte, the euro sign's three bytes cut after two
+NOT_UTF8 = {"bom_ff_fe": b'\xff\xfe{\x00}\x00',
+            "lone_0x80": b'{"dim": 1, "x": "\x80"}',
+            "truncated": b'{"dim": 1, "x": "\xe2\x82"}'}
+
+
+@pytest.mark.parametrize("raw", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, raw):
+    bad_dir = tmp_path / "batch"
+    bad_dir.mkdir()
+    bad = bad_dir / "a_bad.json"
+    bad.write_bytes(raw)
+    write_catalog(bad_dir, "heisenberg", "b_h1.json", n=1)
+    base = write_catalog(tmp_path, "abelian", "base.json", p=0, q=2)
+    for args in (["validate", bad], ["report", bad], ["double-extend", base, bad]):
+        assert run(args) == EXIT_PARSE, args
+        assert "ParseError" in capsys.readouterr().err
+    assert run(["report", bad_dir]) == EXIT_PARSE
+    records = json.loads(capsys.readouterr().out)
+    assert [r["file"] for r in records] == ["a_bad.json", "b_h1.json"]
+    assert set(records[0]) == {"file", "error", "exit_code"} and records[0]["exit_code"] == EXIT_PARSE
+    assert records[0]["error"].startswith("ParseError: ")
+    assert records[1]["report"]["structure"]["is_nilpotent"]
 
 
 def test_report_heisenberg(tmp_path, capsys):
@@ -160,6 +185,24 @@ def test_report_path_builds_no_dim4_array():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 48 ** 4 * 8
+
+
+def test_report_path_contracts_no_three_index_operand_by_einsum(monkeypatch):
+    # every dim^3 contraction on the report path is a BLAS product, never einsum's C loop
+    rng = np.random.default_rng(5)
+    cases = [random_metric_lie_algebra(rng, 12, (p, 12 - p)) for p in (0, 1, 5)]
+    cases.append(change_basis(catalog("sl_complex_typeI", n=2, lam=1.0, mu=2.0), random_invertible(rng, 6)))
+    shapes = []
+    einsum = np.einsum
+
+    def recording(*operands, **kwargs):
+        shapes.extend(np.shape(x) for x in operands if not isinstance(x, str))
+        return einsum(*operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    reports = [build_report(m) for m in cases]
+    assert reports[-1]["type_I"] is not None
+    assert all(len(shape) < 3 for shape in shapes), shapes
 
 
 def test_report_tolerance_override(tmp_path, capsys):

@@ -29,7 +29,7 @@ from liemetric import (
     verify_isometry,
 )
 from liemetric.errors import DimensionMismatchError
-from liemetric.linalg import DEGREES
+from liemetric.linalg import DEGREES, exponent, pseudo_orthonormal_basis
 from sampling import random_invertible, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine
@@ -411,3 +411,102 @@ def test_every_degree_in_the_table_is_the_degree_of_its_residual():
     for kind, (a, b) in DEGREES.items():
         assert before[kind] > 1e-3, kind
         assert after[kind] / before[kind] == pytest.approx(s ** a * t ** b, rel=1e-9), kind
+
+
+# The einsum definitions that the matmul kernels replaced, kept as references.
+
+def _ref_killing(c):
+    ads = c.transpose(0, 2, 1)
+    k = np.einsum("iab,jba->ij", ads, ads)
+    return 0.5 * (k + k.T)
+
+
+def _ref_connection(c, g):
+    b = np.einsum("ijm,mk->ijk", c, g)
+    u_low = 0.5 * (b.transpose(1, 2, 0) + b.transpose(2, 1, 0))
+    return 0.5 * c + np.einsum("km,ijm->ijk", np.linalg.inv(g), u_low)
+
+
+def _ref_ricci(c, n):
+    nm = n.transpose(0, 2, 1)
+    idx = np.arange(c.shape[0])
+    d = nm[idx, idx]
+    terms = (np.einsum("ib,jbk->ijk", d, nm) - np.einsum("jib,ibk->ijk", nm, nm)
+             - np.einsum("ijm,mik->ijk", c, nm))
+    ric = np.einsum("ijk->jk", terms)
+    return 0.5 * (ric + ric.T)
+
+
+def _ref_ricci_structural(m):
+    c, g = m.algebra.tensor, m.gram
+    basis, signs = pseudo_orthonormal_basis(m.metric)
+    eps = signs.astype(float)
+    z = m.metric.solve(np.einsum("iaa->i", c.transpose(0, 2, 1)))
+    azg = np.einsum("ijk,i->kj", c, z).T @ g
+    br = np.einsum("ijk,ja->iak", c, basis)
+    term3 = -0.5 * np.einsum("iak,kl,jal,a->ij", br, g, br, eps, optimize=True)
+    bb = np.einsum("ijk,ia,jb->abk", c, basis, basis, optimize=True)
+    p = np.einsum("abk,ki->abi", bb, g)
+    term4 = 0.25 * np.einsum("abi,abj,a,b->ij", p, p, eps, eps, optimize=True)
+    out = -0.5 * _ref_killing(c) - 0.5 * (azg + azg.T) + term3 + term4
+    return 0.5 * (out + out.T)
+
+
+def _ref_nabla_ric(n, ric):
+    return -np.einsum("ijm,mk->ijk", n, ric) - np.einsum("ikm,jm->ijk", n, ric)
+
+
+def _ref_commutator(op, n):
+    nm = n.transpose(0, 2, 1)
+    return np.einsum("ab,ibc->iac", op, nm) - np.einsum("iab,bc->iac", nm, op)
+
+
+def _ref_pull_back(c, p, pinv):
+    return np.einsum("abm,ai,bj,lm->ijl", c, p, p, pinv, optimize=True)
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(11)
+    cases = [MetricLieAlgebra(LieAlgebra(0, {}), np.zeros((0, 0)))]
+    for dim in range(1, 13):
+        for _ in range(2):
+            p = int(rng.integers(0, dim + 1))
+            cases.append(random_metric_lie_algebra(rng, dim, (p, dim - p)))
+    return rng, cases
+
+
+def test_matmul_kernels_agree_with_their_einsum_references():
+    rng, cases = _equivalence_cases()
+    for m in cases:
+        c, g, dim = m.algebra.tensor, m.gram, m.dim
+
+        def agrees(new, ref, kind, exponents=m.exponents):
+            assert new.shape == ref.shape, kind
+            assert m.tol.passes(np.max(np.abs(new - ref), initial=0.0), kind, exponents), (dim, kind)
+
+        n_ref = _ref_connection(c, g)
+        ric_ref = _ref_ricci(c, n_ref)
+        op_ref = m.metric.solve(ric_ref)
+        agrees(connection(m), n_ref, "connection")
+        agrees(ricci(m).tensor, ric_ref, "ric")
+        agrees(ricci_structural(m), _ref_ricci_structural(m), "ric")
+        agrees(nabla_ric(m), _ref_nabla_ric(n_ref, ric_ref), "nabla_ric")
+        comm_res = np.max(np.abs(_ref_commutator(op_ref, n_ref)), initial=0.0)
+        agrees(np.array(is_ricci_parallel(m).commutator_residual), np.array(comm_res), "ric_commutator")
+        agrees(killing_form(m.algebra), _ref_killing(c), "ric")
+
+        p = random_invertible(rng, dim) if dim else np.zeros((0, 0))
+        moved = change_basis(m, p)
+        ref_c = _ref_pull_back(c, p, np.linalg.inv(p))
+        ref_c = 0.5 * (ref_c - ref_c.transpose(1, 0, 2))
+        agrees(moved.algebra.tensor, ref_c, "bracket", moved.exponents)
+        agrees(moved.gram, p.T @ g @ p, "metric", moved.exponents)
+
+        # phi is no isometry, so the bracket residual is of order one
+        phi = rng.normal(size=(dim, dim))
+        iso = verify_isometry(phi, m, moved)
+        lhs = np.einsum("ijm,lm->ijl", c, phi)
+        rhs = _ref_pull_back(moved.algebra.tensor, phi, np.eye(dim))
+        ref_res = np.max(np.abs(lhs - rhs), initial=0.0)
+        k_bracket = exponent(max(np.max(np.abs(lhs), initial=0.0), np.max(np.abs(rhs), initial=0.0)))
+        assert m.tol.passes(abs(iso.bracket_residual - ref_res), "bracket", (k_bracket, 0)), dim
