@@ -17,13 +17,14 @@ unit brackets and unit metric (see :data:`liemetric.linalg.DEGREES`), and
 ``--tol-rank`` is relative to the size of what it cuts; a loaded file's
 metric algebra keeps these for every verdict on it.
 
-Exit codes: 0 success, 2 parse/validation failure (also an input file that
-cannot be read and an ``--out`` that cannot be written), 3 mathematical
-precondition failure, 4 verification failure (a certified invariant of a
-constructed object did not hold).  ``report <dir>`` reports every ``*.json``
-file in name order; a file that fails gives a ``{"file", "error",
-"exit_code"}`` record in its place, and the command exits with the largest
-code met.  Every output goes through one writer, which turns numpy arrays and
+Exit codes: 0 success; a failure exits with the ``exit_code`` of its error
+class in :mod:`liemetric.errors`: 2 parse/validation failure (also an input
+file that cannot be read and an ``--out`` that cannot be written), 3
+mathematical precondition failure, 4 verification failure (a certified
+invariant of a constructed object did not hold).  ``report <dir>`` reports
+every ``*.json`` file in name order; a file that fails gives a ``{"file",
+"error", "exit_code"}`` record in its place, and the command exits with the
+largest code met.  Every output goes through one writer, which turns numpy arrays and
 scalars into JSON lists and numbers.
 """
 
@@ -40,37 +41,17 @@ import numpy as np
 from . import __version__
 from .classify import (TYPE_I, TYPE_II, TypeIDecomposition, classify_ricci, decompose_double_extension,
                        type_I_decomposition, type_II_canonical_basis)
-from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditions, complexify, double_extension, extension_invariants, type_I_metric
-from .errors import (
-    BadParamsError,
-    DegenerateFormError,
-    JacobiError,
-    LieMetricError,
-    NullImageError,
-    ParseError,
-    StructureMismatchError,
-    ValidationError,
-    VerificationError,
-)
+from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditions, complexify, double_extension, type_I_metric
+from .errors import (BadParamsError, DegenerateFormError, JacobiError, LieMetricError, ParseError, ValidationError,
+                     VerificationError)
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
-from .lie import MAX_DIM, LieAlgebra, structure_report
-from .linalg import SymmetricForm, Tolerance, as_matrix, as_vector, signature
+from .lie import MAX_DIM, LieAlgebra, _nonzero_pairs, structure_report
+from .linalg import Tolerance, as_matrix, as_vector, signature
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_VERIFY = 4
-
-_PARSE_ERRORS = (ParseError, ValidationError)
-_VERIFY_ERRORS = (VerificationError, StructureMismatchError, NullImageError)
-
-
-def _exit_code(exc: LieMetricError) -> int:
-    if isinstance(exc, _PARSE_ERRORS):
-        return EXIT_PARSE
-    if isinstance(exc, _VERIFY_ERRORS):
-        return EXIT_VERIFY
-    return EXIT_PRECONDITION
+EXIT_PARSE = ParseError.exit_code
+EXIT_PRECONDITION = LieMetricError.exit_code
+EXIT_VERIFY = VerificationError.exit_code
 
 
 def _error_text(exc: LieMetricError) -> str:
@@ -135,7 +116,7 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise ParseError(f"{path}: field 'brackets' must be a list")
-    structure = {}
+    upper, seen = np.zeros((dim, dim, dim)), set()
     for rec_no, rec in enumerate(brackets):
         where = f"{path}: brackets[{rec_no}]"
         if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
@@ -145,8 +126,9 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
             raise ParseError(f"{where}: 'i' and 'j' must be integers")
         if not (0 <= i < j < dim):
             raise ParseError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
-        if (i, j) in structure:
+        if (i, j) in seen:
             raise ParseError(f"{where}: duplicate bracket pair ({i}, {j})")
+        seen.add((i, j))
         items = rec.get("coeffs", {})
         if not isinstance(items, dict):
             raise ParseError(f"{where}: 'coeffs' must be an object from index to value")
@@ -161,7 +143,11 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
             coeffs[k] = val
         if len(coeffs) < len(items):
             raise ParseError(f"{where}: two coefficient keys name the same index")
-        structure[(i, j)] = [coeffs.get(k, 0.0) for k in range(dim)]  # its values are checked by LieAlgebra
+        row = [coeffs.get(k, 0.0) for k in range(dim)]
+        try:
+            upper[i, j] = as_vector(row, dim, name=f"[e_{i}, e_{j}] coefficient")
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
     metric = doc.get("metric")
     if metric is None:
@@ -172,8 +158,7 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
 
     try:
         gram = as_matrix(metric, dim=dim, name="field 'metric'")
-        algebra = LieAlgebra(dim, structure, basis_names=names).validate(tol)
-        form = SymmetricForm(gram, tol)
+        return MetricLieAlgebra(LieAlgebra._from_upper(upper, names), gram, tol)
     except JacobiError as exc:
         raise ValidationError(f"{path}: Jacobi identity fails (residual {exc.residual:.3e})") from exc
     except DegenerateFormError as exc:
@@ -182,15 +167,12 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
         raise ValidationError(f"{path}: metric symmetry fails: {exc}") from exc
     except LieMetricError as exc:  # the metric's entries or shape
         raise ParseError(f"{path}: {exc}") from exc
-    return MetricLieAlgebra(algebra, form, tol)
 
 
 def algebra_to_dict(m: MetricLieAlgebra) -> dict:
-    brackets = []
-    for (i, j), vec in m.algebra.structure.items():
-        coeffs = {str(k): float(vec[k]) for k in range(m.dim) if vec[k] != 0.0}
-        if coeffs:
-            brackets.append({"i": i, "j": j, "coeffs": coeffs})
+    c = m.algebra.tensor
+    brackets = [{"i": i, "j": j, "coeffs": {str(k): float(c[i, j, k]) for k in np.flatnonzero(c[i, j])}}
+                for i, j in zip(*(idx.tolist() for idx in _nonzero_pairs(c)))]
     doc = {"dim": m.dim}
     if m.algebra.basis_names is not None:
         doc["basis_names"] = list(m.algebra.basis_names)
@@ -299,8 +281,8 @@ def _cmd_report(args, tol: Tolerance) -> int:
                 records.append({"file": child.name, "report": build_report(load_algebra_file(child, tol))})
             except LieMetricError as exc:
                 print(f"error: {_error_text(exc)}", file=sys.stderr)
-                records.append({"file": child.name, "error": _error_text(exc), "exit_code": _exit_code(exc)})
-                code = max(code, _exit_code(exc))
+                records.append({"file": child.name, "error": _error_text(exc), "exit_code": exc.exit_code})
+                code = max(code, exc.exit_code)
         _emit(records, args.out)
         return code
     m = load_algebra_file(path, tol)
@@ -334,12 +316,11 @@ def _cmd_double_extend(args, tol: Tolerance) -> int:
     d, k, lvec = _load_extension_data(args.ext, base.dim)
     spec = DoubleExtensionSpec(base=base, D=d, K=k, L=lvec)
     ext = double_extension(spec)
-    inv = extension_invariants(spec)
     cond = check_parallel_conditions(spec)
     par = is_ricci_parallel(ext)
     sidecar = {
-        "delta": inv.delta,
-        "gamma": inv.gamma,
+        "delta": cond.invariants.delta,
+        "gamma": cond.invariants.gamma,
         "conditions": cond.conditions,
         "base_ricci_parallel": cond.base_parallel.ok,
         "conditions_verdict": cond.ok,
@@ -424,7 +405,7 @@ def main(argv=None) -> int:
         return args.func(args, tol)
     except LieMetricError as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .lie import MAX_DIM, LieAlgebra, trace_functional
 from .linalg import (
     DEFAULT_TOL,
     MAX_ABS,
-    SymmetricForm,
     Tolerance,
     as_matrix,
     as_real_array,
@@ -166,26 +165,26 @@ class ExtensionInvariants:
 
 
 def extension_invariants(spec: DoubleExtensionSpec) -> ExtensionInvariants:
+    """Delta and Gamma of the extension, with Ric(u) = Delta + Gamma v.
+
+    <Delta, e_i>_0 is the sum of three trace terms, -1/2 tr((D + D*) ad_0 e_i),
+    1/2 <(D - K) Z_0, e_i>_0 and -1/4 tr(K S_i), where Z_0 is the base mean
+    curvature vector and S_i has columns (ad_0 e_j)* e_i;
+    Gamma = -1/2 tr(D^2) - 1/2 tr(D* D) - 1/4 tr(K^2) + <L, Z_0>_0.
+    """
     base = spec.base
-    n = base.dim
     g0 = base.gram
     d, k, lvec = spec.D, spec.K, spec.L
     dstar = metric_adjoint(d, base.metric)
     ads = base.algebra.ad_basis
-    adstars = np.stack([metric_adjoint(ads[j], base.metric) for j in range(n)]) if n else np.zeros((0, 0, 0))
+    adstars = np.linalg.solve(g0, ads.transpose(0, 2, 1) @ g0)  # (ad_0 e_j)* = G0^-1 (ad_0 e_j)^T G0
     z0 = base.metric.solve(trace_functional(base.algebra))
 
-    rhs = np.zeros(n)
-    pair_dk = g0 @ ((d - k) @ z0)  # entries <(D - K) Z_0, e_i>_0
-    dd = d + dstar
-    for i in range(n):
-        s0_i = adstars[:, :, i].T  # columns: (ad_0 e_j)* (e_i)
-        rhs[i] = (
-            -0.5 * float(np.trace(dd @ ads[i]))
-            + 0.5 * pair_dk[i]
-            - 0.25 * float(np.trace(k @ s0_i))
-        )
-    delta = base.metric.solve(rhs) if n else np.zeros(0)
+    s0 = adstars.transpose(2, 1, 0)  # s0[i] has columns (ad_0 e_j)* e_i
+    rhs = (-0.5 * np.trace((d + dstar) @ ads, axis1=1, axis2=2)
+           + 0.5 * (g0 @ ((d - k) @ z0))
+           - 0.25 * np.trace(k @ s0, axis1=1, axis2=2))
+    delta = base.metric.solve(rhs)
 
     gamma = (
         -0.5 * float(np.trace(d @ d))
@@ -198,11 +197,12 @@ def extension_invariants(spec: DoubleExtensionSpec) -> ExtensionInvariants:
 
 @dataclass(frozen=True)
 class ParallelConditionReport:
-    """Residuals of the five closed-form conditions plus the base parallel check."""
+    """Residuals of the five closed-form conditions, the base parallel check and the invariants they used."""
 
     conditions: dict
     base_parallel: ParallelCheck
     ok: bool
+    invariants: ExtensionInvariants
 
 
 def check_parallel_conditions(spec: DoubleExtensionSpec) -> ParallelConditionReport:
@@ -235,7 +235,7 @@ def check_parallel_conditions(spec: DoubleExtensionSpec) -> ParallelConditionRep
     base_parallel = is_ricci_parallel(base)
     exps = spec.exponents
     ok = base_parallel.ok and all(base.tol.passes(res, name, exps) for name, res in conditions.items())
-    return ParallelConditionReport(conditions=conditions, base_parallel=base_parallel, ok=ok)
+    return ParallelConditionReport(conditions=conditions, base_parallel=base_parallel, ok=ok, invariants=inv)
 
 
 def complexify(base: MetricLieAlgebra):
@@ -284,7 +284,7 @@ def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float) -> MetricLieAlg
     gp = doubled.gram
     gram = (2.0 * c / (lam ** 2 + mu ** 2)) * (lam * gp - mu * (gp @ j))
     gram = 0.5 * (gram + gram.T)
-    return MetricLieAlgebra(doubled.algebra, SymmetricForm(gram, tol), tol)
+    return MetricLieAlgebra(doubled.algebra, gram, tol)
 
 
 def _check_antisymmetric(theta: np.ndarray, tol: Tolerance, what: str):
@@ -300,8 +300,7 @@ def _block_exponent(*blocks) -> int:
 
 def _metric_algebra(upper: np.ndarray, gram: np.ndarray, tol: Tolerance, basis_names=None) -> MetricLieAlgebra:
     """Validated metric algebra from the strict upper triangle of a bracket tensor and a Gram matrix."""
-    algebra = LieAlgebra._from_upper(upper, basis_names).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
+    return MetricLieAlgebra(LieAlgebra._from_upper(upper, basis_names), gram, tol)
 
 
 def _cochain_metric_algebra(upper: np.ndarray, gram: np.ndarray, tol: Tolerance) -> MetricLieAlgebra:
@@ -446,23 +445,21 @@ def _heisenberg_algebra(n: int) -> LieAlgebra:
 
 
 def _catalog_heisenberg(tol, n):
-    algebra = _heisenberg_algebra(n).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(np.eye(2 * n + 1), tol), tol)
+    return MetricLieAlgebra(_heisenberg_algebra(n), np.eye(2 * n + 1), tol)
 
 
 def _catalog_einstein_solvable(tol, n):
     dim = 2 * n + 2  # basis (A, E_1..E_2n, Z)
     sigma = (n + 1.0) / (n + 2.0)
+    nil = _heisenberg_algebra(n)
     t = np.zeros((dim, dim, dim))
     e = np.arange(1, 2 * n + 1)
     t[0, e, e] = sigma                        # [A, E_i] = sigma E_i
     t[0, dim - 1, dim - 1] = 2.0 * sigma      # [A, Z] = 2 sigma Z
-    i = np.arange(n)
-    t[2 * i + 1, 2 * i + 2, dim - 1] = math.sqrt(2.0 / (n + 2))
+    t[1:, 1:, 1:] = nil.tensor                # the Heisenberg nilsoliton on (E_1..E_2n, Z)
     gram = np.eye(dim)
     gram[0, 0] = 2.0 * (n + 1.0) ** 2 / (n + 2.0)
-    names = ["A"] + [f"E{i + 1}" for i in range(2 * n)] + ["Z"]
-    return _metric_algebra(t, gram, tol, basis_names=names)
+    return _metric_algebra(t, gram, tol, basis_names=("A",) + nil.basis_names)
 
 
 def _sl_algebra(n: int):
@@ -492,8 +489,7 @@ def _sl_algebra(n: int):
 
 
 def _catalog_sl_killing(tol, n):
-    algebra, gram = _sl_algebra(n)
-    return MetricLieAlgebra(algebra.validate(tol), SymmetricForm(gram, tol), tol)
+    return MetricLieAlgebra(*_sl_algebra(n), tol)
 
 
 def _catalog_sl_complex(tol, n, lam, mu):
@@ -510,8 +506,7 @@ def _catalog_abelian(tol, p, q):
     if p + q < 1:
         raise BadParamsError("abelian needs p + q >= 1")
     gram = np.diag([-1.0] * p + [1.0] * q)
-    algebra = LieAlgebra(p + q, {}).validate(tol)
-    return MetricLieAlgebra(algebra, SymmetricForm(gram, tol), tol)
+    return MetricLieAlgebra(LieAlgebra(p + q), gram, tol)
 
 
 def _catalog_double_ext_demo(tol, kind, dim):

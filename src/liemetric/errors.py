@@ -2,7 +2,9 @@
 
 
 class LieMetricError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; ``exit_code`` is its command-line exit status."""
+
+    exit_code = 3  # a mathematical precondition fails; 2 for bad input, 4 for a failed certificate
 
 
 class DimensionMismatchError(LieMetricError):
@@ -57,6 +59,8 @@ class NotTypeIError(LieMetricError):
 class NullImageError(LieMetricError):
     """The Ricci image vector fails to be null, contradicting classification."""
 
+    exit_code = 4
+
 
 class PreconditionError(LieMetricError):
     """A mathematical precondition of the operation is not met."""
@@ -73,6 +77,8 @@ class WrongSignatureError(PreconditionError):
 class StructureMismatchError(LieMetricError):
     """Computed bracket data falls outside the expected structural pattern."""
 
+    exit_code = 4
+
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
@@ -80,6 +86,8 @@ class StructureMismatchError(LieMetricError):
 
 class VerificationError(LieMetricError):
     """A constructed object fails one of its certified invariants."""
+
+    exit_code = 4
 
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -97,6 +105,10 @@ class BadParamsError(LieMetricError):
 class ParseError(LieMetricError):
     """An input is malformed: an unreadable file, or entries that are not finite real numbers."""
 
+    exit_code = 2
+
 
 class ValidationError(LieMetricError):
     """An input file parses but fails mathematical validation."""
+
+    exit_code = 2

@@ -63,16 +63,15 @@ __all__ = [
 class MetricLieAlgebra:
     """A validated Lie algebra paired with a nondegenerate metric.
 
-    ``tol`` is the tolerance of every verdict on the object: the predicates
-    here, the classification and the constructions built from it take no
-    other.  Derived tensors (connection, curvature, Ricci) are memoised in a
-    write-once per-object cache, so the object stays cheap to pass around
-    and safe to share between readers.
+    ``tol`` is the tolerance of every verdict on the object: the algebra's
+    Jacobi check, the predicates here, the classification and the
+    constructions built from it take no other.  Derived tensors (connection,
+    curvature, Ricci) are memoised in a write-once per-object cache, so the
+    object stays cheap to pass around and safe to share between readers.
     """
 
     def __init__(self, algebra: LieAlgebra, metric, tol: Tolerance = DEFAULT_TOL):
-        if not algebra.is_validated:
-            algebra.validate(tol)
+        algebra.validate(tol)
         if not isinstance(metric, SymmetricForm):
             metric = SymmetricForm(metric, tol)
         if metric.dim != algebra.dim:
@@ -337,5 +336,5 @@ def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
     new_c = 0.5 * (new_c - new_c.transpose(1, 0, 2))
     new_g = p.T @ m.gram @ p
     algebra = LieAlgebra.from_tensor(new_c)
-    algebra._validated = m.algebra.is_validated
+    algebra._passed = set(m.algebra._passed)  # carried over, not checked again
     return MetricLieAlgebra(algebra, SymmetricForm(new_g, m.tol), m.tol)

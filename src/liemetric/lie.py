@@ -2,19 +2,22 @@
 
 The stored form is the dense antisymmetric bracket tensor
 C[i, j, :] = [e_i, e_j].  Every way of building an algebra (a dict of
-bracket rows, a dense tensor, a construction writing blocks) fills the
-strict upper triangle i < j and :func:`_complete` derives the rest, so the
-lower triangle never disagrees with the upper one.  The sparse
-``structure`` dict is a read-only view for file output.  Construction is
-two-phase: raw load, then :meth:`LieAlgebra.validate` after the Jacobi
-check.  The geometry layer only accepts validated algebras.
+bracket rows, a dense tensor, a file loader or a construction writing
+blocks) fills the strict upper triangle i < j and :func:`_complete` derives
+the rest, so the lower triangle never disagrees with the upper one.  The
+sparse ``structure`` dict is a read-only view for callers; the package
+itself reads only the tensor.  Construction is two-phase: raw load, then
+:meth:`LieAlgebra.validate` after the Jacobi check, which records the
+tolerance it passed under.  The geometry layer validates every algebra
+under its own tolerance.
 
 Tolerances.  An algebra stores k_C (``exponent``) for
 :meth:`~liemetric.linalg.Tolerance.passes`: the Jacobi residual is
 quadratic in the structure constants, tr ad and antisymmetry are linear.
 
 Rank policy.  The lower central and the derived series both start at
-[g, g], computed once, and run until a term vanishes or stops shrinking.
+[g, g], the row span of the tensor read as a (dim^2, dim) matrix, and run
+until a term vanishes or stops shrinking.
 A term keeps the singular directions above ``tol.rank`` times the
 algebra's largest structure constant, never above a fraction of the
 term's own largest singular value: a term that should vanish holds only
@@ -135,7 +138,7 @@ class LieAlgebra:
             if len(basis_names) != self.dim:
                 raise DimensionMismatchError("basis_names length must equal dim")
         self.basis_names = basis_names
-        self._validated = False
+        self._passed = set()  # the tolerances validate() has passed under
         self._jacobi_residual = None
 
     @classmethod
@@ -179,7 +182,8 @@ class LieAlgebra:
 
     @property
     def is_validated(self) -> bool:
-        return self._validated
+        """Whether :meth:`validate` has passed under some tolerance."""
+        return bool(self._passed)
 
     @property
     def jacobi_residual(self) -> float:
@@ -199,18 +203,20 @@ class LieAlgebra:
         return (x @ self.tensor.reshape(n, n * n)).reshape(n, n).T
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> "LieAlgebra":
-        """Check the Jacobi identity; mark validated or raise JacobiError."""
+        """Check the Jacobi identity under ``tol``, unless already passed under ``tol``; raise JacobiError."""
+        if tol in self._passed:
+            return self
         res = self.jacobi_residual
         if not tol.passes(res, "jacobi", (self.exponent, 0)):
             raise JacobiError(
                 f"Jacobi residual {res:.3e} exceeds tolerance (largest constant {self.max_structure_constant:.3e})",
                 residual=res
             )
-        self._validated = True
+        self._passed.add(tol)
         return self
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self.structure)})"
+        return f"LieAlgebra(dim={self.dim}, brackets={len(_nonzero_pairs(self._tensor)[0])})"
 
 
 def validate_jacobi(g: LieAlgebra) -> float:
@@ -303,18 +309,22 @@ class StructureReport:
     nilpotency_step: int | None
 
 
-def _bracket_span(g: LieAlgebra, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal row basis of [span(a), span(b)] for row-basis matrices a, b.
+def _row_span(g: LieAlgebra, prods: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal row basis of the span of the rows of ``prods``, a stack of brackets.
 
     Singular values count as rank above ``tol.rank * g.max_structure_constant``
     (see the module docstring).
     """
-    dim = g.dim
-    left = (a @ g.tensor.reshape(dim, dim * dim)).reshape(a.shape[0], dim, dim)  # [a_r, e_j]
-    prods = (b @ left).reshape(a.shape[0] * b.shape[0], dim)  # [a_r, b_s]
     _, svals, vt = np.linalg.svd(prods, full_matrices=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
     return vt[:rank]
+
+
+def _bracket_span(g: LieAlgebra, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal row basis of [span(a), span(b)] for row-basis matrices a, b."""
+    dim = g.dim
+    left = (a @ g.tensor.reshape(dim, dim * dim)).reshape(a.shape[0], dim, dim)  # [a_r, e_j]
+    return _row_span(g, (b @ left).reshape(a.shape[0] * b.shape[0], dim), tol)  # [a_r, b_s]
 
 
 def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
@@ -333,9 +343,8 @@ def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
 def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Series-based structural predicates with an explicit numerical rank policy."""
     dim = g.dim
-    full = np.eye(dim)
-    derived = _bracket_span(g, full, full, tol)
-    step = _series_length(g, derived, lambda t: _bracket_span(g, full, t, tol))
+    derived = _row_span(g, g.tensor.reshape(dim * dim, dim), tol)  # [e_i, e_j]
+    step = _series_length(g, derived, lambda t: _row_span(g, (t @ g.tensor).reshape(dim * t.shape[0], dim), tol))
     derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
 
     # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix

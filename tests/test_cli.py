@@ -1,10 +1,12 @@
+import inspect
 import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from liemetric import catalog, change_basis, ricci_structural
+from liemetric import LieAlgebra, catalog, change_basis, constructions, errors, ricci_structural
 from liemetric.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, main
 from sampling import random_invertible, random_metric_lie_algebra
 
@@ -462,3 +464,74 @@ def test_strings_and_booleans_are_not_numbers(tmp_path, capsys):
     ext.write_text(json.dumps({"L": [True]}), encoding="utf-8")
     assert run(["double-extend", base, ext]) == EXIT_PARSE
     assert capsys.readouterr().err.count("must hold real numbers") == 3
+
+
+@pytest.mark.parametrize("brackets, message", [
+    ([5], "brackets[0]: each record needs integer fields 'i' and 'j'"),
+    ([{"i": 0, "coeffs": {}}], "brackets[0]: each record needs integer fields 'i' and 'j'"),
+    ([{"i": True, "j": 1}], "brackets[0]: 'i' and 'j' must be integers"),
+    ([{"i": 1, "j": 1}], "brackets[0]: need 0 <= i < j < dim, got i=1, j=1"),
+    ([{"i": 0, "j": 1}, {"i": 0, "j": 1}], "brackets[1]: duplicate bracket pair (0, 1)"),
+    ([{"i": 0, "j": 1, "coeffs": [1.0]}], "brackets[0]: 'coeffs' must be an object from index to value"),
+    ([{"i": 0, "j": 1, "coeffs": {"x": 1.0}}], "brackets[0]: coefficient index 'x' is not an integer"),
+    ([{"i": 0, "j": 1, "coeffs": {"3": 1.0}}], "brackets[0]: coefficient index 3 out of range"),
+    ([{"i": 0, "j": 1, "coeffs": {"1": 1.0, "01": 2.0}}], "brackets[0]: two coefficient keys name the same index"),
+    ([{"i": 0, "j": 1, "coeffs": {"1": float("nan")}}],
+     "[e_0, e_1] coefficient value for index 1 is nan, but entries must hold real numbers, "
+     "finite and of magnitude at most 1e+50"),
+])
+def test_bracket_record_messages(tmp_path, capsys, brackets, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": brackets, "metric": np.eye(3).tolist()}), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: ParseError: {path}: {message}\n"
+
+
+def _double_extend_inputs(tmp_path):
+    base, ext = tmp_path / "h1.json", tmp_path / "ext.json"
+    assert run(["catalog", "heisenberg", "--params", '{"n": 1}', "--out", base]) == EXIT_OK
+    ext.write_text(json.dumps({"L": [1.0, 0.0, 0.0]}), encoding="utf-8")
+    return base, ext
+
+
+def test_commands_read_the_tensor_not_the_structure_view(tmp_path, monkeypatch):
+    def boom(self):
+        raise AssertionError("the structure view was read")
+
+    monkeypatch.setattr(LieAlgebra, "structure", property(boom))
+    base, ext = _double_extend_inputs(tmp_path)
+    assert run(["validate", base]) == EXIT_OK
+    assert run(["report", base, "--json"]) == EXIT_OK
+    assert run(["double-extend", base, ext]) == EXIT_OK
+
+
+def test_double_extend_computes_the_invariants_once(tmp_path, monkeypatch):
+    orig, calls = constructions.extension_invariants, []
+
+    def counted(spec):
+        calls.append(spec)
+        return orig(spec)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("liemetric") and getattr(mod, "extension_invariants", None) is orig:
+            monkeypatch.setattr(mod, "extension_invariants", counted)
+    base, ext = _double_extend_inputs(tmp_path)
+    assert run(["double-extend", base, ext]) == EXIT_OK
+    assert len(calls) == 1
+
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, errors.LieMetricError)]
+DOCUMENTED_EXIT_CODES = {"ParseError": 2, "ValidationError": 2,
+                         "VerificationError": 4, "StructureMismatchError": 4, "NullImageError": 4}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, cls):
+    from liemetric import cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli_mod, "catalog", boom)
+    assert run(["catalog", "heisenberg"]) == DOCUMENTED_EXIT_CODES.get(cls.__name__, EXIT_PRECONDITION)
+    assert capsys.readouterr().err == f"error: {cls.__name__}: boom\n"

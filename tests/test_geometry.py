@@ -28,8 +28,8 @@ from liemetric import (
     validate_jacobi,
     verify_isometry,
 )
-from liemetric.errors import DimensionMismatchError
-from liemetric.linalg import DEGREES, exponent, pseudo_orthonormal_basis
+from liemetric.errors import DimensionMismatchError, JacobiError
+from liemetric.linalg import DEGREES, Tolerance, exponent, pseudo_orthonormal_basis
 from sampling import random_invertible, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine
@@ -510,3 +510,24 @@ def test_matmul_kernels_agree_with_their_einsum_references():
         ref_res = np.max(np.abs(lhs - rhs), initial=0.0)
         k_bracket = exponent(max(np.max(np.abs(lhs), initial=0.0), np.max(np.abs(rhs), initial=0.0)))
         assert m.tol.passes(abs(iso.bracket_residual - ref_res), "bracket", (k_bracket, 0)), dim
+
+
+def test_validation_under_a_looser_tolerance_does_not_carry_to_a_stricter_one():
+    # Jacobi residual 2e-3: within 1e-1, far outside the default tolerance
+    g = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [-2, 0, 0], (1, 2): [0, 2, 1e-3]})
+    g.validate(Tolerance(abs=1e-1))
+    assert g.is_validated
+    with pytest.raises(JacobiError):
+        MetricLieAlgebra(g, np.eye(3))
+
+
+def test_change_basis_carries_validation_without_a_second_check(monkeypatch, rng):
+    import liemetric.lie as lie_mod
+
+    m = catalog("sl_killing", n=2)
+    calls = []
+    monkeypatch.setattr(lie_mod, "validate_jacobi", lambda g: calls.append(g) or 0.0)
+    moved = change_basis(m, random_invertible(rng, m.dim))
+    assert moved.algebra.is_validated and calls == []
+    moved.algebra.validate(Tolerance(abs=1e-12, rel=1e-12))  # not passed yet: checked now
+    assert calls == [moved.algebra]
