@@ -75,9 +75,10 @@ def classify_ricci(m: MetricLieAlgebra) -> RicciClassification:
     Precedence under tolerance: Einstein beats type I beats type II beats
     other, since mu -> 0 and Ric -> 0 are boundary degenerations of the
     non-Einstein types.  Type I is tested (and its residual reported) only
-    when Ric is not Einstein and mu is nonzero: mu^2 is tested on
-    (Ric - lambda) / |Ric - lambda|, because for a nilpotent Ric - lambda it
-    is rounding noise of |Ric - lambda|^2.  Ric^2 = 0 is tested on Ric / |Ric|.
+    when Ric is not Einstein and mu is nonzero.  Both minimal polynomials
+    are tested unit-free, on the normalized operator: (Ric - lambda)^2 + mu^2
+    and mu^2 on (Ric - lambda) / |Ric - lambda| (for a nilpotent Ric - lambda,
+    mu^2 is rounding noise of |Ric - lambda|^2), Ric^2 on Ric / |Ric|.
     Computed once per metric algebra.
     """
     tol = m.tol
@@ -107,10 +108,9 @@ def classify_ricci(m: MetricLieAlgebra) -> RicciClassification:
 
     if einstein:
         return RicciClassification(tag=EINSTEIN, constant=lam, residuals=residuals)
-    if complex_pair and tol.passes(type_i_res, "Ric2", exps):
+    if complex_pair and tol.passes(type_i_res / einstein_res / einstein_res, "unit_free", (0, 0)):
         return RicciClassification(tag=TYPE_I, lam=lam, mu=mu, residuals=residuals)
-    unit = op / norm if norm else op
-    if not tol.passes(norm, "Ric", exps) and tol.passes(operator_residual(unit @ unit), "unit_free", (0, 0)):
+    if not tol.passes(norm, "Ric", exps) and tol.passes(type_ii_sq / norm / norm, "unit_free", (0, 0)):
         return RicciClassification(tag=TYPE_II, residuals=residuals)
     return RicciClassification(tag=OTHER, residuals=residuals)
 

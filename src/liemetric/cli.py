@@ -45,7 +45,7 @@ from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditio
 from .errors import (BadParamsError, DegenerateFormError, JacobiError, LieMetricError, ParseError, ValidationError,
                      VerificationError)
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
-from .lie import MAX_DIM, LieAlgebra, _nonzero_pairs, structure_report
+from .lie import MAX_DIM, LieAlgebra, _is_integer, _nonzero_pairs, structure_report
 from .linalg import Tolerance, as_matrix, as_vector, signature
 
 EXIT_OK = 0
@@ -109,7 +109,7 @@ def _read_object(path) -> dict:
 
 def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
     doc = _read_object(path)
-    if type(doc.get("dim")) is not int or not 1 <= doc["dim"] <= MAX_DIM:  # a bool is not a dim
+    if not _is_integer(doc.get("dim")) or not 1 <= doc["dim"] <= MAX_DIM:
         raise ParseError(f"{path}: field 'dim' must be an integer from 1 to {MAX_DIM}")
     dim = doc["dim"]
 
@@ -122,7 +122,7 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
         if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
             raise ParseError(f"{where}: each record needs integer fields 'i' and 'j'")
         i, j = rec["i"], rec["j"]
-        if type(i) is not int or type(j) is not int:
+        if not (_is_integer(i) and _is_integer(j)):
             raise ParseError(f"{where}: 'i' and 'j' must be integers")
         if not (0 <= i < j < dim):
             raise ParseError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")

@@ -26,8 +26,9 @@ from .errors import (
     UnknownNameError,
     ZeroMuError,
 )
-from .geometry import MetricLieAlgebra, ParallelCheck, connection_matrices, is_einstein, is_ricci_parallel, ricci
-from .lie import MAX_DIM, LieAlgebra, trace_functional
+from .geometry import (MetricLieAlgebra, ParallelCheck, connection_matrices, is_einstein, is_ricci_flat,
+                       is_ricci_parallel, ricci)
+from .lie import MAX_DIM, LieAlgebra, _is_integer, trace_functional
 from .linalg import (
     DEFAULT_TOL,
     MAX_ABS,
@@ -275,7 +276,7 @@ def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float) -> MetricLieAlg
     c, res = is_einstein(base)
     if c is None:
         raise NotEinsteinError(f"base is not Einstein (residual {res:.3e})")
-    if tol.passes(abs(c), "Ric", base.exponents):
+    if is_ricci_flat(base)[0]:
         raise NotEinsteinError("base Einstein constant must be nonzero")
     if tol.passes(abs(mu), "bracket", (exponent(max(abs(lam), abs(mu))), 0)):
         raise ZeroMuError("mu must be nonzero relative to lam for a complex-pair minimal polynomial")
@@ -542,7 +543,7 @@ CATALOG_NAMES = tuple(_CATALOG)
 def _param_value(name: str, key: str, val, kind: str, bound):
     """``val`` converted for the builder, or BadParamsError saying what the parameter must be."""
     if kind == "int":
-        if isinstance(val, (int, np.integer)) and not isinstance(val, bool) and val >= bound:
+        if _is_integer(val) and val >= bound:
             return int(val)
         need = f"an integer >= {bound}"
     elif kind == "real":

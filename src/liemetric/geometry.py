@@ -261,7 +261,7 @@ def nabla_ric(m: MetricLieAlgebra) -> np.ndarray:
 
 
 def is_ricci_parallel(m: MetricLieAlgebra) -> ParallelCheck:
-    """Both characterisations of nabla ric = 0, each reported separately.
+    """Both characterisations of nabla ric = 0, each reported separately; ``ok`` needs both.
 
     (a) Ric commutes with every nabla_{e_i};
     (b) the nabla_ric array vanishes.

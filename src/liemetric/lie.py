@@ -22,8 +22,7 @@ A term keeps the singular directions above ``tol.rank`` times the
 algebra's largest structure constant, never above a fraction of the
 term's own largest singular value: a term that should vanish holds only
 rounding noise, and a cut relative to that noise would count it as rank.
-The center is the null space of x -> ad(x), cut relative to its own
-largest singular value.
+The center, the null space of x -> ad(x), takes the same cut.
 
 No kernel here builds a dim^4 array: brackets of spans are contracted
 pairwise.  The Jacobi residual has two kernels, chosen from the tensor's
@@ -347,9 +346,9 @@ def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureRe
     step = _series_length(g, derived, lambda t: _row_span(g, (t @ g.tensor).reshape(dim * t.shape[0], dim), tol))
     derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
 
-    # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix
+    # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix, under the cut of _row_span
     svals = np.linalg.svd(g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim), compute_uv=False)
-    rank = int(np.count_nonzero(svals > tol.rank * svals[0])) if svals.size and svals[0] > 0 else 0
+    rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
 
     tau = trace_functional(g)
     unimodular = tol.passes(operator_residual(tau), "trace_ad", (g.exponent, 0))

@@ -19,6 +19,7 @@ from liemetric import (
     type_II_canonical_basis,
     verify_isometry,
 )
+from liemetric.cli import build_report
 from liemetric.errors import (
     NotTypeIError,
     NotTypeIIError,
@@ -276,3 +277,32 @@ def test_nilpotent_extensions_in_random_bases_are_type_ii():
         m = change_basis(m, random_invertible(rng, m.dim, 1.5))
         assert classify_ricci(m).tag == "type_II"
         type_II_canonical_basis(m)
+
+
+def _unequal_scales(rng, dim):
+    """q1 diag(geomspace(1, 1e3, dim)) q2, with q1 and q2 the Q factors of two Gaussian draws."""
+    q1 = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    return q1 @ np.diag(np.geomspace(1.0, 1e3, dim)) @ q2
+
+
+@pytest.mark.parametrize("n, seed", [(2, 430), (3, 130)])
+def test_killing_metric_in_unequal_scales_is_not_type_I(n, seed):
+    # cond(g) ~ 3e5: (Ric - lam)^2 + mu^2 is ~1e-16 in absolute terms but not against |Ric - lam|^2,
+    # and a type-I tag here would send build_report into a type-I pair that fails verification
+    m = catalog("sl_killing", n=n)
+    m = change_basis(m, _unequal_scales(np.random.default_rng(seed), m.dim))
+    assert classify_ricci(m).tag != "type_I"
+    assert build_report(m)["classification"]["tag"] != "type_I"
+
+
+@pytest.mark.parametrize("base", [("sl_killing", {"n": 2}), ("einstein_solvable", {"n": 1})])
+def test_type_I_metric_in_unequal_scales_stays_type_I(base):
+    # the unit-free type-I test still finds true type-I metrics in the bases that fooled the absolute one
+    m = type_I_metric(catalog(base[0], **base[1]), 1.0, 2.0)
+    own = classify_ricci(m)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        cls = classify_ricci(change_basis(m, _unequal_scales(rng, m.dim)))
+        assert cls.tag == "type_I"
+        assert (cls.lam, cls.mu) == pytest.approx((own.lam, own.mu), rel=1e-6)

@@ -295,6 +295,14 @@ def test_type_I_metric_needs_einstein_base():
         type_I_metric(euclidean_abelian(2), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("p, q, scale", [(0, 2, 1.0), (1, 2, 1.0), (0, 3, 1e-6), (2, 1, 1e6)])
+def test_type_I_metric_on_abelian_base_names_the_zero_constant(p, q, scale):
+    base = catalog("abelian", p=p, q=q)
+    base = MetricLieAlgebra(base.algebra, scale * base.gram)
+    with pytest.raises(NotEinsteinError, match=r"^base Einstein constant must be nonzero$"):
+        type_I_metric(base, 1.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Example families
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from liemetric import (
     verify_isometry,
 )
 from liemetric.errors import DimensionMismatchError, JacobiError
-from liemetric.linalg import DEGREES, Tolerance, exponent, pseudo_orthonormal_basis
+from liemetric.linalg import DEFAULT_TOL, DEGREES, Tolerance, exponent, pseudo_orthonormal_basis
 from sampling import random_invertible, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine
@@ -238,6 +238,18 @@ def test_ad_invariant_specializations(sl2k):
     # ad-invariance forces nabla = ad/2 and ric = -K/4
     assert np.max(np.abs(connection(sl2k) - 0.5 * sl2k.algebra.tensor)) < 1e-12
     assert np.max(np.abs(ricci(sl2k).tensor + 0.25 * killing_form(sl2k.algebra))) < 1e-12
+
+
+def test_parallel_verdict_in_unequal_scales_needs_the_commutator():
+    # |nabla ric| ~ 0.12 in the sampled basis.  Under diag(geomspace(1, 1e3, 5)), max|C| grows to 1.5e5
+    # (k_C = 17), so the nabla_ric residual of 1.6e6 passes its own degree-(3, 0) bound; the commutator
+    # [Ric, nabla_i], judged at (3, -1), is what keeps the verdict False
+    m = random_metric_lie_algebra(np.random.default_rng(2935), 5)
+    assert not is_ricci_parallel(m).ok
+    m = change_basis(m, np.diag(np.geomspace(1.0, 1e3, 5)))
+    check = is_ricci_parallel(m)
+    assert DEFAULT_TOL.passes(check.nabla_residual, "nabla_ric", m.exponents)
+    assert not check.ok
 
 
 def test_einstein_implies_parallel(rng):

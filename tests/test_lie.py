@@ -401,3 +401,22 @@ def test_jacobi_bound_scales_with_the_square_of_the_brackets():
 def test_structure_report_dims_zero_and_one():
     assert structure_report(LieAlgebra(0, {})) == StructureReport(True, True, True, 0, 0, 1)
     assert structure_report(LieAlgebra(1, {})) == StructureReport(True, True, True, 1, 0, 1)
+
+
+def _center_dim_own_cut(g: LieAlgebra) -> int:
+    """The center's dimension under a cut relative to the largest singular value of x -> ad(x)."""
+    svals = np.linalg.svd(g.tensor.transpose(1, 2, 0).reshape(g.dim ** 2, g.dim), compute_uv=False)
+    rank = int(np.count_nonzero(svals > 1e-8 * svals[0])) if svals.size and svals[0] > 0 else 0
+    return g.dim - rank
+
+
+def test_center_cut_agrees_with_own_largest_singular_value_cut():
+    # the center takes the series' cut, tol.rank * max|C|; on these algebras it finds what a cut
+    # relative to the map's own largest singular value finds, including dim 0 and abelian ones
+    rng = np.random.default_rng(2024)
+    algebras = [LieAlgebra(0, {}), LieAlgebra(1, {}), LieAlgebra(4, {})]
+    for _ in range(60):
+        g = random_lie_algebra(rng, int(rng.integers(1, 9))).validate()
+        algebras += [g, _in_random_basis(g, rng)]
+    for g in algebras:
+        assert structure_report(g).center_dim == _center_dim_own_cut(g), g
