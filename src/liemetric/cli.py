@@ -9,13 +9,13 @@ Algebra files are UTF-8 JSON:
       "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     }
 
-``dim`` may be at most :data:`liemetric.lie.MAX_DIM`, and every number (in
-these files, in extension data and after ``--type1``) must be a real number,
-not a string or a boolean, finite and of magnitude at most
-:data:`liemetric.linalg.MAX_ABS`.  ``--tol-abs`` and ``--tol-rel`` hold at
-unit brackets and unit metric (see :data:`liemetric.linalg.DEGREES`), and
-``--tol-rank`` is relative to the size of what it cuts; a loaded file's
-metric algebra keeps these for every verdict on it.
+``dim`` may be at most :data:`liemetric.lie.MAX_DIM`.  Each number given (in
+these files, in extension data and after ``--type1``) is checked on its own by
+:func:`liemetric.linalg._is_real`: a list, object, string, boolean, NaN or one
+beyond :data:`liemetric.linalg.MAX_ABS` in its place exits 2 naming its index.
+``--tol-abs`` and ``--tol-rel`` hold at unit brackets and unit metric (see
+:data:`liemetric.linalg.DEGREES`), ``--tol-rank`` is relative to the size of
+what it cuts, and a loaded file's metric algebra keeps these for every verdict.
 
 Exit codes: 0 success; a failure exits with the ``exit_code`` of its error
 class in :mod:`liemetric.errors`: 2 parse/validation failure (also an input
@@ -46,7 +46,7 @@ from .errors import (BadParamsError, DegenerateFormError, JacobiError, LieMetric
                      VerificationError)
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
 from .lie import MAX_DIM, LieAlgebra, _is_integer, _nonzero_pairs, structure_report
-from .linalg import Tolerance, as_matrix, as_vector, signature
+from .linalg import Tolerance, _is_real, _not_real, as_matrix, signature
 
 EXIT_OK = 0
 EXIT_PARSE = ParseError.exit_code
@@ -132,22 +132,21 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
         items = rec.get("coeffs", {})
         if not isinstance(items, dict):
             raise ParseError(f"{where}: 'coeffs' must be an object from index to value")
-        coeffs = {}
-        for key, val in items.items():
+        ks = []
+        for key in items:
             try:
                 k = int(key)
             except (TypeError, ValueError):
                 raise ParseError(f"{where}: coefficient index {key!r} is not an integer") from None
             if not (0 <= k < dim):
                 raise ParseError(f"{where}: coefficient index {k} out of range")
-            coeffs[k] = val
-        if len(coeffs) < len(items):
+            ks.append(k)
+        if len(set(ks)) < len(ks):
             raise ParseError(f"{where}: two coefficient keys name the same index")
-        row = [coeffs.get(k, 0.0) for k in range(dim)]
-        try:
-            upper[i, j] = as_vector(row, dim, name=f"[e_{i}, e_{j}] coefficient")
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        for k, val in sorted(zip(ks, items.values())):  # the lowest bad index is the one named
+            if not _is_real(val):
+                raise _not_real(f"{path}: [e_{i}, e_{j}] coefficient", k, val)
+            upper[i, j, k] = val
 
     metric = doc.get("metric")
     if metric is None:
@@ -301,20 +300,14 @@ def _cmd_report(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
-def _load_extension_data(path, dim: int):
-    doc = _read_object(path)
-    try:
-        return (as_matrix(doc.get("D", np.zeros((dim, dim))), dim=dim, name="D"),
-                as_matrix(doc.get("K", np.zeros((dim, dim))), dim=dim, name="K"),
-                as_vector(doc.get("L", np.zeros(dim)), dim, name="L"))
-    except LieMetricError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 def _cmd_double_extend(args, tol: Tolerance) -> int:
     base = load_algebra_file(args.base, tol)
-    d, k, lvec = _load_extension_data(args.ext, base.dim)
-    spec = DoubleExtensionSpec(base=base, D=d, K=k, L=lvec)
+    doc, n = _read_object(args.ext), base.dim
+    try:
+        spec = DoubleExtensionSpec(base=base, D=doc.get("D", np.zeros((n, n))), K=doc.get("K", np.zeros((n, n))),
+                                   L=doc.get("L", np.zeros(n)))
+    except LieMetricError as exc:
+        raise ParseError(f"{args.ext}: {exc}") from exc
     ext = double_extension(spec)
     cond = check_parallel_conditions(spec)
     par = is_ricci_parallel(ext)

@@ -8,7 +8,6 @@ two-step family, and a small catalog of named algebras.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ from .errors import (
     CyclicityError,
     InvalidSpecError,
     JacobiError,
-    LieMetricError,
     NonCommutingError,
     NotEinsteinError,
     UnknownNameError,
@@ -33,6 +31,7 @@ from .linalg import (
     DEFAULT_TOL,
     MAX_ABS,
     Tolerance,
+    _is_real,
     as_matrix,
     as_real_array,
     as_vector,
@@ -547,8 +546,8 @@ def _param_value(name: str, key: str, val, kind: str, bound):
             return int(val)
         need = f"an integer >= {bound}"
     elif kind == "real":
-        with contextlib.suppress(LieMetricError):  # not one real number
-            return float(as_vector([val], 1)[0])
+        if _is_real(val):
+            return float(val)
         need = f"a finite number of magnitude at most {MAX_ABS:g}"
     else:
         if isinstance(val, str) and val in bound:

@@ -112,7 +112,9 @@ class LieAlgebra:
         dim = int(dim)
         upper = np.zeros((dim, dim, dim))
         for key, coeffs in dict(structure or {}).items():
-            i, j = key[0], key[1]
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise DimensionMismatchError(f"bracket key {key!r} must be a pair (i, j)")
+            i, j = key
             if not (_is_integer(i) and _is_integer(j) and 0 <= i < j < dim):
                 raise DimensionMismatchError(
                     f"bracket pair ({i}, {j}) must be integers with 0 <= i < j < {dim}"

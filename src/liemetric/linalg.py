@@ -106,25 +106,31 @@ def exponent(x: float) -> int:
     return math.frexp(x)[1] - 1 if x else 0
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number (not a bool) of magnitude at most MAX_ABS; NaN fails."""
+    return type(x) is not bool and isinstance(x, _REAL_TYPES) and abs(x) <= MAX_ABS
+
+
+def _not_real(name: str, index, value) -> ParseError:
+    """The ParseError for an entry of ``name`` at ``index`` that fails :func:`_is_real`."""
+    return ParseError(f"{name} value for index {index} is {value!r}, "
+                      f"but entries must hold real numbers, finite and of magnitude at most {MAX_ABS:g}")
+
+
 def as_real_array(a, name: str = "array") -> np.ndarray:
-    """``a`` as a float array if every entry is a real number (not a bool) of magnitude at most MAX_ABS.
+    """``a`` as a float array if every entry passes :func:`_is_real`, else the ParseError for the first that fails.
 
     The types are checked before any cast, so strings and booleans are never read as numbers.
-    The ParseError names the first entry that fails.
     """
     a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
-    types = {type(x) for x in a.flat} if a.dtype == object else {a.dtype.type}
-    try:
-        if all(t is not bool and issubclass(t, _REAL_TYPES) for t in types):
-            arr = a.astype(float, copy=False)
-            if not arr.size or np.abs(arr).max() <= MAX_ABS:  # NaN and the infinities fail
-                return arr
-    except OverflowError:  # an int beyond the double range
-        pass
-    pos, val = next((pos, x) for pos, x in zip(np.ndindex(a.shape), a.flat)
-                    if type(x) is bool or not isinstance(x, _REAL_TYPES) or not abs(x) <= MAX_ABS)  # NaN fails
-    raise ParseError(f"{name} value for index {pos[0] if len(pos) == 1 else pos} is {val!r}, "
-                     f"but entries must hold real numbers, finite and of magnitude at most {MAX_ABS:g}")
+    if a.dtype == object and all(map(_is_real, a.flat)):
+        return a.astype(float)
+    if issubclass(a.dtype.type, _REAL_TYPES):  # not np.object_
+        arr = a.astype(float, copy=False)
+        if not arr.size or np.abs(arr).max() <= MAX_ABS:  # NaN and the infinities fail
+            return arr
+    pos, val = next((pos, x) for pos, x in zip(np.ndindex(a.shape), a.flat) if not _is_real(x))
+    raise _not_real(name, pos[0] if len(pos) == 1 else pos, val)
 
 
 def as_matrix(a, square: bool = False, dim: int | None = None, name: str = "matrix") -> np.ndarray:

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liemetric import LieAlgebra, catalog, change_basis, constructions, errors, ricci_structural
-from liemetric.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, main
+from liemetric import LieAlgebra, catalog, change_basis, constructions, errors, linalg, ricci_structural
+from liemetric.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, load_algebra_file,
+                           main)
 from sampling import random_invertible, random_metric_lie_algebra
 
 
@@ -479,12 +480,32 @@ def test_strings_and_booleans_are_not_numbers(tmp_path, capsys):
     ([{"i": 0, "j": 1, "coeffs": {"1": float("nan")}}],
      "[e_0, e_1] coefficient value for index 1 is nan, but entries must hold real numbers, "
      "finite and of magnitude at most 1e+50"),
+    ([{"i": 0, "j": 1, "coeffs": {"0": [1], "1": [2], "2": [3]}}],
+     "[e_0, e_1] coefficient value for index 0 is [1], but entries must hold real numbers, "
+     "finite and of magnitude at most 1e+50"),
 ])
 def test_bracket_record_messages(tmp_path, capsys, brackets, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 3, "brackets": brackets, "metric": np.eye(3).tolist()}), encoding="utf-8")
     assert run(["validate", path]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: ParseError: {path}: {message}\n"
+
+
+def test_loader_checks_only_the_given_coefficients(tmp_path, monkeypatch):
+    # one array check for the metric in the loader and one in SymmetricForm, however many records
+    m = catalog("sl_killing", n=7)
+    path = tmp_path / "sl7.json"
+    path.write_text(json.dumps(algebra_to_dict(m)), encoding="utf-8")
+    orig, calls = linalg.as_real_array, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "as_real_array", counted)
+    loaded = load_algebra_file(path, m.tol)
+    assert len(calls) <= 2
+    assert np.array_equal(loaded.algebra.tensor, m.algebra.tensor)
 
 
 def _double_extend_inputs(tmp_path):

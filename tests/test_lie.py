@@ -60,6 +60,7 @@ def test_structure_keys_checked():
 @pytest.mark.parametrize("dim, structure", [
     ("3", {}), (True, {}), (2.7, {}), (-1, {}),
     (2, {(0.5, 1.9): [0.0, 1.0]}), (2, {(False, True): [0.0, 1.0]}), (2, {(np.float64(0.0), 1): [0.0, 1.0]}),
+    (2, {(0,): [0.0, 1.0]}), (2, {0: [0.0, 1.0]}), (3, {(0, 1, 2): [0.0, 0.0, 1.0]}),
 ])
 def test_sizes_and_indices_must_be_integers(dim, structure):
     with pytest.raises(DimensionMismatchError):
