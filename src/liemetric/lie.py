@@ -23,6 +23,10 @@ algebra's largest structure constant, never above a fraction of the
 term's own largest singular value: a term that should vanish holds only
 rounding noise, and a cut relative to that noise would count it as rank.
 The center, the null space of x -> ad(x), takes the same cut.
+Every rank is taken over the rows of its stack that are not all zero; in
+a sparse basis most of the dim^2 rows of a bracket stack are zero.  An
+exactly zero row adds nothing to A^T A, so the singular values are those
+of the full stack and the cut keeps the same ones.
 
 No kernel here builds a dim^4 array: brackets of spans are contracted
 pairwise.  The Jacobi residual has two kernels, chosen from the tensor's
@@ -248,11 +252,13 @@ def _dense_jacobi(g: LieAlgebra) -> float:
     at a time: O(dim^3) memory.  It is antisymmetric in (i, j) and zero at
     i = j, so only j > i is formed.
     """
+    n = g.dim
     ads = g.ad_basis
+    flat = ads.reshape(n, n * n)  # one copy of the transposed stack, for every i
     res = 0.0
-    for i in range(g.dim):
+    for i in range(n):
         rest = ads[i + 1:]
-        lhs = np.tensordot(g.tensor[i, i + 1:], ads, axes=(1, 0))  # ad([e_i, e_j]) for every j > i
+        lhs = (g.tensor[i, i + 1:] @ flat).reshape(n - i - 1, n, n)  # ad([e_i, e_j]) for every j > i
         defect = lhs - (ads[i] @ rest - rest @ ads[i])
         res = max(res, operator_residual(defect))
     return res
@@ -310,13 +316,18 @@ class StructureReport:
     nilpotency_step: int | None
 
 
+def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d stack that are not all zero; they alone carry its singular values."""
+    return stack[stack.any(axis=1)]
+
+
 def _row_span(g: LieAlgebra, prods: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal row basis of the span of the rows of ``prods``, a stack of brackets.
 
     Singular values count as rank above ``tol.rank * g.max_structure_constant``
     (see the module docstring).
     """
-    _, svals, vt = np.linalg.svd(prods, full_matrices=False)
+    _, svals, vt = np.linalg.svd(_nonzero_rows(prods), full_matrices=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
     return vt[:rank]
 
@@ -349,7 +360,7 @@ def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureRe
     derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
 
     # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix, under the cut of _row_span
-    svals = np.linalg.svd(g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim), compute_uv=False)
+    svals = np.linalg.svd(_nonzero_rows(g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim)), compute_uv=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
 
     tau = trace_functional(g)

@@ -121,13 +121,16 @@ def as_real_array(a, name: str = "array") -> np.ndarray:
     """``a`` as a float array if every entry passes :func:`_is_real`, else the ParseError for the first that fails.
 
     The types are checked before any cast, so strings and booleans are never read as numbers.
+    An empty ``a`` has no entry to fail, whatever its dtype, and gives zeros of its shape.
     """
     a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
+    if not a.size:
+        return np.zeros(a.shape)  # no cast: an empty complex one warns
     if a.dtype == object and all(map(_is_real, a.flat)):
         return a.astype(float)
     if issubclass(a.dtype.type, _REAL_TYPES):  # not np.object_
         arr = a.astype(float, copy=False)
-        if not arr.size or np.abs(arr).max() <= MAX_ABS:  # NaN and the infinities fail
+        if np.abs(arr).max() <= MAX_ABS:  # NaN and the infinities fail
             return arr
     pos, val = next((pos, x) for pos, x in zip(np.ndindex(a.shape), a.flat) if not _is_real(x))
     raise _not_real(name, pos[0] if len(pos) == 1 else pos, val)

@@ -10,6 +10,7 @@ from liemetric import (
     change_basis,
     direct_sum,
     killing_form,
+    operator_residual,
     structure_report,
     trace_functional,
     validate_jacobi,
@@ -421,3 +422,112 @@ def test_center_cut_agrees_with_own_largest_singular_value_cut():
         algebras += [g, _in_random_basis(g, rng)]
     for g in algebras:
         assert structure_report(g).center_dim == _center_dim_own_cut(g), g
+
+
+def _dense_rows_report(g: LieAlgebra) -> StructureReport:
+    """structure_report with every rank taken over the full (dim^2, dim) stacks, zero rows included."""
+    from liemetric.lie import _series_length
+
+    dim, cut = g.dim, 1e-8 * g.max_structure_constant
+
+    def span(prods):
+        _, svals, vt = np.linalg.svd(prods, full_matrices=False)
+        return vt[:int(np.count_nonzero(svals > cut))]
+
+    def bracket(a, b):
+        left = (a @ g.tensor.reshape(dim, dim * dim)).reshape(a.shape[0], dim, dim)
+        return span((b @ left).reshape(a.shape[0] * b.shape[0], dim))
+
+    derived = span(g.tensor.reshape(dim * dim, dim))
+    step = _series_length(g, derived, lambda t: span((t @ g.tensor).reshape(dim * t.shape[0], dim)))
+    svals = np.linalg.svd(g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim), compute_uv=False)
+    return StructureReport(
+        is_nilpotent=step is not None,
+        is_solvable=_series_length(g, derived, lambda t: bracket(t, t)) is not None,
+        is_unimodular=structure_report(g).is_unimodular,  # no rank involved
+        center_dim=dim - int(np.count_nonzero(svals > cut)),
+        derived_dim=int(derived.shape[0]),
+        nilpotency_step=step,
+    )
+
+
+# catalog entries up to dim 65; the ones marked True are also taken in other bases
+_ROW_CASES = (
+    [("heisenberg", {"n": n}, n in (1, 2, 5, 11, 32)) for n in range(1, 33)]
+    + [("einstein_solvable", {"n": n}, n in (1, 2, 5, 11, 23)) for n in range(1, 32)]
+    + [("sl_killing", {"n": n}, n in (2, 3, 4, 7)) for n in range(2, 9)]
+    + [("sl_complex_typeI", {"n": n, "lam": 1.0, "mu": 2.0}, n < 5) for n in range(2, 6)]
+    + [("affine_plane", {}, True)]
+    + [("abelian", {"p": p, "q": 3 - p}, True) for p in range(4)]
+    + [("double_ext_demo", {"kind": kind, "dim": d}, d < 12) for kind in ("solvable", "nilpotent")
+       for d in (2, 4, 7, 12)]
+)
+
+
+def _row_corpus():
+    rng = np.random.default_rng(15)
+    for name, params, rebased in _ROW_CASES:
+        m = catalog(name, **params)
+        yield m.algebra
+        if rebased:
+            d = m.algebra.dim
+            yield change_basis(m, random_invertible(rng, d)).algebra
+            yield change_basis(m, np.diag(np.geomspace(1.0, 1e3, d))).algebra
+    yield from (LieAlgebra(d, {}) for d in range(6))
+    for d in range(2, 10):
+        g = _almost_abelian(rng, d)
+        yield g
+        yield _in_random_basis(g, rng)
+    for name, params in (("sl_killing", {"n": 3}), ("heisenberg", {"n": 4}), ("einstein_solvable", {"n": 3})):
+        for s in (1e-6, 1e6):
+            g = catalog(name, **params).algebra
+            yield LieAlgebra.from_tensor(s * g.tensor)
+            yield LieAlgebra.from_tensor(s * _in_random_basis(g, rng).tensor)
+
+
+def test_structure_report_matches_dense_rows():
+    # dropping the all-zero rows of a stack leaves its singular values, so every field is the same
+    count = 0
+    for g in _row_corpus():
+        assert structure_report(g) == _dense_rows_report(g), g
+        count += 1
+    assert count > 150
+
+
+@pytest.mark.parametrize("name, params, most_rows", [
+    ("sl_killing", {"n": 7}, 726),
+    ("heisenberg", {"n": 32}, 64),
+])
+def test_structure_report_factors_only_nonzero_rows(monkeypatch, name, params, most_rows):
+    # every SVD of structure_report sees the nonzero rows of its stack, not the dim^2 dense rows
+    g = catalog(name, **params).algebra
+    svd, operands = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        operands.append(np.asarray(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    structure_report(g)
+    assert operands
+    assert all(np.all(np.any(a, axis=1)) for a in operands)
+    assert max(a.shape[0] for a in operands) <= most_rows
+
+
+def _tensordot_jacobi(g: LieAlgebra) -> float:
+    """The dense kernel with one tensordot of the transposed ad stack per index i."""
+    ads, res = g.ad_basis, 0.0
+    for i in range(g.dim):
+        rest = ads[i + 1:]
+        lhs = np.tensordot(g.tensor[i, i + 1:], ads, axes=(1, 0))
+        res = max(res, operator_residual(lhs - (ads[i] @ rest - rest @ ads[i])))
+    return res
+
+
+def test_dense_jacobi_matches_tensordot_loop():
+    from liemetric import lie
+
+    rng = np.random.default_rng(77)
+    for dim in range(2, 21):
+        g = _in_random_basis(random_lie_algebra(rng, dim), rng)
+        assert lie._dense_jacobi(g) == _tensordot_jacobi(g), dim

@@ -203,3 +203,12 @@ def test_only_constructors_take_a_tolerance():
     assert takes_tol == {"SymmetricForm", "MetricLieAlgebra", "LieAlgebra.validate", "structure_report", "catalog",
                          "central_extension_metric", "bordemann_cotangent", "two_step_parallel"}
     assert "cls" not in inspect.signature(liemetric.type_I_decomposition).parameters
+
+
+@pytest.mark.parametrize("dtype", [bool, str, complex])
+def test_empty_array_of_any_dtype_reads_as_zeros(dtype):
+    for shape in [(0,), (0, 3), (0, 0, 0)]:
+        arr = liemetric.linalg.as_real_array(np.zeros(shape, dtype=dtype))
+        assert arr.dtype == float and arr.shape == shape
+    g = liemetric.LieAlgebra.from_tensor(np.zeros((0, 0, 0), dtype=dtype))
+    assert g.dim == 0 and g.tensor.shape == (0, 0, 0)
