@@ -9,10 +9,13 @@ Algebra files are UTF-8 JSON:
       "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     }
 
-``dim`` may be at most :data:`liemetric.lie.MAX_DIM`.  Each number given (in
-these files, in extension data and after ``--type1``) is checked on its own by
+``dim`` may be at most :data:`liemetric.lie.MAX_DIM`.  Every number given (in
+these files, in extension data and after ``--type1``) must pass the rule of
 :func:`liemetric.linalg._is_real`: a list, object, string, boolean, NaN or one
 beyond :data:`liemetric.linalg.MAX_ABS` in its place exits 2 naming its index.
+They are checked in bulk, and searched one by one only to name the bad one.
+An object that names a key twice exits 2 (``json`` keeps the last value).
+Every bracket record is checked before the dim^3 tensor is allocated.
 ``--tol-abs`` and ``--tol-rel`` hold at unit brackets and unit metric (see
 :data:`liemetric.linalg.DEGREES`), ``--tol-rank`` is relative to the size of
 what it cuts, and a loaded file's metric algebra keeps these for every verdict.
@@ -31,9 +34,11 @@ scalars into JSON lists and numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +50,8 @@ from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditio
 from .errors import (BadParamsError, DegenerateFormError, JacobiError, LieMetricError, ParseError, ValidationError,
                      VerificationError)
 from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
-from .lie import MAX_DIM, LieAlgebra, _is_integer, _nonzero_pairs, structure_report
-from .linalg import Tolerance, _is_real, _not_real, as_matrix, signature
+from .lie import MAX_DIM, LieAlgebra, _is_integer, structure_report
+from .linalg import Tolerance, _is_real, _not_real, _plain_reals, as_matrix, signature
 
 EXIT_OK = 0
 EXIT_PARSE = ParseError.exit_code
@@ -94,17 +99,110 @@ def _emit_with_sidecar(m: MetricLieAlgebra, sidecar: dict, out: str | None):
 # ---------------------------------------------------------------------------
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """``json.loads``'s object hook: the object, or ParseError for a key it names twice (json keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for n, key in enumerate(keys) if key in keys[:n])
+        raise ParseError(f"key {key!r} appears twice in one object")
+    return obj
+
+
 def _read_object(path) -> dict:
     """The JSON object in the file at ``path``; ParseError if unreadable, not JSON or not an object."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_distinct_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
+
+
+def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError:
+    """The error of a record known to hold a bad coefficient: its first bad key, else a repeated index, else the
+    value of its lowest bad index."""
+    where, coeffs, ks = f"{path}: brackets[{rec_no}]", rec.get("coeffs", {}), []
+    for key in coeffs:
+        try:
+            k = int(key)
+        except ValueError:
+            return ParseError(f"{where}: coefficient index {key!r} is not an integer")
+        if not 0 <= k < dim:
+            return ParseError(f"{where}: coefficient index {k} out of range")
+        ks.append(k)
+    if len(set(ks)) < len(ks):
+        return ParseError(f"{where}: two coefficient keys name the same index")
+    k, val = min((k, val) for k, val in zip(ks, coeffs.values()) if not _is_real(val))
+    return _not_real(f"{path}: [e_{rec['i']}, e_{rec['j']}] coefficient", k, val)
+
+
+def _bracket_rows(path, brackets: list, dim: int):
+    """Pair index arrays (i, j) and the (records, dim) rows of coefficients the bracket records give.
+
+    The records are checked in order and the first bad one raises its
+    ParseError: its 'i', 'j' and 'coeffs' fields first, then its first bad
+    key, a repeated index, and the value of its lowest bad index.  The fields
+    are checked one record at a time, the coefficients of all the records
+    before the first bad field at once: keys by ``map(int, ...)`` and array
+    masks, values by :func:`liemetric.linalg._plain_reals`.
+    """
+    seen, problem = {}, None
+    for rec in brackets:  # JSON integers parse to int, true and false to bool
+        if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
+            problem = "each record needs integer fields 'i' and 'j'"
+        elif not (type(i := rec["i"]) is int and type(j := rec["j"]) is int):
+            problem = "'i' and 'j' must be integers"
+        elif not 0 <= i < j < dim:
+            problem = f"need 0 <= i < j < dim, got i={i}, j={j}"
+        elif (i, j) in seen:
+            problem = f"duplicate bracket pair ({i}, {j})"
+        elif not isinstance(coeffs := rec.get("coeffs", {}), dict):
+            problem = "'coeffs' must be an object from index to value"
+        else:
+            seen[i, j] = coeffs
+            continue
+        break
+    maps = list(seen.values())
+    counts = list(map(len, maps))
+    keys = list(chain.from_iterable(maps))
+    rest = iter(keys)
+    try:
+        ks = list(map(int, rest))
+        checked = len(maps)
+    except ValueError:  # rest holds the keys after the first one that is not an integer
+        checked = int(np.searchsorted(np.cumsum(counts), len(keys) - len(list(rest)) - 1, side="right"))
+        ks = list(map(int, keys[:sum(counts[:checked])]))
+    try:
+        k = np.array(ks, dtype=np.intp)
+    except OverflowError:  # beyond the index type, so out of range: clipped into it
+        k = np.array(ks, dtype=object).clip(-1, dim).astype(np.intp)
+    vals = list(chain.from_iterable(map(dict.values, maps[:checked])))
+    v = _plain_reals(vals)
+    recs = np.repeat(np.arange(checked), counts[:checked])
+    clipped = k.clip(0, dim - 1)  # an out-of-range key can only repeat an index of its own record
+    bad = clipped != k
+    if v is None:
+        bad |= ~np.fromiter(map(_is_real, vals), bool, len(vals))
+    code = np.sort(recs * dim + clipped)
+    flagged = np.zeros(checked + 1, bool)  # a bad key or value, or a repeated index; and the record at checked
+    flagged[recs[bad]] = True
+    flagged[code[1:][code[1:] == code[:-1]] // dim] = True
+    flagged[checked] = True
+    first = int(flagged.argmax())
+    if first < len(maps):
+        raise _coefficient_error(path, first, brackets[first], dim)
+    if problem:
+        raise ParseError(f"{path}: brackets[{len(maps)}]: {problem}")
+    rows = np.zeros((len(maps), dim))
+    rows[recs, k] = v
+    i, j = np.array(list(seen), dtype=np.intp).reshape(len(seen), 2).T
+    return i, j, rows
 
 
 def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
@@ -116,37 +214,7 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise ParseError(f"{path}: field 'brackets' must be a list")
-    upper, seen = np.zeros((dim, dim, dim)), set()
-    for rec_no, rec in enumerate(brackets):
-        where = f"{path}: brackets[{rec_no}]"
-        if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
-            raise ParseError(f"{where}: each record needs integer fields 'i' and 'j'")
-        i, j = rec["i"], rec["j"]
-        if not (_is_integer(i) and _is_integer(j)):
-            raise ParseError(f"{where}: 'i' and 'j' must be integers")
-        if not (0 <= i < j < dim):
-            raise ParseError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
-        if (i, j) in seen:
-            raise ParseError(f"{where}: duplicate bracket pair ({i}, {j})")
-        seen.add((i, j))
-        items = rec.get("coeffs", {})
-        if not isinstance(items, dict):
-            raise ParseError(f"{where}: 'coeffs' must be an object from index to value")
-        ks = []
-        for key in items:
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
-                raise ParseError(f"{where}: coefficient index {key!r} is not an integer") from None
-            if not (0 <= k < dim):
-                raise ParseError(f"{where}: coefficient index {k} out of range")
-            ks.append(k)
-        if len(set(ks)) < len(ks):
-            raise ParseError(f"{where}: two coefficient keys name the same index")
-        for k, val in sorted(zip(ks, items.values())):  # the lowest bad index is the one named
-            if not _is_real(val):
-                raise _not_real(f"{path}: [e_{i}, e_{j}] coefficient", k, val)
-            upper[i, j, k] = val
+    i, j, rows = _bracket_rows(path, brackets, dim)
 
     metric = doc.get("metric")
     if metric is None:
@@ -157,7 +225,7 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
 
     try:
         gram = as_matrix(metric, dim=dim, name="field 'metric'")
-        return MetricLieAlgebra(LieAlgebra._from_upper(upper, names), gram, tol)
+        return MetricLieAlgebra(LieAlgebra._from_rows(dim, i, j, rows, names), gram, tol)
     except JacobiError as exc:
         raise ValidationError(f"{path}: Jacobi identity fails (residual {exc.residual:.3e})") from exc
     except DegenerateFormError as exc:
@@ -169,9 +237,9 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
 
 
 def algebra_to_dict(m: MetricLieAlgebra) -> dict:
-    c = m.algebra.tensor
-    brackets = [{"i": i, "j": j, "coeffs": {str(k): float(c[i, j, k]) for k in np.flatnonzero(c[i, j])}}
-                for i, j in zip(*(idx.tolist() for idx in _nonzero_pairs(c)))]
+    i, j = m.algebra.bracket_pairs
+    brackets = [{"i": a, "j": b, "coeffs": {str(k): float(row[k]) for k in np.flatnonzero(row)}}
+                for a, b, row in zip(i.tolist(), j.tolist(), m.algebra.tensor[i, j])]
     doc = {"dim": m.dim}
     if m.algebra.basis_names is not None:
         doc["basis_names"] = list(m.algebra.basis_names)
@@ -345,9 +413,11 @@ def _cmd_decompose(args, tol: Tolerance) -> int:
 
 def _cmd_catalog(args, tol: Tolerance) -> int:
     try:
-        params = json.loads(args.params) if args.params else {}
+        params = json.loads(args.params, object_pairs_hook=_distinct_keys) if args.params else {}
     except json.JSONDecodeError as exc:
         raise BadParamsError(f"--params is not valid JSON: {exc.msg}") from exc
+    except ParseError as exc:
+        raise ParseError(f"--params: {exc}") from None
     if not isinstance(params, dict):
         raise BadParamsError("--params must be a JSON object")
     m = catalog(args.name, tol, **params)
@@ -355,7 +425,9 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-abs", type=float, default=1e-9, help="residual floor at unit brackets and metric")
     common.add_argument("--tol-rel", type=float, default=1e-9, help="added to --tol-abs at unit brackets and metric")

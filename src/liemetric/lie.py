@@ -1,14 +1,18 @@
 """Lie algebras presented by structure constants.
 
 The stored form is the dense antisymmetric bracket tensor
-C[i, j, :] = [e_i, e_j].  Every way of building an algebra (a dict of
-bracket rows, a dense tensor, a file loader or a construction writing
-blocks) fills the strict upper triangle i < j and :func:`_complete` derives
-the rest, so the lower triangle never disagrees with the upper one.  The
-sparse ``structure`` dict is a read-only view for callers; the package
-itself reads only the tensor.  Construction is two-phase: raw load, then
-:meth:`LieAlgebra.validate` after the Jacobi check, which records the
-tolerance it passed under.  The geometry layer validates every algebra
+C[i, j, :] = [e_i, e_j].  Every way of building an algebra ends in one core,
+:meth:`LieAlgebra._set`, given the rows [e_i, e_j] of distinct pairs i < j: a
+dict of rows and the file loader give theirs, a dense tensor or a
+construction writing blocks the nonzero rows of its strict upper triangle,
+found once.  The core keeps the nonzero rows in row-major order as the
+read-only pair index (``bracket_pairs``, computed once like max|C| and k_C)
+and writes them once into the tensor, negated in the lower triangle, so the
+two triangles never disagree.  The readers of the sparsity (the Jacobi
+check, the read-only ``structure`` view, the file writer) read the pair
+index, never a scan of the dim^3 tensor.  Construction is two-phase: raw
+load, then :meth:`LieAlgebra.validate` after the Jacobi check, which records
+the tolerance it passed under.  The geometry layer validates every algebra
 under its own tolerance.
 
 Tolerances.  An algebra stores k_C (``exponent``) for
@@ -29,15 +33,17 @@ exactly zero row adds nothing to A^T A, so the singular values are those
 of the full stack and the cut keeps the same ones.
 
 No kernel here builds a dim^4 array: brackets of spans are contracted
-pairwise.  The Jacobi residual has two kernels, chosen from the tensor's
-nonzero pattern.  The sparse one forms the P products
+pairwise.  The Jacobi residual has two kernels, chosen from the nonzero
+pattern of the rows in the pair index.  The sparse one forms the P products
 C[a, b, m] C[m, k, l] with a < b, where P = sum_m #{C[a, b, m] != 0, a < b}
 * #{C[m, k, l] != 0} is counted exactly before anything is allocated, and
-sums them per sorted triple and component.  It runs when P <= dim^3/8, so
-its index and value arrays stay below the dense kernel's working set of
-about 4 dim^3 doubles; the catalog algebras in their own bases all fall
-inside the cut.  Otherwise (random-basis tensors, for instance) the dense
-kernel takes the residual one basis index at a time.
+sums them per sorted triple and component.  Its entries are those of the
+nonzero rows and their negated mirrors, sorted into the row-major order of
+``np.nonzero(C)``.  It runs when P <= dim^3/8, so its index and value arrays
+stay below the dense kernel's working set of about 4 dim^3 doubles; the
+catalog algebras in their own bases all fall inside the cut.  Otherwise
+(random-basis tensors, for instance) the dense kernel takes the residual
+one basis index at a time.
 """
 
 from __future__ import annotations
@@ -69,27 +75,6 @@ _ANTISYMMETRY_TOL = Tolerance(abs=5e-13, rel=5e-13)
 MAX_DIM = 256
 
 
-def _nonzero_pairs(t: np.ndarray):
-    """Index arrays (i, j), i < j in row-major order, of the nonzero rows t[i, j]."""
-    return np.nonzero(np.triu(np.any(t != 0.0, axis=2), 1))
-
-
-def _complete(upper: np.ndarray) -> np.ndarray:
-    """Read-only antisymmetric tensor from the strict upper triangle (i < j) of ``upper``.
-
-    Rows that are entirely zero stay +0.0 in both triangles; the lower
-    triangle of every other row is the negated upper row.
-    """
-    dim = upper.shape[0]
-    i, j = _nonzero_pairs(upper)
-    rows = upper[i, j]
-    c = np.zeros((dim, dim, dim))
-    c[i, j] = rows
-    c[j, i] = -rows
-    c.flags.writeable = False
-    return c
-
-
 def _is_integer(x) -> bool:
     """Whether ``x`` is a Python or numpy integer and not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -114,7 +99,7 @@ class LieAlgebra:
         if not _is_integer(dim) or dim < 0:
             raise DimensionMismatchError(f"dim must be a nonnegative integer, got {dim!r}")
         dim = int(dim)
-        upper = np.zeros((dim, dim, dim))
+        pairs, rows = [], []
         for key, coeffs in dict(structure or {}).items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise DimensionMismatchError(f"bracket key {key!r} must be a pair (i, j)")
@@ -123,26 +108,48 @@ class LieAlgebra:
                 raise DimensionMismatchError(
                     f"bracket pair ({i}, {j}) must be integers with 0 <= i < j < {dim}"
                 )
-            upper[i, j] = as_vector(coeffs, dim, name=f"[e_{i}, e_{j}] coefficient")
-        self._set(upper, basis_names)
+            pairs.append((i, j))
+            rows.append(as_vector(coeffs, dim, name=f"[e_{i}, e_{j}] coefficient"))
+        i, j = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
+        self._set(dim, i, j, np.array(rows).reshape(len(rows), dim), basis_names)
+
+    @classmethod
+    def _from_rows(cls, dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray, basis_names=None) -> "LieAlgebra":
+        """Algebra with [e_i[p], e_j[p]] = rows[p] for distinct pairs i[p] < j[p] (see :meth:`_set`)."""
+        g = cls.__new__(cls)
+        g._set(dim, i, j, rows, basis_names)
+        return g
 
     @classmethod
     def _from_upper(cls, upper: np.ndarray, basis_names=None) -> "LieAlgebra":
-        """Algebra whose brackets are the strict upper triangle of a cubic array."""
-        g = cls.__new__(cls)
-        g._set(upper, basis_names)
-        return g
+        """Algebra whose brackets are the strict upper triangle of a cubic array, its nonzero rows found once."""
+        i, j = np.nonzero(np.triu(upper.any(axis=2), 1))
+        return cls._from_rows(upper.shape[0], i, j, upper[i, j], basis_names)
 
-    def _set(self, upper: np.ndarray, basis_names):
-        self.dim = upper.shape[0]
-        self._tensor = _complete(upper)
-        self._max_structure_constant = operator_residual(self._tensor)
-        self.exponent = exponent(self._max_structure_constant)
+    def _set(self, dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray, basis_names):
+        """The one construction core: [e_i[p], e_j[p]] = rows[p] for distinct pairs i[p] < j[p], in any order.
+
+        The rows that are not all zero are kept in row-major (i, j) order as
+        the pair index, and written once into the tensor: upper triangle as
+        given, lower triangle negated.  An all-zero row (-0.0 included) stays
+        +0.0 in both triangles.
+        """
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
-            if len(basis_names) != self.dim:
+            if len(basis_names) != dim:
                 raise DimensionMismatchError("basis_names length must equal dim")
-        self.basis_names = basis_names
+        keep = np.flatnonzero(rows.any(axis=1))
+        keep = keep[np.argsort(i[keep] * dim + j[keep])]
+        i, j, rows = i[keep], j[keep], rows[keep]
+        c = np.zeros((dim, dim, dim))
+        c[i, j] = rows
+        c[j, i] = -rows
+        for a in (c, i, j):
+            a.flags.writeable = False
+        self.dim, self.basis_names = dim, basis_names
+        self._tensor, self._pairs = c, (i, j)
+        self._max_structure_constant = operator_residual(rows)
+        self.exponent = exponent(self._max_structure_constant)
         self._passed = set()  # the tolerances validate() has passed under
         self._jacobi_residual = None
 
@@ -168,9 +175,14 @@ class LieAlgebra:
         return self._tensor
 
     @property
+    def bracket_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j), i < j in row-major order, of the nonzero brackets [e_i, e_j] (read-only)."""
+        return self._pairs
+
+    @property
     def structure(self) -> MappingProxyType:
         """Read-only {(i, j): [e_i, e_j]} over the nonzero brackets with i < j, in (i, j) order."""
-        i, j = _nonzero_pairs(self._tensor)
+        i, j = self._pairs
         rows = self._tensor[i, j]
         rows.flags.writeable = False
         return MappingProxyType(dict(zip(zip(i.tolist(), j.tolist()), rows)))
@@ -221,7 +233,7 @@ class LieAlgebra:
         return self
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(_nonzero_pairs(self._tensor)[0])})"
+        return f"LieAlgebra(dim={self.dim}, brackets={len(self._pairs[0])})"
 
 
 def validate_jacobi(g: LieAlgebra) -> float:
@@ -234,15 +246,17 @@ def validate_jacobi(g: LieAlgebra) -> float:
     sum_m #{C[a, b, m] != 0, a < b} * #{C[m, k, l] != 0} is at most dim^3/8,
     the dense one otherwise.  Neither builds a dim^4 array.
     """
-    c = g.tensor
-    nonzero = c != 0.0
-    row_nnz = np.count_nonzero(nonzero, axis=(1, 2))
-    # the nonzero pattern is symmetric in (a, b) with a zero diagonal: half of it has a < b
-    upper_nnz = np.count_nonzero(nonzero, axis=(0, 1)) // 2
+    i, j = g.bracket_pairs
+    nonzero = g.tensor[i, j] != 0.0  # the pattern of the nonzero rows; a lower row has that of its upper row
+    row_len = np.count_nonzero(nonzero, axis=1)
+    # C[m] holds the rows (m, b) and (a, m)
+    row_nnz = (np.bincount(i, row_len, minlength=g.dim) + np.bincount(j, row_len, minlength=g.dim)).astype(np.int64)
+    upper_nnz = np.count_nonzero(nonzero, axis=0)
     count = int(upper_nnz @ row_nnz)
     if 8 * count > g.dim ** 3:
         return _dense_jacobi(g)
-    return _sparse_jacobi(c, row_nnz, count)
+    r, k = np.nonzero(nonzero)
+    return _sparse_jacobi(g.tensor, i[r], j[r], k, row_nnz, count)
 
 
 def _dense_jacobi(g: LieAlgebra) -> float:
@@ -264,17 +278,22 @@ def _dense_jacobi(g: LieAlgebra) -> float:
     return res
 
 
-def _sparse_jacobi(c: np.ndarray, row_nnz: np.ndarray, count: int) -> float:
+def _sparse_jacobi(c: np.ndarray, ui: np.ndarray, uj: np.ndarray, uk: np.ndarray, row_nnz: np.ndarray,
+                   count: int) -> float:
     """Jacobi residual summed over the ``count`` nonzero products C[a, b, m] C[m, k, l], a < b.
 
-    Each product is the term [[e_a, e_b], e_k] of J at component l.  It is
-    keyed by the sorted triple of (a, b, k) and l, with the sign of that
-    sort, and the products of one key are summed.  Products with k in
-    {a, b} are dropped: a cyclic sum with a repeated index vanishes term by
-    term.
+    (ui, uj, uk) index the nonzero entries of the upper triangle.  With
+    their mirrors (uj, ui, uk) they are sorted into the row-major order of
+    ``np.nonzero(C)``, so the sums below run in its order.  Each product is
+    the term [[e_a, e_b], e_k] of J at component l.  It is keyed by the sorted
+    triple of (a, b, k) and l, with the sign of that sort, and the products of
+    one key are summed.  Products with k in {a, b} are dropped: a cyclic sum
+    with a repeated index vanishes term by term.
     """
     dim = c.shape[0]
-    i, j, k = np.nonzero(c)  # row-major, so the entries of row m are contiguous
+    i, j, k = np.concatenate((ui, uj)), np.concatenate((uj, ui)), np.concatenate((uk, uk))
+    order = np.argsort((i * dim + j) * dim + k)  # row-major, so the entries of row m are contiguous
+    i, j, k = i[order], j[order], k[order]
     vals = c[i, j, k]
     row_start = np.cumsum(row_nnz) - row_nnz
     left = np.flatnonzero(i < j)

@@ -92,6 +92,7 @@ DEGREES = {
 # fourth power of the inputs, which must stay a finite double.
 MAX_ABS = 1e50
 _REAL_TYPES = (int, float, np.integer, np.floating)
+_PLAIN_REAL_TYPES = frozenset((int, float))  # what JSON numbers parse to
 
 
 class Signature(NamedTuple):
@@ -117,6 +118,21 @@ def _not_real(name: str, index, value) -> ParseError:
                       f"but entries must hold real numbers, finite and of magnitude at most {MAX_ABS:g}")
 
 
+def _plain_reals(values: list) -> np.ndarray | None:
+    """``values`` as a float array if each is a plain int or float of magnitude at most MAX_ABS, else None.
+
+    One type scan, one cast and one vectorised magnitude check, which NaN
+    fails.  None names no entry: that is left to a search by :func:`_is_real`.
+    """
+    if not set(map(type, values)) <= _PLAIN_REAL_TYPES:
+        return None
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        return None
+    return arr if (np.abs(arr) <= MAX_ABS).all() else None
+
+
 def as_real_array(a, name: str = "array") -> np.ndarray:
     """``a`` as a float array if every entry passes :func:`_is_real`, else the ParseError for the first that fails.
 
@@ -126,13 +142,18 @@ def as_real_array(a, name: str = "array") -> np.ndarray:
     a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
     if not a.size:
         return np.zeros(a.shape)  # no cast: an empty complex one warns
-    if a.dtype == object and all(map(_is_real, a.flat)):
-        return a.astype(float)
-    if issubclass(a.dtype.type, _REAL_TYPES):  # not np.object_
+    if a.dtype == object:
+        arr = _plain_reals(a.ravel().tolist())
+        if arr is not None:
+            return arr.reshape(a.shape)
+    elif issubclass(a.dtype.type, _REAL_TYPES):  # not np.object_
         arr = a.astype(float, copy=False)
         if np.abs(arr).max() <= MAX_ABS:  # NaN and the infinities fail
             return arr
-    pos, val = next((pos, x) for pos, x in zip(np.ndindex(a.shape), a.flat) if not _is_real(x))
+    bad = next(((pos, x) for pos, x in zip(np.ndindex(a.shape), a.flat) if not _is_real(x)), None)
+    if bad is None:  # numpy scalars among the objects: real numbers, though not plain ones
+        return a.astype(float)
+    pos, val = bad
     raise _not_real(name, pos[0] if len(pos) == 1 else pos, val)
 
 

@@ -176,6 +176,17 @@ def test_size_bounds_reject_before_allocating(tmp_path, capsys):
     assert run(["report", path]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "ParseError" in err and "dim" in err and "Traceback" not in err
+    # every record is checked before the dim^3 tensor is allocated
+    brackets = [{"i": 0, "j": j, "coeffs": {"0": 1.0}} for j in range(1, 256)] + [{"i": 3, "j": 3}]
+    path.write_text(json.dumps({"dim": 256, "brackets": brackets, "metric": []}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert run(["validate", path]) == EXIT_PARSE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "brackets[255]: need 0 <= i < j < dim" in capsys.readouterr().err
+    assert peak < 256 ** 3
 
 
 def test_report_path_builds_no_dim4_array():
@@ -483,6 +494,24 @@ def test_strings_and_booleans_are_not_numbers(tmp_path, capsys):
     ([{"i": 0, "j": 1, "coeffs": {"0": [1], "1": [2], "2": [3]}}],
      "[e_0, e_1] coefficient value for index 0 is [1], but entries must hold real numbers, "
      "finite and of magnitude at most 1e+50"),
+    ([{"i": 0, "j": 1, "coeffs": {"2": None, "1": True}}],
+     "[e_0, e_1] coefficient value for index 1 is True, but entries must hold real numbers, "
+     "finite and of magnitude at most 1e+50"),
+    ([{"i": 0, "j": 1, "coeffs": {"0": 10 ** 400}}],
+     f"[e_0, e_1] coefficient value for index 0 is {10 ** 400}, but entries must hold real numbers, "
+     "finite and of magnitude at most 1e+50"),
+    ([{"i": 0, "j": 1, "coeffs": {"0": "x", "5": 1.0}}], "brackets[0]: coefficient index 5 out of range"),
+    ([{"i": 0, "j": 1, "coeffs": {"9" * 30: 1.0}}], f"brackets[0]: coefficient index {'9' * 30} out of range"),
+    ([{"i": 0, "j": 1, "coeffs": {"1": 1.0, "01": 2.0}}, {"i": 0, "j": 2, "coeffs": {"x": 1.0}}],
+     "brackets[0]: two coefficient keys name the same index"),
+    ([{"i": 0, "j": 1, "coeffs": {"2": 1.0}}, {"i": 0, "j": 2, "coeffs": {"-1": 1.0}}, {"i": 2, "j": 1}],
+     "brackets[1]: coefficient index -1 out of range"),
+    ([{"i": 0, "j": 1}, {"i": 1, "j": 2, "coeffs": {"0": "1"}}, {"i": 0, "j": 1}],
+     "[e_1, e_2] coefficient value for index 0 is '1', but entries must hold real numbers, "
+     "finite and of magnitude at most 1e+50"),
+    ([{"i": 0, "j": 1, "coeffs": {"2": 1.0}}, {"i": 0, "j": 2, "coeffs": {"": 1.0}},
+      {"i": 1, "j": 2, "coeffs": {"3": 1}}],
+     "brackets[1]: coefficient index '' is not an integer"),
 ])
 def test_bracket_record_messages(tmp_path, capsys, brackets, message):
     path = tmp_path / "bad.json"
@@ -506,6 +535,53 @@ def test_loader_checks_only_the_given_coefficients(tmp_path, monkeypatch):
     loaded = load_algebra_file(path, m.tol)
     assert len(calls) <= 2
     assert np.array_equal(loaded.algebra.tensor, m.algebra.tensor)
+
+
+def test_loader_scans_no_dim3_array(tmp_path, monkeypatch):
+    # the loader and the Jacobi check read the nonzero bracket rows, never a scan of the whole tensor
+    m = catalog("sl_killing", n=7)
+    path = tmp_path / "sl7.json"
+    path.write_text(json.dumps(algebra_to_dict(m)), encoding="utf-8")
+    sizes = []
+    for name in ("nonzero", "flatnonzero", "count_nonzero"):
+        def scan(a, *args, _orig=getattr(np, name), **kwargs):
+            sizes.append(np.size(a))
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, scan)
+    loaded = load_algebra_file(path, m.tol)
+    assert sizes and max(sizes) < m.dim ** 3
+    assert np.array_equal(loaded.algebra.tensor, m.algebra.tensor)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": 1.0, "2": 5.0}}], "metric": %s}' % np.eye(3).tolist(),
+     "'2'"),
+    ('{"dim": 3, "brackets": [], "metric": %s, "metric": %s}' % (np.eye(3).tolist(), np.diag([-1, 1, 1]).tolist()),
+     "'metric'"),
+    ('{"dim": 2, "brackets": [{"i": 0, "j": 1, "i": 0}], "metric": [[1, 0], [0, 1]]}', "'i'"),
+])
+def test_a_key_given_twice_is_rejected(tmp_path, capsys, text, key):
+    # json.loads keeps the last value of a repeated key, which would slip past every later check
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: ParseError: {path}: key {key} appears twice in one object\n"
+
+
+def test_a_key_given_twice_is_rejected_in_extension_data_and_params(tmp_path, capsys):
+    base, ext = _double_extend_inputs(tmp_path)
+    ext.write_text('{"L": [1.0, 0.0, 0.0], "L": [0.0, 0.0, 0.0]}', encoding="utf-8")
+    assert run(["double-extend", base, ext]) == EXIT_PARSE
+    assert run(["catalog", "heisenberg", "--params", '{"n": 1, "n": 2}']) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"ParseError: {ext}: key 'L' appears twice" in err
+    assert "ParseError: --params: key 'n' appears twice" in err
+
+
+def test_parser_is_built_once():
+    from liemetric import cli
+
+    assert cli.build_parser() is cli.build_parser()
 
 
 def _double_extend_inputs(tmp_path):

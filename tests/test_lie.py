@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from liemetric import (
     validate_jacobi,
 )
 from liemetric.errors import DimensionMismatchError, JacobiError
+from liemetric.linalg import DEFAULT_TOL
 from sampling import random_invertible, random_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine, make_heisenberg, make_sl2
@@ -531,3 +534,163 @@ def test_dense_jacobi_matches_tensordot_loop():
     for dim in range(2, 21):
         g = _in_random_basis(random_lie_algebra(rng, dim), rng)
         assert lie._dense_jacobi(g) == _tensordot_jacobi(g), dim
+
+
+def _complete(upper: np.ndarray) -> np.ndarray:
+    """Reference: the antisymmetric tensor of the strict upper triangle, its nonzero rows found by a dim^3 scan."""
+    dim = upper.shape[0]
+    i, j = np.nonzero(np.triu(np.any(upper != 0.0, axis=2), 1))
+    rows = upper[i, j]
+    c = np.zeros((dim, dim, dim))
+    c[i, j] = rows
+    c[j, i] = -rows
+    return c
+
+
+def _dense_scan_jacobi(c: np.ndarray, dense_kernel) -> tuple[float, bool]:
+    """Reference: validate_jacobi with its kernel choice and sparse entries read off dim^3 scans of ``c``.
+
+    Returns the residual and whether the dense kernel ran.
+    """
+    dim = c.shape[0]
+    nonzero = c != 0.0
+    row_nnz = np.count_nonzero(nonzero, axis=(1, 2))
+    upper_nnz = np.count_nonzero(nonzero, axis=(0, 1)) // 2
+    count = int(upper_nnz @ row_nnz)
+    if 8 * count > dim ** 3:
+        return dense_kernel(), True
+    i, j, k = np.nonzero(c)
+    vals = c[i, j, k]
+    row_start = np.cumsum(row_nnz) - row_nnz
+    left = np.flatnonzero(i < j)
+    reps = row_nnz[k[left]]
+    first = np.cumsum(reps) - reps
+    lhs = np.repeat(left, reps)
+    rhs = np.repeat(row_start[k[left]] - first, reps) + np.arange(count)
+    a, b, kk, l = i[lhs], j[lhs], j[rhs], k[rhs]
+    keep = (kk != a) & (kk != b)
+    a, b, kk, l = a[keep], b[keep], kk[keep], l[keep]
+    prods = vals[lhs[keep]] * vals[rhs[keep]]
+    prods[(a < kk) & (kk < b)] *= -1.0
+    lo, hi = np.minimum(a, kk), np.maximum(b, kk)
+    key = ((lo * dim + (a + b + kk - lo - hi)) * dim + hi) * dim + l
+    _, slot = np.unique(key, return_inverse=True)
+    return operator_residual(np.bincount(slot, weights=prods)), False
+
+
+class _Kernels:
+    """Records which Jacobi kernel each validate_jacobi call runs."""
+
+    def __init__(self, monkeypatch):
+        from liemetric import lie
+
+        self.dense_kernel, self.dense_calls = lie._dense_jacobi, 0
+        monkeypatch.setattr(lie, "_dense_jacobi", self._dense)
+
+    def _dense(self, g):
+        self.dense_calls += 1
+        return self.dense_kernel(g)
+
+    def assert_matches_completed(self, g: LieAlgebra, upper: np.ndarray):
+        """g's tensor is that of ``upper``'s triangle, signs of zeros included; same Jacobi residual and kernel."""
+        ref = _complete(upper)
+        assert np.array_equal(g.tensor, ref) and np.array_equal(np.signbit(g.tensor), np.signbit(ref)), g
+        assert g.max_structure_constant == operator_residual(ref)
+        i, j = g.bracket_pairs
+        assert np.array_equal(np.stack(g.bracket_pairs), np.nonzero(np.triu(np.any(ref != 0.0, axis=2), 1)))
+        assert not (i.flags.writeable or j.flags.writeable)
+        calls = self.dense_calls
+        residual = validate_jacobi(g)
+        assert (residual, self.dense_calls > calls) == _dense_scan_jacobi(ref, lambda: self.dense_kernel(g)), g
+
+
+def _signed_zero_structures():
+    """Bracket rows with explicit 0.0 and -0.0 in zero and nonzero rows, and int values."""
+    yield 1, {}
+    yield 2, {(0, 1): [-0.0, -0.0]}
+    yield 3, {(0, 1): [0, 0, 1], (0, 2): [0.0, -0.0, -0.0], (1, 2): [-0.0, 2.5, 0.0]}
+    yield 4, {(2, 3): [-0.0, 0.0, 1.0, -0.0], (0, 1): [0.0] * 4, (1, 3): [3, -0.0, 0, 0]}
+
+
+def test_dict_and_tensor_constructors_match_the_completed_triangle(monkeypatch):
+    kernels = _Kernels(monkeypatch)
+    for dim, structure in _signed_zero_structures():
+        upper = np.zeros((dim, dim, dim))
+        for (i, j), row in structure.items():
+            upper[i, j] = row
+        kernels.assert_matches_completed(LieAlgebra(dim, structure), upper)
+        kernels.assert_matches_completed(LieAlgebra._from_upper(upper), upper)
+    c = np.array(make_sl2().tensor)
+    c[1, 0, 2] += 1e-13  # noise below the antisymmetry cutoff, in the lower triangle
+    c[0, 2, 1] = -0.0
+    kernels.assert_matches_completed(LieAlgebra.from_tensor(c), c)
+
+
+def test_loaded_tensors_match_the_completed_triangle(tmp_path, monkeypatch):
+    from liemetric import cli
+
+    kernels = _Kernels(monkeypatch)
+    docs = [
+        {"dim": 1, "brackets": []},
+        {"dim": 1, "brackets": [], "basis_names": ["x"]},
+        {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"0": 1}}, {"i": 0, "j": 2, "coeffs": {" 1": -1.0}},
+                                {"i": 0, "j": 1, "coeffs": {"02": 1, "0": -0.0, "1": 0.0}}]},
+        {"dim": 4, "brackets": [{"i": 0, "j": 1, "coeffs": {"3": -0.0}}, {"i": 0, "j": 2},
+                                {"i": 1, "j": 3, "coeffs": {}}, {"i": 2, "j": 3, "coeffs": {"0": 0}}]},
+    ]
+    rng = np.random.default_rng(16)
+    for name, params in CATALOG_CASES + [("sl_killing", {"n": 7}), ("einstein_solvable", {"n": 23})]:
+        m = catalog(name, **params)
+        docs.append(cli.algebra_to_dict(m))
+        docs.append(cli.algebra_to_dict(change_basis(m, random_invertible(rng, m.dim))))
+    for n, doc in enumerate(docs):
+        doc.setdefault("metric", np.eye(doc["dim"]).tolist())
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        dim = doc["dim"]
+        upper = np.zeros((dim, dim, dim))
+        for rec in doc["brackets"]:
+            for key, val in rec.get("coeffs", {}).items():
+                upper[rec["i"], rec["j"], int(key)] = val
+        kernels.assert_matches_completed(cli.load_algebra_file(path, DEFAULT_TOL).algebra, upper)
+    assert kernels.dense_calls > 0
+
+
+def test_constructions_match_the_completed_triangle(monkeypatch):
+    from liemetric import constructions
+
+    from sampling import (random_abelian_extension_spec, random_general_extension_spec,
+                          random_nilpotent_extension_spec)
+
+    built = []
+    from_upper = LieAlgebra.__dict__["_from_upper"].__func__
+
+    def recording(cls, upper, basis_names=None):
+        g = from_upper(cls, upper, basis_names)
+        built.append((g, np.array(upper)))
+        return g
+
+    monkeypatch.setattr(LieAlgebra, "_from_upper", classmethod(recording))
+    rng = np.random.default_rng(17)
+    for name, params, rebased in _ROW_CASES:
+        m = catalog(name, **params)
+        if rebased and m.dim <= 12:
+            change_basis(m, random_invertible(rng, m.dim))
+    for dim in (2, 4):
+        constructions.double_extension(random_abelian_extension_spec(rng, dim))
+        constructions.double_extension(random_nilpotent_extension_spec(rng, dim + 1))
+    for _ in range(4):
+        constructions.double_extension(random_general_extension_spec(rng))
+    for n in (1, 2):
+        h = catalog("heisenberg", n=n).algebra
+        constructions.central_extension_metric(h)
+        constructions.bordemann_cotangent(h)
+    sl2 = catalog("sl_killing", n=2)
+    constructions.complexify(sl2)
+    constructions.type_I_metric(sl2, 1.0, 2.0)
+    direct_sum(make_sl2(), make_heisenberg(1))
+
+    kernels = _Kernels(monkeypatch)
+    for g, upper in built:
+        kernels.assert_matches_completed(g, upper)
+    assert len(built) > 150 and kernels.dense_calls > 0

@@ -18,7 +18,7 @@ from liemetric import (
     signature,
 )
 from liemetric.cli import build_report
-from liemetric.errors import DegenerateFormError
+from liemetric.errors import DegenerateFormError, ParseError
 
 
 def random_form(rng, dim, p):
@@ -212,3 +212,20 @@ def test_empty_array_of_any_dtype_reads_as_zeros(dtype):
         assert arr.dtype == float and arr.shape == shape
     g = liemetric.LieAlgebra.from_tensor(np.zeros((0, 0, 0), dtype=dtype))
     assert g.dim == 0 and g.tensor.shape == (0, 0, 0)
+
+
+def test_plain_numbers_are_checked_in_bulk(monkeypatch):
+    from liemetric import linalg
+
+    calls = []
+    is_real = linalg._is_real
+    monkeypatch.setattr(linalg, "_is_real", lambda x: calls.append(x) or is_real(x))
+    gram = [[float(r == c) for c in range(48)] for r in range(48)]
+    gram[0][1] = 2
+    assert np.array_equal(linalg.as_real_array(gram), np.array(gram, dtype=float))
+    assert calls == []
+    # the bulk check fails over to the search by _is_real, which names the entry
+    assert np.array_equal(linalg.as_real_array([np.float64(0.5), 2]), [0.5, 2.0])
+    for bad, shown in ((10 ** 400, str(10 ** 400)), (10 ** 60, str(10 ** 60)), (float("nan"), "nan"), (True, "True")):
+        with pytest.raises(ParseError, match=rf"value for index \(1, 0\) is {shown}, "):
+            linalg.as_real_array([[1.0, 2.0], [bad, 3.0]])
