@@ -2,13 +2,13 @@
 
 The stored form is the dense antisymmetric bracket tensor
 C[i, j, :] = [e_i, e_j].  Every way of building an algebra ends in one core,
-:meth:`LieAlgebra._set`, given the rows [e_i, e_j] of distinct pairs i < j: a
-dict of rows and the file loader give theirs, a dense tensor or a
-construction writing blocks the nonzero rows of its strict upper triangle,
-found once.  The core keeps the nonzero rows in row-major order as the
-read-only pair index (``bracket_pairs``, computed once like max|C| and k_C)
-and writes them once into the tensor, negated in the lower triangle, so the
-two triangles never disagree.  The readers of the sparsity (the Jacobi
+:meth:`LieAlgebra._set`, given the nonzero rows [e_i, e_j], i < j, in
+row-major order: a dict of rows and the file loader drop their zero rows
+and sort the rest, a dense tensor or a construction writing blocks finds
+the nonzero rows of its strict upper triangle once.  The core keeps their
+pairs as the read-only pair index (``bracket_pairs``, computed once like
+max|C| and k_C) and writes the rows once into the tensor, negated in the
+lower triangle, so the two triangles never disagree.  The readers of the sparsity (the Jacobi
 check, the read-only ``structure`` view, the file writer) read the pair
 index, never a scan of the dim^3 tensor.  Construction is two-phase: raw
 load, then :meth:`LieAlgebra.validate` after the Jacobi check, which records
@@ -75,6 +75,13 @@ _ANTISYMMETRY_TOL = Tolerance(abs=5e-13, rel=5e-13)
 MAX_DIM = 256
 
 
+def _row_major(dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray):
+    """The pairs (i, j) and rows that are not all zero (a row of -0.0 is all zero), in row-major (i, j) order."""
+    keep = np.flatnonzero(rows.any(axis=1))
+    keep = keep[np.argsort(i[keep] * dim + j[keep])]
+    return i[keep], j[keep], rows[keep]
+
+
 def _is_integer(x) -> bool:
     """Whether ``x`` is a Python or numpy integer and not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -111,36 +118,34 @@ class LieAlgebra:
             pairs.append((i, j))
             rows.append(as_vector(coeffs, dim, name=f"[e_{i}, e_{j}] coefficient"))
         i, j = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
-        self._set(dim, i, j, np.array(rows).reshape(len(rows), dim), basis_names)
+        self._set(dim, *_row_major(dim, i, j, np.array(rows).reshape(len(rows), dim)), basis_names)
 
     @classmethod
     def _from_rows(cls, dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray, basis_names=None) -> "LieAlgebra":
-        """Algebra with [e_i[p], e_j[p]] = rows[p] for distinct pairs i[p] < j[p] (see :meth:`_set`)."""
+        """Algebra with [e_i[p], e_j[p]] = rows[p] for distinct pairs i[p] < j[p] in any order."""
         g = cls.__new__(cls)
-        g._set(dim, i, j, rows, basis_names)
+        g._set(dim, *_row_major(dim, i, j, rows), basis_names)
         return g
 
     @classmethod
     def _from_upper(cls, upper: np.ndarray, basis_names=None) -> "LieAlgebra":
         """Algebra whose brackets are the strict upper triangle of a cubic array, its nonzero rows found once."""
         i, j = np.nonzero(np.triu(upper.any(axis=2), 1))
-        return cls._from_rows(upper.shape[0], i, j, upper[i, j], basis_names)
+        g = cls.__new__(cls)
+        g._set(upper.shape[0], i, j, upper[i, j], basis_names)
+        return g
 
     def _set(self, dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray, basis_names):
-        """The one construction core: [e_i[p], e_j[p]] = rows[p] for distinct pairs i[p] < j[p], in any order.
+        """The one construction core: the brackets [e_i[p], e_j[p]] = rows[p], nonzero rows in row-major order.
 
-        The rows that are not all zero are kept in row-major (i, j) order as
-        the pair index, and written once into the tensor: upper triangle as
-        given, lower triangle negated.  An all-zero row (-0.0 included) stays
-        +0.0 in both triangles.
+        The pairs become the pair index, and the rows are written once into
+        the tensor: upper triangle as given, lower triangle negated.  Every
+        row not given stays +0.0 in both triangles.
         """
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
             if len(basis_names) != dim:
                 raise DimensionMismatchError("basis_names length must equal dim")
-        keep = np.flatnonzero(rows.any(axis=1))
-        keep = keep[np.argsort(i[keep] * dim + j[keep])]
-        i, j, rows = i[keep], j[keep], rows[keep]
         c = np.zeros((dim, dim, dim))
         c[i, j] = rows
         c[j, i] = -rows
