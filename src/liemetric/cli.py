@@ -180,22 +180,23 @@ def _bracket_rows(path, brackets: list, dim: int):
         ks = list(map(int, keys[:sum(counts[:checked])]))
     try:
         k = np.array(ks, dtype=np.intp)
-    except OverflowError:  # beyond the index type, so out of range: clipped into it
+    except OverflowError:  # beyond the index type, so out of range: clipped to just outside it
         k = np.array(ks, dtype=object).clip(-1, dim).astype(np.intp)
     vals = list(chain.from_iterable(map(dict.values, maps[:checked])))
     v = _plain_reals(vals)
     recs = np.repeat(np.arange(checked), counts[:checked])
-    clipped = k.clip(0, dim - 1)  # an out-of-range key can only repeat an index of its own record
-    bad = clipped != k
+    wrapped = k % dim  # an out-of-range key can only repeat an index of its own record
+    bad = wrapped != k
     if v is None:
         bad |= ~np.fromiter(map(_is_real, vals), bool, len(vals))
-    code = np.sort(recs * dim + clipped)
-    flagged = np.zeros(checked + 1, bool)  # a bad key or value, or a repeated index; and the record at checked
-    flagged[recs[bad]] = True
-    flagged[code[1:][code[1:] == code[:-1]] // dim] = True
-    flagged[checked] = True
-    first = int(flagged.argmax())
-    if first < len(maps):
+    code = np.sort(recs * dim + wrapped)
+    repeated = code[1:] == code[:-1]
+    if checked < len(maps) or bad.any() or repeated.any():
+        flagged = np.zeros(checked + 1, bool)  # a bad key or value, or a repeated index; and the record at checked
+        flagged[recs[bad]] = True
+        flagged[code[1:][repeated] // dim] = True
+        flagged[checked] = True
+        first = int(flagged.argmax())
         raise _coefficient_error(path, first, brackets[first], dim)
     if problem:
         raise ParseError(f"{path}: brackets[{len(maps)}]: {problem}")

@@ -121,8 +121,8 @@ def _not_real(name: str, index, value) -> ParseError:
 def _plain_reals(values: list) -> np.ndarray | None:
     """``values`` as a float array if each is a plain int or float of magnitude at most MAX_ABS, else None.
 
-    One type scan, one cast and one vectorised magnitude check, which NaN
-    fails.  None names no entry: that is left to a search by :func:`_is_real`.
+    One type scan, one cast and one vectorised magnitude check.  None names
+    no entry: that is left to a search by :func:`_is_real`.
     """
     if not set(map(type, values)) <= _PLAIN_REAL_TYPES:
         return None
@@ -130,7 +130,7 @@ def _plain_reals(values: list) -> np.ndarray | None:
         arr = np.array(values, dtype=float)
     except OverflowError:  # an int beyond the double range
         return None
-    return arr if (np.abs(arr) <= MAX_ABS).all() else None
+    return arr if np.abs(arr).max(initial=0.0) <= MAX_ABS else None  # NaN fails
 
 
 def as_real_array(a, name: str = "array") -> np.ndarray:
