@@ -125,8 +125,10 @@ def _read_object(path) -> dict:
 
 
 def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError:
-    """The error of a record known to hold a bad coefficient: its first bad key, else a repeated index, else the
-    value of its lowest bad index."""
+    """The ParseError of a record known to hold a bad coefficient.
+
+    That is its first bad key, else a repeated index, else the value of its lowest bad index.
+    """
     where, coeffs, ks = f"{path}: brackets[{rec_no}]", rec.get("coeffs", {}), []
     for key in coeffs:
         try:
