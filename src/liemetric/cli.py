@@ -25,9 +25,9 @@ class in :mod:`liemetric.errors`: 2 parse/validation failure (also an input
 file that cannot be read and an ``--out`` that cannot be written), 3
 mathematical precondition failure, 4 verification failure (a certified
 invariant of a constructed object did not hold).  ``report <dir>`` reports
-every ``*.json`` file in name order; a file that fails gives a ``{"file",
-"error", "exit_code"}`` record in its place, and the command exits with the
-largest code met.  Every output goes through one writer, which turns numpy arrays and
+every ``*.json`` file in name order, except the file ``--out`` names; a file
+that fails gives a ``{"file", "error", "exit_code"}`` record in its place, and
+the command exits with the largest code met.  Every output goes through one writer, which turns numpy arrays and
 scalars into JSON lists and numbers.
 """
 
@@ -346,7 +346,11 @@ def _cmd_report(args, tol: Tolerance) -> int:
     path = Path(args.path)
     if path.is_dir():
         records, code = [], EXIT_OK
+        out = Path(args.out).resolve() if args.out else None
+        skip = out.name if out is not None and out.parent == path.resolve() else None
         for child in sorted(path.glob("*.json")):
+            if child.name == skip:  # the report an earlier run wrote into this directory
+                continue
             try:
                 records.append({"file": child.name, "report": build_report(load_algebra_file(child, tol))})
             except LieMetricError as exc:

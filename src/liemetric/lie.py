@@ -28,26 +28,28 @@ term's own largest singular value: a term that should vanish holds only
 rounding noise, and a cut relative to that noise would count it as rank.
 The center, the null space of x -> ad(x), takes the same cut.
 Every rank is taken over the rows of its stack that are not all zero; in
-a sparse basis most of the dim^2 rows of a bracket stack are zero.  An
+a sparse basis most of the dim^2 rows of a bracket stack are zero.  Those of
+[g, g] are the pair index's rows and their mirrors, in the stack's
+row-major order; those of the later stacks are found by a scan.  An
 exactly zero row adds nothing to A^T A, so the singular values are those
 of the full stack and the cut keeps the same ones.
 
 No kernel here builds a dim^4 array: brackets of spans are contracted
-pairwise.  The Jacobi residual has two kernels, chosen from the nonzero
-pattern of the rows in the pair index.  The sparse one forms the P products
-C[a, b, m] C[m, k, l] with a < b, where P = sum_m #{C[a, b, m] != 0, a < b}
-* #{C[m, k, l] != 0} is counted exactly before anything is allocated, and
-sums them per sorted triple and component.  Its entries are those of the
-nonzero rows and their negated mirrors, sorted into the row-major order of
-``np.nonzero(C)``.  It runs when P <= dim^3/8, so its index and value arrays
-stay below the dense kernel's working set of about 4 dim^3 doubles; the
-catalog algebras in their own bases all fall inside the cut.  Otherwise
-(random-basis tensors, for instance) the dense kernel takes the residual
-one basis index at a time.
+pairwise.  The Jacobi check counts its products C[a, b, m] C[m, k, l],
+a < b, exactly from the pair index (see :func:`validate_jacobi`).  With none
+(abelian algebras, and two-step nilpotent ones such as H_n whose brackets
+only have components along central basis vectors) the residual is exactly
+0.0 and no kernel runs.  Up to dim^3/8 products the sparse kernel forms and
+sums them, reading the nonzero rows and their negated mirrors in the
+row-major order of ``np.nonzero(C)``; the catalog algebras in their own
+bases all fall inside that cut.  Denser tensors (random bases, for instance)
+take the dense kernel, which forms each triple i < j < k once: dim^5/2
+multiply-adds and a working set of about 2.5 dim^3 doubles.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -246,40 +248,64 @@ def validate_jacobi(g: LieAlgebra) -> float:
 
     J(i, j, k) = [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
     is alternating in (i, j, k), so its max-norm is taken over i < j < k.
-    Two kernels compute it, and the tensor's nonzero pattern picks one:
-    the sparse one runs when its exact product count
-    sum_m #{C[a, b, m] != 0, a < b} * #{C[m, k, l] != 0} is at most dim^3/8,
-    the dense one otherwise.  Neither builds a dim^4 array.
+    Each term is a sum of products C[a, b, m] C[m, k, l].  Their exact count
+    over the nonzero pattern, sum_m #{C[a, b, m] != 0, a < b} * #{C[m, k, l] != 0},
+    decides the work: none when it is zero (the residual is exactly 0.0), the
+    sparse kernel when it is at most dim^3/8, the dense kernel otherwise.
+    Neither builds a dim^4 array.
     """
     i, j = g.bracket_pairs
+    if not len(i):
+        return 0.0
     nonzero = g.tensor[i, j] != 0.0  # the pattern of the nonzero rows; a lower row has that of its upper row
     row_len = np.count_nonzero(nonzero, axis=1)
     # C[m] holds the rows (m, b) and (a, m)
     row_nnz = (np.bincount(i, row_len, minlength=g.dim) + np.bincount(j, row_len, minlength=g.dim)).astype(np.int64)
     upper_nnz = np.count_nonzero(nonzero, axis=0)
     count = int(upper_nnz @ row_nnz)
+    if not count:  # every product C[a, b, m] C[m, k, l] is zero, as in H_n
+        return 0.0
     if 8 * count > g.dim ** 3:
         return _dense_jacobi(g)
     r, k = np.nonzero(nonzero)
     return _sparse_jacobi(g.tensor, i[r], j[r], k, row_nnz, count)
 
 
-def _dense_jacobi(g: LieAlgebra) -> float:
-    """Jacobi residual as the homomorphism defect ad([e_i, e_j]) - [ad e_i, ad e_j].
+@functools.cache
+def _pair_positions(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions i*dim + j and j*dim + i of the pairs i < j of a (dim, dim) array, sorted by j, then i.
 
-    That defect is the cyclic sum J(i, j, k) read at e_k, taken one index i
-    at a time: O(dim^3) memory.  It is antisymmetric in (i, j) and zero at
-    i = j, so only j > i is formed.
+    The first k(k - 1)/2 of them are the pairs i < j < k.
     """
-    n = g.dim
-    ads = g.ad_basis
-    flat = ads.reshape(n, n * n)  # one copy of the transposed stack, for every i
+    back = np.flatnonzero(np.tri(dim, dim, -1, dtype=bool))
+    fwd = back % dim * dim + back // dim
+    fwd.flags.writeable = back.flags.writeable = False
+    return fwd, back
+
+
+def _dense_jacobi(g: LieAlgebra) -> float:
+    """Jacobi residual with each triple i < j < k formed once, one largest index k at a time.
+
+    For each k, one matrix product gives [[e_i, e_j], e_k] from the rows
+    [e_i, e_j], i < j < k, and another [[e_k, e_a], e_b] for all a, b < k,
+    written at a fixed row stride, so that the other two terms of each
+    triple sit at fixed flat positions.  That is dim^5/2 multiply-adds in
+    all and a working set of about 2.5 dim^3 doubles.
+    """
+    n, c = g.dim, g.tensor
+    fwd, back = _pair_positions(n)
+    by_first = c.reshape(n, n * n)
+    rows = c.reshape(n * n, n)[fwd]  # [e_i, e_j] for i < j, sorted by j
+    out = np.empty((n, n, n))
+    flat = out.reshape(n * n, n)
     res = 0.0
-    for i in range(n):
-        rest = ads[i + 1:]
-        lhs = (g.tensor[i, i + 1:] @ flat).reshape(n - i - 1, n, n)  # ad([e_i, e_j]) for every j > i
-        defect = lhs - (ads[i] @ rest - rest @ ads[i])
-        res = max(res, operator_residual(defect))
+    for k in range(2, n):
+        m = k * (k - 1) // 2
+        jac = rows[:m] @ c[:, k]
+        np.matmul(c[k, :k], by_first[:, : k * n], out=out[:k, :k].reshape(k, k * n))
+        jac += flat[fwd[:m]]  # [[e_k, e_i], e_j]
+        jac -= flat[back[:m]]  # [[e_k, e_j], e_i] = -[[e_j, e_k], e_i]
+        res = max(res, operator_residual(jac))
     return res
 
 
@@ -345,13 +371,13 @@ def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
     return stack[stack.any(axis=1)]
 
 
-def _row_span(g: LieAlgebra, prods: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal row basis of the span of the rows of ``prods``, a stack of brackets.
+def _row_span(g: LieAlgebra, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal row basis of the span of ``rows``, the nonzero rows of a stack of brackets.
 
     Singular values count as rank above ``tol.rank * g.max_structure_constant``
     (see the module docstring).
     """
-    _, svals, vt = np.linalg.svd(_nonzero_rows(prods), full_matrices=False)
+    _, svals, vt = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
     return vt[:rank]
 
@@ -360,7 +386,7 @@ def _bracket_span(g: LieAlgebra, a: np.ndarray, b: np.ndarray, tol: Tolerance) -
     """Orthonormal row basis of [span(a), span(b)] for row-basis matrices a, b."""
     dim = g.dim
     left = (a @ g.tensor.reshape(dim, dim * dim)).reshape(a.shape[0], dim, dim)  # [a_r, e_j]
-    return _row_span(g, (b @ left).reshape(a.shape[0] * b.shape[0], dim), tol)  # [a_r, b_s]
+    return _row_span(g, _nonzero_rows((b @ left).reshape(a.shape[0] * b.shape[0], dim)), tol)  # [a_r, b_s]
 
 
 def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
@@ -379,8 +405,11 @@ def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
 def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Series-based structural predicates with an explicit numerical rank policy."""
     dim = g.dim
-    derived = _row_span(g, g.tensor.reshape(dim * dim, dim), tol)  # [e_i, e_j]
-    step = _series_length(g, derived, lambda t: _row_span(g, (t @ g.tensor).reshape(dim * t.shape[0], dim), tol))
+    i, j = g.bracket_pairs  # the nonzero rows of the (dim^2, dim) stack [e_a, e_b] are these pairs and their mirrors
+    derived = _row_span(g, g.tensor.reshape(dim * dim, dim)[np.sort(np.concatenate((i * dim + j, j * dim + i)))], tol)
+    step = _series_length(
+        g, derived, lambda t: _row_span(g, _nonzero_rows((t @ g.tensor).reshape(dim * t.shape[0], dim)), tol)
+    )
     derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
 
     # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix, under the cut of _row_span

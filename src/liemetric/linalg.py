@@ -184,7 +184,7 @@ def operator_residual(a) -> float:
     arr = np.asarray(a, dtype=float)
     if arr.size == 0:
         return 0.0
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
 class SymmetricForm:

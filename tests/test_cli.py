@@ -154,6 +154,17 @@ def test_report_directory_batch(tmp_path, capsys):
     assert [r["file"] for r in reports] == ["a_h1.json", "b_ab.json"]
 
 
+def test_report_directory_into_itself_skips_its_own_output(tmp_path):
+    write_catalog(tmp_path, "heisenberg", "a_h1.json", n=1)
+    write_catalog(tmp_path, "abelian", "b_ab.json", p=0, q=2)
+    out = tmp_path / "all.json"
+    assert run(["report", tmp_path, "--out", out]) == EXIT_OK
+    first = out.read_bytes()
+    assert run(["report", tmp_path, "--out", out]) == EXIT_OK  # the second run must not read all.json
+    assert out.read_bytes() == first
+    assert [r["file"] for r in json.loads(first)] == ["a_h1.json", "b_ab.json"]
+
+
 def test_report_directory_keeps_going_past_a_bad_file(tmp_path, capsys):
     doc = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": float("nan")}}], "metric": np.eye(2).tolist()}
     (tmp_path / "a_nan.json").write_text(json.dumps(doc), encoding="utf-8")

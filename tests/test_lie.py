@@ -517,23 +517,95 @@ def test_structure_report_factors_only_nonzero_rows(monkeypatch, name, params, m
     assert max(a.shape[0] for a in operands) <= most_rows
 
 
-def _tensordot_jacobi(g: LieAlgebra) -> float:
-    """The dense kernel with one tensordot of the transposed ad stack per index i."""
-    ads, res = g.ad_basis, 0.0
-    for i in range(g.dim):
+def _loop_jacobi(g: LieAlgebra) -> float:
+    """Reference: the homomorphism defect ad([e_i, e_j]) - [ad e_i, ad e_j] for j > i, one index i at a time."""
+    n = g.dim
+    ads = g.ad_basis
+    flat = ads.reshape(n, n * n)
+    res = 0.0
+    for i in range(n):
         rest = ads[i + 1:]
-        lhs = np.tensordot(g.tensor[i, i + 1:], ads, axes=(1, 0))
+        lhs = (g.tensor[i, i + 1:] @ flat).reshape(n - i - 1, n, n)  # ad([e_i, e_j]) for every j > i
         res = max(res, operator_residual(lhs - (ads[i] @ rest - rest @ ads[i])))
     return res
 
 
-def test_dense_jacobi_matches_tensordot_loop():
+def _dense_kernel_cases():
+    """Random-basis Lie algebras, non-Lie antisymmetric tensors, catalog entries in their own and a random basis."""
+    rng = np.random.default_rng(77)
+    for dim in list(range(1, 21)) + [48, 48, 65, 65]:
+        yield _in_random_basis(random_lie_algebra(rng, dim), rng)
+    for dim in range(3, 13):
+        c = rng.normal(size=(dim, dim, dim))
+        yield LieAlgebra.from_tensor(c - c.transpose(1, 0, 2))
+    for name, params in CATALOG_CASES + [("sl_killing", {"n": 7})]:
+        m = catalog(name, **params)
+        yield m.algebra
+        yield change_basis(m, random_invertible(rng, m.dim)).algebra
+
+
+def test_dense_jacobi_matches_the_per_index_loop():
     from liemetric import lie
 
-    rng = np.random.default_rng(77)
-    for dim in range(2, 21):
-        g = _in_random_basis(random_lie_algebra(rng, dim), rng)
-        assert lie._dense_jacobi(g) == _tensordot_jacobi(g), dim
+    # the kernels sum each component in another order; their residuals agree to a few ulps of the terms' scale
+    non_lie = 0
+    for g in _dense_kernel_cases():
+        new, ref = lie._dense_jacobi(g), _loop_jacobi(g)
+        assert abs(new - ref) <= 4 * np.finfo(float).eps * max(ref, g.max_structure_constant ** 2), g
+        passes = [DEFAULT_TOL.passes(r, "jacobi", (g.exponent, 0)) for r in (new, ref)]
+        assert passes[0] == passes[1], g
+        non_lie += not passes[0]
+    assert non_lie == 10
+
+
+def test_dense_jacobi_working_set_at_dim_64():
+    import tracemalloc
+
+    from liemetric import lie
+
+    c = np.random.default_rng(64).normal(size=(64, 64, 64))
+    g = LieAlgebra.from_tensor(c - c.transpose(1, 0, 2))
+    lie._dense_jacobi(g)  # the pair positions of dim 64 are cached after the first call
+    tracemalloc.start()
+    try:
+        res = lie._dense_jacobi(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res > 1.0
+    assert peak < 3 * 64 ** 3 * 8  # a dim^4 array would be 64 times that
+
+
+def _bracket_free_algebras():
+    """Algebras whose every product C[a, b, m] C[m, k, l] is zero: abelian bases and two-step nilpotent ones."""
+    from liemetric import classify, constructions
+
+    from sampling import random_abelian_extension_spec
+
+    rng = np.random.default_rng(171)
+    for p, q in ((0, 1), (1, 2), (3, 3)):
+        yield catalog("abelian", p=p, q=q).algebra
+    for n in range(1, 33):
+        yield catalog("heisenberg", n=n).algebra
+    for dim in (1, 2, 4, 6):
+        spec = random_abelian_extension_spec(rng, dim)
+        yield spec.base.algebra
+        decomposed = classify.decompose_double_extension(constructions.double_extension(spec))
+        assert not len(decomposed.spec.base.algebra.bracket_pairs[0])
+        yield decomposed.spec.base.algebra
+
+
+def test_validate_jacobi_runs_no_kernel_without_products(monkeypatch):
+    from liemetric import lie
+
+    def fail(*args):
+        raise AssertionError("a Jacobi kernel ran")
+
+    algebras = list(_bracket_free_algebras())
+    monkeypatch.setattr(lie, "_dense_jacobi", fail)
+    monkeypatch.setattr(lie, "_sparse_jacobi", fail)
+    for g in algebras:
+        assert validate_jacobi(g) == 0.0, g
 
 
 def _complete(upper: np.ndarray) -> np.ndarray:
