@@ -91,7 +91,7 @@ def classify_ricci(m: MetricLieAlgebra) -> RicciClassification:
     shifted = op - lam * np.eye(d)
     einstein_res = operator_residual(shifted)
     mu_sq = -float(np.trace(shifted @ shifted)) / d if d else 0.0
-    mu = float(np.sqrt(max(mu_sq, 0.0)))
+    mu = float(np.sqrt(mu_sq)) if mu_sq > 0.0 else 0.0  # 0.0, not -0.0, when mu_sq is -0.0
     einstein = tol.passes(einstein_res, "Ric", exps)
     complex_pair = not einstein and not tol.passes((mu / einstein_res) ** 2, "unit_free", (0, 0))
     type_i_res = operator_residual(shifted @ shifted + mu_sq * np.eye(d)) if complex_pair else None

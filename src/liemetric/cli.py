@@ -25,10 +25,14 @@ class in :mod:`liemetric.errors`: 2 parse/validation failure (also an input
 file that cannot be read and an ``--out`` that cannot be written), 3
 mathematical precondition failure, 4 verification failure (a certified
 invariant of a constructed object did not hold).  ``report <dir>`` reports
-every ``*.json`` file in name order, except the file ``--out`` names; a file
-that fails gives a ``{"file", "error", "exit_code"}`` record in its place, and
-the command exits with the largest code met.  Every output goes through one writer, which turns numpy arrays and
-scalars into JSON lists and numbers.
+every ``*.json`` file in name order, except the file ``--out`` names and the
+``*.sidecar.json`` files the construction commands write (a report saved under
+another name is read as an algebra file and fails); a file that fails gives a
+``{"file", "error", "exit_code"}`` record in its place, and the command exits
+with the largest code met.  It holds encoded text, not report objects: each
+file's record is encoded as soon as it is built, and the parts are written in
+order once every file is done.  Every output goes through one encoder, which
+turns numpy arrays and scalars into JSON lists and numbers, and one writer.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ EXIT_OK = 0
 EXIT_PARSE = ParseError.exit_code
 EXIT_PRECONDITION = LieMetricError.exit_code
 EXIT_VERIFY = VerificationError.exit_code
+SIDECAR_SUFFIX = ".sidecar.json"
 
 
 def _error_text(exc: LieMetricError) -> str:
@@ -70,26 +75,31 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False, default=_numpy_to_json) + "\n"
+# stateless between calls, so one encoder serves every output
+_ENCODER = json.JSONEncoder(indent=2, allow_nan=False, default=_numpy_to_json)
 
 
-def _emit(obj, out: str | None):
-    text = _dump(obj)
+def _write(parts: list[str], out: str | None):
+    """Write the text parts, in order, to the file ``out`` or to stdout."""
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                f.writelines(parts)
         except OSError as exc:
             raise ParseError(f"cannot write {out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
+
+
+def _emit(obj, out: str | None):
+    _write([_ENCODER.encode(obj), "\n"], out)
 
 
 def _emit_with_sidecar(m: MetricLieAlgebra, sidecar: dict, out: str | None):
     """Write the algebra file and ``<out>.sidecar.json``, or print both as one object."""
     if out:
         _emit(algebra_to_dict(m), out)
-        _emit(sidecar, out + ".sidecar.json")
+        _emit(sidecar, out + SIDECAR_SUFFIX)
     else:
         _emit({"algebra": algebra_to_dict(m), "sidecar": sidecar}, None)
 
@@ -345,19 +355,24 @@ def _cmd_validate(args, tol: Tolerance) -> int:
 def _cmd_report(args, tol: Tolerance) -> int:
     path = Path(args.path)
     if path.is_dir():
-        records, code = [], EXIT_OK
+        # json's indent=2 list, one record at a time: a record encoded at the top level is indented
+        # one step by indenting each of its lines, since a JSON string holds no raw newline
+        parts, code = [], EXIT_OK
         out = Path(args.out).resolve() if args.out else None
         skip = out.name if out is not None and out.parent == path.resolve() else None
         for child in sorted(path.glob("*.json")):
-            if child.name == skip:  # the report an earlier run wrote into this directory
+            if child.name == skip or child.name.endswith(SIDECAR_SUFFIX):  # outputs, not algebra files
                 continue
             try:
-                records.append({"file": child.name, "report": build_report(load_algebra_file(child, tol))})
+                record = {"file": child.name, "report": build_report(load_algebra_file(child, tol))}
             except LieMetricError as exc:
                 print(f"error: {_error_text(exc)}", file=sys.stderr)
-                records.append({"file": child.name, "error": _error_text(exc), "exit_code": exc.exit_code})
+                record = {"file": child.name, "error": _error_text(exc), "exit_code": exc.exit_code}
                 code = max(code, exc.exit_code)
-        _emit(records, args.out)
+            parts += (",\n  " if parts else "[\n  "), _ENCODER.encode(record).replace("\n", "\n  ")
+            del record  # only encoded text outlives its file, never a report object
+        parts.append("\n]\n" if parts else "[]\n")
+        _write(parts, args.out)
         return code
     m = load_algebra_file(path, tol)
     report = build_report(m)

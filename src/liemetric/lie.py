@@ -29,7 +29,7 @@ rounding noise, and a cut relative to that noise would count it as rank.
 The center, the null space of x -> ad(x), takes the same cut.
 Every rank is taken over the rows of its stack that are not all zero; in
 a sparse basis most of the dim^2 rows of a bracket stack are zero.  Those of
-[g, g] are the pair index's rows and their mirrors, in the stack's
+[g, g] and of the center are read off the pair index, in the stack's
 row-major order; those of the later stacks are found by a scan.  An
 exactly zero row adds nothing to A^T A, so the singular values are those
 of the full stack and the cut keeps the same ones.
@@ -371,6 +371,19 @@ def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
     return stack[stack.any(axis=1)]
 
 
+def _center_rows(g: LieAlgebra) -> np.ndarray:
+    """The nonzero rows C[:, b, k] of the center's (dim^2, dim) stack, in its row-major order of (b, k).
+
+    They come from the pair index: a nonzero C[i, j, k], i < j, makes rows
+    (j, k) and (i, k) nonzero (C[j, i, k] = -C[i, j, k]), and no other row is.
+    """
+    i, j = g.bracket_pairs
+    r, k = np.nonzero(g.tensor[i, j])
+    rows = np.zeros((g.dim, g.dim), bool)
+    rows[j[r], k] = rows[i[r], k] = True
+    return g.tensor.transpose(1, 2, 0)[rows]
+
+
 def _row_span(g: LieAlgebra, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal row basis of the span of ``rows``, the nonzero rows of a stack of brackets.
 
@@ -413,7 +426,7 @@ def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureRe
     derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
 
     # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix, under the cut of _row_span
-    svals = np.linalg.svd(_nonzero_rows(g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim)), compute_uv=False)
+    svals = np.linalg.svd(_center_rows(g), compute_uv=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
 
     tau = trace_functional(g)

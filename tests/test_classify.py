@@ -47,6 +47,13 @@ def test_abelian_is_einstein_zero():
     assert cls.constant == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("name, params", [("abelian", {"p": 0, "q": 3}), ("sl_killing", {"n": 3})])
+def test_mu_is_never_negative_zero(name, params):
+    # an Einstein operator can give mu^2 = -0.0, whose square root is -0.0
+    mu = classify_ricci(catalog(name, **params)).residuals["mu"]
+    assert mu == 0.0 and np.copysign(1.0, mu) == 1.0
+
+
 def test_double_extension_is_type_ii(solvable_demo):
     cls = classify_ricci(solvable_demo)
     assert cls.tag == "type_II"

@@ -178,6 +178,63 @@ def test_report_directory_keeps_going_past_a_bad_file(tmp_path, capsys):
     assert records[1]["report"]["structure"]["is_nilpotent"]
 
 
+def test_report_directory_skips_construction_sidecars(tmp_path):
+    base = write_catalog(tmp_path, "abelian", "base.json", p=0, q=2)
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"D": [[1.0, 0.0], [0.0, 1.0]]}), encoding="utf-8")
+    sc = tmp_path / "sc"
+    sc.mkdir()
+    assert run(["double-extend", base, ext, "--out", sc / "ext.json"]) == EXIT_OK
+    assert run(["decompose", sc / "ext.json", "--out", sc / "base.json"]) == EXIT_OK
+    assert sorted(p.name for p in sc.iterdir()) == ["base.json", "base.json.sidecar.json",
+                                                    "ext.json", "ext.json.sidecar.json"]
+    out = tmp_path / "all.json"
+    assert run(["report", sc, "--out", out]) == EXIT_OK
+    assert [r["file"] for r in json.loads(out.read_text(encoding="utf-8"))] == ["base.json", "ext.json"]
+
+
+def test_report_empty_directory(tmp_path, capsys):
+    empty, out = tmp_path / "empty", tmp_path / "all.json"
+    empty.mkdir()
+    assert run(["report", empty, "--out", out]) == EXIT_OK
+    assert out.read_bytes() == b"[]\n"
+    assert run(["report", empty]) == EXIT_OK
+    assert capsys.readouterr().out == "[]\n"
+
+
+def _report_batch_peak(directory, out) -> int:
+    tracemalloc.start()
+    try:
+        assert run(["report", directory, "--out", out]) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_directory_memory_grows_with_the_output_not_the_reports(tmp_path):
+    # directory mode keeps each file's record as encoded text only: the traced peak may grow by
+    # less than 4 bytes per added output byte (keeping every report and encoding them at once: 9)
+    rng = np.random.default_rng(18)
+    small, large = tmp_path / "small", tmp_path / "large"
+    small.mkdir()
+    large.mkdir()
+    for k in range(40):
+        dim = 3 + k % 10
+        p = int(rng.integers(0, dim + 1))
+        m = random_metric_lie_algebra(rng, dim, sig=(p, dim - p))
+        text = json.dumps(algebra_to_dict(m))
+        (small / f"{k:03d}.json").write_text(text, encoding="utf-8")
+        for copy in range(8):
+            (large / f"{copy}_{k:03d}.json").write_text(text, encoding="utf-8")
+    small_out, large_out = tmp_path / "small.out.json", tmp_path / "large.out.json"
+    assert run(["report", small, "--out", small_out]) == EXIT_OK  # fills the per-process caches
+    small_peak = _report_batch_peak(small, small_out)
+    large_peak = _report_batch_peak(large, large_out)
+    added = large_out.stat().st_size - small_out.stat().st_size
+    assert added > 7 * small_out.stat().st_size
+    assert large_peak - small_peak < 4 * added
+
+
 def test_size_bounds_reject_before_allocating(tmp_path, capsys):
     assert run(["catalog", "heisenberg", "--params", json.dumps({"n": 10 ** 40})]) == EXIT_PRECONDITION
     assert "BadParamsError" in capsys.readouterr().err

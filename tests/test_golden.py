@@ -34,8 +34,8 @@ GOLDEN = {
     "decompose/out": "067199190829edb8b71f1391adf0b2aac1d8cb68652b11f613c66abb7789b82c",
     "decompose/out.sidecar": "c00ca729162a4339711a9d205ec0efbe7d4a428082cb09e63b08e7ad21cd40c3",
     "decompose/stdout": "8dc672fe3e098def99661161b95e407464859eafc10d27e8fd59a97a8291c538",
-    "report/sl_killing3": "4ec168420780709c4ce2f57dd3454992facc103ced911e33145e5f2dea912a3f",
-    "report/directory": "f1d243536bf76247bd34a0a05fcda590f59a12a54ca9feddaed127bbdcc5ea74",
+    "report/sl_killing3": "e0c2266935854fd848f57c768657b54f0b0e4660c907a593aad9203e5844de41",
+    "report/directory": "caf67203725e82e93d7819a7ce1441a3d5fddb0e6343688dfa0a2904b57785d6",
 }
 
 CATALOG_CASES = {

@@ -18,6 +18,7 @@ from liemetric import (
     validate_jacobi,
 )
 from liemetric.errors import DimensionMismatchError, JacobiError
+from liemetric.lie import _center_rows, _nonzero_rows
 from liemetric.linalg import DEFAULT_TOL
 from sampling import random_invertible, random_lie_algebra
 
@@ -495,6 +496,24 @@ def test_structure_report_matches_dense_rows():
         assert structure_report(g) == _dense_rows_report(g), g
         count += 1
     assert count > 150
+
+
+def test_center_rows_match_the_scanned_stack():
+    # the rows read off the pair index are the scanned nonzero rows, bit for bit and in order,
+    # so the center's SVD operand is the one the scan gave
+    rng = np.random.default_rng(18)
+    algebras = []
+    for name, params in CATALOG_CASES + [("sl_killing", {"n": 7}), ("einstein_solvable", {"n": 23})]:
+        g = catalog(name, **params).algebra
+        algebras += [g, _in_random_basis(g, rng)]
+    for dim in list(range(13)) + [48]:
+        g = random_lie_algebra(rng, dim)
+        algebras += [g, _in_random_basis(g, rng)] if dim else [g]
+    for g in algebras:
+        rows = _center_rows(g)
+        scanned = _nonzero_rows(g.tensor.transpose(1, 2, 0).reshape(g.dim ** 2, g.dim))
+        assert rows.shape == scanned.shape and rows.tobytes() == scanned.tobytes(), g
+        assert rows.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name, params, most_rows", [
