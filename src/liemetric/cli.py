@@ -9,13 +9,15 @@ Algebra files are UTF-8 JSON:
       "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     }
 
-``dim`` may be at most :data:`liemetric.lie.MAX_DIM`.  Every number given (in
-these files, in extension data and after ``--type1``) must pass the rule of
+``dim`` may be at most :data:`liemetric.lie.MAX_DIM` and ``basis_names`` must
+list ``dim`` strings.  A field the format does not name (in the file, a bracket
+record or extension data) exits 2 naming it.  Every number given (in these
+files, in extension data and after ``--type1``) must pass the rule of
 :func:`liemetric.linalg._is_real`: a list, object, string, boolean, NaN or one
 beyond :data:`liemetric.linalg.MAX_ABS` in its place exits 2 naming its index.
-They are checked in bulk, and searched one by one only to name the bad one.
-An object that names a key twice exits 2 (``json`` keeps the last value).
-Every bracket record is checked before the dim^3 tensor is allocated.
+The bracket records pass one bulk check that says only yes or no, and are
+walked one by one only to name the first bad one, before the dim^3 tensor is
+allocated.  An object that names a key twice exits 2 (``json`` keeps the last).
 ``--tol-abs`` and ``--tol-rel`` hold at unit brackets and unit metric (see
 :data:`liemetric.linalg.DEGREES`), ``--tol-rank`` is relative to the size of
 what it cuts, and a loaded file's metric algebra keeps these for every verdict.
@@ -134,11 +136,28 @@ def _read_object(path) -> dict:
     return doc
 
 
-def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError:
-    """The ParseError of a record known to hold a bad coefficient.
+def _unknown_field(obj: dict, fields: tuple) -> str | None:
+    """The message naming the first key of ``obj`` outside ``fields``, or None."""
+    return next((f"unknown field {key!r}" for key in obj if key not in fields), None)
 
-    That is its first bad key, else a repeated index, else the value of its lowest bad index.
-    """
+
+def _field_problem(rec, dim: int, seen) -> str | None:
+    """The message for a bracket record's bad 'i', 'j' or 'coeffs' field, a pair in ``seen`` or an unknown field."""
+    if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
+        return "each record needs integer fields 'i' and 'j'"
+    if not (type(i := rec["i"]) is int and type(j := rec["j"]) is int):  # JSON integers parse to int, true to bool
+        return "'i' and 'j' must be integers"
+    if not 0 <= i < j < dim:
+        return f"need 0 <= i < j < dim, got i={i}, j={j}"
+    if (i, j) in seen:
+        return f"duplicate bracket pair ({i}, {j})"
+    if not isinstance(rec.get("coeffs", {}), dict):
+        return "'coeffs' must be an object from index to value"
+    return None if len(rec) == 2 + ("coeffs" in rec) else _unknown_field(rec, ("i", "j", "coeffs"))
+
+
+def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError | None:
+    """The ParseError of a bracket record's first bad key, else a repeated index, else its lowest bad value; or None."""
     where, coeffs, ks = f"{path}: brackets[{rec_no}]", rec.get("coeffs", {}), []
     for key in coeffs:
         try:
@@ -150,68 +169,44 @@ def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError:
         ks.append(k)
     if len(set(ks)) < len(ks):
         return ParseError(f"{where}: two coefficient keys name the same index")
-    k, val = min((k, val) for k, val in zip(ks, coeffs.values()) if not _is_real(val))
-    return _not_real(f"{path}: [e_{rec['i']}, e_{rec['j']}] coefficient", k, val)
+    bad = min(((k, val) for k, val in zip(ks, coeffs.values()) if not _is_real(val)), default=None)
+    return None if bad is None else _not_real(f"{path}: [e_{rec['i']}, e_{rec['j']}] coefficient", *bad)
+
+
+def _first_bad_record(path, brackets: list, dim: int) -> ParseError:
+    """The ParseError of the first bracket record with a bad field or coefficient."""
+    seen = set()
+    for rec_no, rec in enumerate(brackets):
+        if problem := _field_problem(rec, dim, seen):
+            return ParseError(f"{path}: brackets[{rec_no}]: {problem}")
+        if error := _coefficient_error(path, rec_no, rec, dim):
+            return error
+        seen.add((rec["i"], rec["j"]))
+    raise AssertionError(f"{path}: the bulk check rejected bracket records that each pass")
 
 
 def _bracket_rows(path, brackets: list, dim: int):
     """Pair index arrays (i, j) and the (records, dim) rows of coefficients the bracket records give.
 
-    The records are checked in order and the first bad one raises its
-    ParseError: its 'i', 'j' and 'coeffs' fields first, then its first bad
-    key, a repeated index, and the value of its lowest bad index.  The fields
-    are checked one record at a time, the coefficients of all the records
-    before the first bad field at once: keys by ``map(int, ...)`` and array
-    masks, values by :func:`liemetric.linalg._plain_reals`.
+    The bulk check says only yes or no: each record's fields by :func:`_field_problem`, then all keys by one
+    ``map(int, ...)``, all values by :func:`liemetric.linalg._plain_reals`, one range test and one test of the
+    sorted (record, index) codes.  On a no, :func:`_first_bad_record` names the first bad record.
     """
-    seen, problem = {}, None
-    for rec in brackets:  # JSON integers parse to int, true and false to bool
-        if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
-            problem = "each record needs integer fields 'i' and 'j'"
-        elif not (type(i := rec["i"]) is int and type(j := rec["j"]) is int):
-            problem = "'i' and 'j' must be integers"
-        elif not 0 <= i < j < dim:
-            problem = f"need 0 <= i < j < dim, got i={i}, j={j}"
-        elif (i, j) in seen:
-            problem = f"duplicate bracket pair ({i}, {j})"
-        elif not isinstance(coeffs := rec.get("coeffs", {}), dict):
-            problem = "'coeffs' must be an object from index to value"
-        else:
-            seen[i, j] = coeffs
-            continue
-        break
+    seen = {}
+    for rec in brackets:
+        if _field_problem(rec, dim, seen):
+            raise _first_bad_record(path, brackets, dim)
+        seen[rec["i"], rec["j"]] = rec.get("coeffs", {})
     maps = list(seen.values())
-    counts = list(map(len, maps))
-    keys = list(chain.from_iterable(maps))
-    rest = iter(keys)
     try:
-        ks = list(map(int, rest))
-        checked = len(maps)
-    except ValueError:  # rest holds the keys after the first one that is not an integer
-        checked = int(np.searchsorted(np.cumsum(counts), len(keys) - len(list(rest)) - 1, side="right"))
-        ks = list(map(int, keys[:sum(counts[:checked])]))
-    try:
-        k = np.array(ks, dtype=np.intp)
-    except OverflowError:  # beyond the index type, so out of range: clipped to just outside it
-        k = np.array(ks, dtype=object).clip(-1, dim).astype(np.intp)
-    vals = list(chain.from_iterable(map(dict.values, maps[:checked])))
-    v = _plain_reals(vals)
-    recs = np.repeat(np.arange(checked), counts[:checked])
-    wrapped = k % dim  # an out-of-range key can only repeat an index of its own record
-    bad = wrapped != k
-    if v is None:
-        bad |= ~np.fromiter(map(_is_real, vals), bool, len(vals))
-    code = np.sort(recs * dim + wrapped)
-    repeated = code[1:] == code[:-1]
-    if checked < len(maps) or bad.any() or repeated.any():
-        flagged = np.zeros(checked + 1, bool)  # a bad key or value, or a repeated index; and the record at checked
-        flagged[recs[bad]] = True
-        flagged[code[1:][repeated] // dim] = True
-        flagged[checked] = True
-        first = int(flagged.argmax())
-        raise _coefficient_error(path, first, brackets[first], dim)
-    if problem:
-        raise ParseError(f"{path}: brackets[{len(maps)}]: {problem}")
+        k = np.array(list(map(int, chain.from_iterable(maps))), dtype=np.intp)
+    except (ValueError, OverflowError):  # a key that is not an integer, or one beyond the index type
+        raise _first_bad_record(path, brackets, dim) from None
+    v = _plain_reals(list(chain.from_iterable(map(dict.values, maps))))
+    recs = np.repeat(np.arange(len(maps)), list(map(len, maps)))
+    code = np.sort(recs * dim + k)  # (record, index) codes, equal neighbours for a repeated index
+    if v is None or k.min(initial=0) < 0 or k.max(initial=0) >= dim or (code[1:] == code[:-1]).any():
+        raise _first_bad_record(path, brackets, dim)
     rows = np.zeros((len(maps), dim))
     rows[recs, k] = v
     i, j = np.array(list(seen), dtype=np.intp).reshape(len(seen), 2).T
@@ -222,6 +217,8 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
     doc = _read_object(path)
     if not _is_integer(doc.get("dim")) or not 1 <= doc["dim"] <= MAX_DIM:
         raise ParseError(f"{path}: field 'dim' must be an integer from 1 to {MAX_DIM}")
+    if problem := _unknown_field(doc, ("dim", "basis_names", "brackets", "metric")):
+        raise ParseError(f"{path}: {problem}")
     dim = doc["dim"]
 
     brackets = doc.get("brackets", [])
@@ -233,8 +230,9 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
     if metric is None:
         raise ParseError(f"{path}: field 'metric' is required")
     names = doc.get("basis_names")
-    if names is not None and (not isinstance(names, list) or len(names) != dim):
-        raise ParseError(f"{path}: basis_names must list {dim} labels")
+    if names is not None and not (isinstance(names, list) and len(names) == dim
+                                  and all(isinstance(name, str) for name in names)):
+        raise ParseError(f"{path}: basis_names must list {dim} strings")
 
     try:
         gram = as_matrix(metric, dim=dim, name="field 'metric'")
@@ -393,9 +391,10 @@ def _cmd_report(args, tol: Tolerance) -> int:
 def _cmd_double_extend(args, tol: Tolerance) -> int:
     base = load_algebra_file(args.base, tol)
     doc, n = _read_object(args.ext), base.dim
+    if problem := _unknown_field(doc, ("D", "K", "L")):
+        raise ParseError(f"{args.ext}: {problem}")
     try:
-        spec = DoubleExtensionSpec(base=base, D=doc.get("D", np.zeros((n, n))), K=doc.get("K", np.zeros((n, n))),
-                                   L=doc.get("L", np.zeros(n)))
+        spec = DoubleExtensionSpec(base=base, **{"D": np.zeros((n, n)), "K": np.zeros((n, n)), "L": np.zeros(n), **doc})
     except LieMetricError as exc:
         raise ParseError(f"{args.ext}: {exc}") from exc
     ext = double_extension(spec)

@@ -1,12 +1,13 @@
 import inspect
 import json
+import random
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from liemetric import LieAlgebra, catalog, change_basis, constructions, errors, linalg, ricci_structural
+from liemetric import LieAlgebra, catalog, change_basis, cli, constructions, errors, linalg, ricci_structural
 from liemetric.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, load_algebra_file,
                            main)
 from sampling import random_invertible, random_metric_lie_algebra
@@ -580,12 +581,105 @@ def test_strings_and_booleans_are_not_numbers(tmp_path, capsys):
     ([{"i": 0, "j": 1, "coeffs": {"2": 1.0}}, {"i": 0, "j": 2, "coeffs": {"": 1.0}},
       {"i": 1, "j": 2, "coeffs": {"3": 1}}],
      "brackets[1]: coefficient index '' is not an integer"),
+    ([{"i": 0, "j": 1, "coef": {"2": 1.0}}], "brackets[0]: unknown field 'coef'"),
+    ([{"i": 0, "j": 1, "coeffs": {"x": 1.0}, "k": 2}], "brackets[0]: unknown field 'k'"),
+    ([{"i": 0, "j": 1, "coeffs": {"2": 1.0}}, {"i": 0, "j": 2, "coef": {}}], "brackets[1]: unknown field 'coef'"),
+    ([{"i": 0, "j": 1, "coeffs": {"3": 1.0}}, {"i": 0, "j": 2, "coef": {}}],
+     "brackets[0]: coefficient index 3 out of range"),
 ])
 def test_bracket_record_messages(tmp_path, capsys, brackets, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 3, "brackets": brackets, "metric": np.eye(3).tolist()}), encoding="utf-8")
     assert run(["validate", path]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: ParseError: {path}: {message}\n"
+
+
+def test_unknown_fields_are_parse_errors(tmp_path, capsys):
+    # a misspelt field would otherwise load the algebra as abelian, or build a zero D
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"dim": 3, "brackets_": [{"i": 0, "j": 1, "coeffs": {"2": 1.0}}],
+                                "metric": np.eye(3).tolist()}), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: ParseError: {path}: unknown field 'brackets_'\n"
+    base, ext = _double_extend_inputs(tmp_path)
+    ext.write_text(json.dumps({"L": [1.0, 0.0, 0.0], "d": np.eye(3).tolist()}), encoding="utf-8")
+    assert run(["double-extend", base, ext]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: ParseError: {ext}: unknown field 'd'\n"
+
+
+@pytest.mark.parametrize("names", [[{"x": 1}, None], ["x"], ["x", 2], "xy", {"0": "x", "1": "y"}])
+def test_basis_names_must_be_dim_strings(tmp_path, capsys, names):
+    # a name that is not a string used to be written back as its str(), "{'x': 1}" or "None"
+    path = tmp_path / "a.json"
+    doc = {"dim": 2, "basis_names": ["x", "y"], "brackets": [{"i": 0, "j": 1, "coeffs": {"1": 1.0}}],
+           "metric": np.eye(2).tolist()}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_algebra_file(path, linalg.Tolerance()).algebra.basis_names == ("x", "y")
+    path.write_text(json.dumps({**doc, "basis_names": names}), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: ParseError: {path}: basis_names must list 2 strings\n"
+
+
+_JUNK = [True, False, 1.0, "1", None, [1], {"a": 1}, -1, 7]
+
+
+def _bracket_list(r: random.Random):
+    """A dim 3-5 list of bracket records, each field, key or value now and then replaced by junk."""
+    dim = r.randint(3, 5)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    records = []
+    for i, j in r.sample(pairs, r.randint(0, len(pairs))):
+        coeffs = {}
+        for _ in range(r.randint(0, dim)):
+            key = str(r.randrange(dim)) if r.random() < 0.96 else r.choice(["01", " 1", "-1", "", "9" * 30, str(dim)])
+            coeffs[key] = (r.choice([r.uniform(-2.0, 2.0), r.randint(-3, 3), -0.0, 1e50]) if r.random() < 0.97 else
+                           r.choice([True, False, None, "1", [1.0], float("nan"), 10 ** 400, 1e60]))
+        rec, fault = {"i": i, "j": j, "coeffs": coeffs}, r.random()
+        if fault < 0.02:
+            rec[r.choice("ij")] = r.choice(_JUNK)
+        elif fault < 0.03:
+            del rec[r.choice("ij")]
+        elif fault < 0.04:
+            rec["coeffs"] = r.choice(_JUNK)
+        elif fault < 0.05:
+            rec["coef"] = rec.pop("coeffs")
+        elif fault < 0.15:
+            del rec["coeffs"]
+        records.append(rec)
+    if records and r.random() < 0.05:
+        records.append(dict(r.choice(records)))  # a repeated pair
+    if r.random() < 0.02:
+        records.insert(r.randint(0, len(records)), r.choice(_JUNK))  # not a record
+    return dim, records
+
+
+_RULES = ("each record needs integer fields", "'i' and 'j' must be integers", "need 0 <= i < j < dim",
+          "duplicate bracket pair", "'coeffs' must be an object", "unknown field", "is not an integer", "out of range",
+          "two coefficient keys name the same index", "must hold real numbers")
+
+
+def test_bulk_check_agrees_with_the_per_record_rule():
+    # the bulk check only says yes or no: on a no it must raise what the walk over the records names, and the
+    # walk must find a bad record (else an AssertionError escapes); on a yes the rows are the records' own numbers
+    r, kinds, good = random.Random(19), set(), 0
+    for _ in range(5000):
+        dim, records = _bracket_list(r)
+        try:
+            i, j, rows = cli._bracket_rows("f.json", records, dim)
+        except errors.ParseError as exc:
+            assert str(exc) == str(cli._first_bad_record("f.json", records, dim))
+            kinds.update(rule for rule in _RULES if rule in str(exc))
+            continue
+        good += 1
+        with pytest.raises(AssertionError):  # the walk finds no bad record either
+            cli._first_bad_record("f.json", records, dim)
+        assert list(zip(i.tolist(), j.tolist())) == [(rec["i"], rec["j"]) for rec in records]
+        dense = np.zeros((dim, dim, dim))
+        for rec in records:
+            for key, val in rec.get("coeffs", {}).items():
+                dense[rec["i"], rec["j"], int(key)] = val
+        assert rows.tobytes() == dense[i, j].tobytes()
+    assert 1000 < good < 4000 and kinds == set(_RULES), (good, kinds)  # both answers, and every rule names some
 
 
 def test_loader_checks_only_the_given_coefficients(tmp_path, monkeypatch):

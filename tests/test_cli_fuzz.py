@@ -58,7 +58,7 @@ def format_allows(field: str, value, dim: int) -> bool:
     if field == "metric":
         return isinstance(value, list) and len(value) == dim and all(isinstance(row, list) for row in value)
     if field == "basis_names":
-        return value is None or isinstance(value, list) and len(value) == dim
+        return value is None or isinstance(value, list) and len(value) == dim and all(isinstance(s, str) for s in value)
     return isinstance(value, dict)  # coeffs
 
 
