@@ -35,6 +35,7 @@ from .geometry import (
     connection,
     connection_matrices,
     curvature,
+    frame,
     is_ad_invariant,
     is_einstein,
     is_ricci_flat,
@@ -42,7 +43,6 @@ from .geometry import (
     nabla_ric,
     ricci,
     ricci_structural,
-    u_map,
     verify_isometry,
 )
 from .lie import (
@@ -78,7 +78,7 @@ __all__ = [
     "trace_functional", "structure_report", "direct_sum",
     # geometry
     "MetricLieAlgebra", "RicciData", "ParallelCheck", "IsometryCheck",
-    "u_map", "connection", "connection_matrices", "curvature", "ricci",
+    "frame", "connection", "connection_matrices", "curvature", "ricci",
     "ricci_structural", "nabla_ric", "is_ricci_parallel", "is_einstein",
     "is_ricci_flat", "is_ad_invariant", "verify_isometry", "change_basis",
     # classify

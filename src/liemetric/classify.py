@@ -5,7 +5,8 @@ the Ricci operator: a complex conjugate pair (type I, Ric = lambda*Id +
 mu*J for a parallel complex structure J) or a square-zero nilpotent
 (type II).  This module classifies, extracts the type-I pair
 (Einstein metric, J), builds the Lorentz type-II canonical basis, and
-peels a type-II metric back into double-extension data.
+peels a type-II metric back into double-extension data, all in the
+metric's frame (:func:`liemetric.geometry.frame`), mapped back after.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .geometry import (
     _memoised,
     change_basis,
     connection_matrices,
+    frame,
     is_einstein,
+    is_ricci_flat,
     ricci,
 )
 from .lie import LieAlgebra
@@ -70,47 +73,37 @@ class RicciClassification:
 
 @_memoised
 def classify_ricci(m: MetricLieAlgebra) -> RicciClassification:
-    """Classify by the shape of the Ricci operator's minimal polynomial.
+    """Classify by the shape of the Ricci operator's minimal polynomial, in the frame.
 
     Precedence under tolerance: Einstein beats type I beats type II beats
     other, since mu -> 0 and Ric -> 0 are boundary degenerations of the
-    non-Einstein types.  Type I is tested (and its residual reported) only
-    when Ric is not Einstein and mu is nonzero.  Both minimal polynomials
+    non-Einstein types, decided by :func:`is_einstein` and :func:`is_ricci_flat`.
+    Type I is tested (and its residual reported) only when Ric is not
+    Einstein and mu is nonzero.  Both minimal polynomials
     are tested unit-free, on the normalized operator: (Ric - lambda)^2 + mu^2
     and mu^2 on (Ric - lambda) / |Ric - lambda| (for a nilpotent Ric - lambda,
     mu^2 is rounding noise of |Ric - lambda|^2), Ric^2 on Ric / |Ric|.
     Computed once per metric algebra.
     """
     tol = m.tol
-    exps = m.exponents
-    op = ricci(m).operator
+    op = ricci(frame(m)[0]).operator
     d = m.dim
-    norm = operator_residual(op)
-
+    constant, einstein_res = is_einstein(m)
+    flat, norm = is_ricci_flat(m)
     lam = float(np.trace(op)) / d if d else 0.0
     shifted = op - lam * np.eye(d)
-    einstein_res = operator_residual(shifted)
     mu_sq = -float(np.trace(shifted @ shifted)) / d if d else 0.0
     mu = float(np.sqrt(mu_sq)) if mu_sq > 0.0 else 0.0  # 0.0, not -0.0, when mu_sq is -0.0
-    einstein = tol.passes(einstein_res, "Ric", exps)
-    complex_pair = not einstein and not tol.passes((mu / einstein_res) ** 2, "unit_free", (0, 0))
+    complex_pair = constant is None and not tol.passes((mu / einstein_res) ** 2, "unit_free", (0, 0))
     type_i_res = operator_residual(shifted @ shifted + mu_sq * np.eye(d)) if complex_pair else None
-
     type_ii_sq = operator_residual(op @ op)
-
-    residuals = {
-        "einstein": einstein_res,
-        "type_I_minpoly": type_i_res,
-        "type_II_square": type_ii_sq,
-        "operator_norm": norm,
-        "mu": mu,
-    }
-
-    if einstein:
+    residuals = {"einstein": einstein_res, "type_I_minpoly": type_i_res, "type_II_square": type_ii_sq,
+                 "operator_norm": norm, "mu": mu}
+    if constant is not None:
         return RicciClassification(tag=EINSTEIN, constant=lam, residuals=residuals)
     if complex_pair and tol.passes(type_i_res / einstein_res / einstein_res, "unit_free", (0, 0)):
         return RicciClassification(tag=TYPE_I, lam=lam, mu=mu, residuals=residuals)
-    if not tol.passes(norm, "Ric", exps) and tol.passes(type_ii_sq / norm / norm, "unit_free", (0, 0)):
+    if not flat and tol.passes(type_ii_sq / norm / norm, "unit_free", (0, 0)):
         return RicciClassification(tag=TYPE_II, residuals=residuals)
     return RicciClassification(tag=OTHER, residuals=residuals)
 
@@ -134,10 +127,10 @@ class TypeIDecomposition:
 def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
     """Extract J = (Ric - lambda Id)/mu and the Einstein companion metric.
 
-    Verifies every certified property before returning: J^2 = -Id, J is
-    symmetric and parallel for the companion metric, the companion is
-    Einstein with constant 1, and the original metric is reconstructed
-    from the pair.
+    Verifies every certified property in the frame before returning: J^2 =
+    -Id, J is symmetric and parallel for the companion metric, the companion
+    is Einstein with constant 1, and the original metric is reconstructed
+    from the pair.  J and the companion are returned in the given basis.
     """
     tol = m.tol
     cls = classify_ricci(m)
@@ -145,29 +138,28 @@ def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
         raise NotTypeIError(f"metric classifies as {cls.tag!r}, not type I")
     lam, mu = cls.lam, cls.mu
     d = m.dim
-    op = ricci(m).operator
-    j = (op - lam * np.eye(d)) / mu
-    g = m.gram
+    f, p = frame(m)
+    j = (ricci(f).operator - lam * np.eye(d)) / mu
+    g = f.gram
     gp = lam * g + mu * (g @ j)
     gp = 0.5 * (gp + gp.T)
     form = SymmetricForm(gp, tol)
-    mp = MetricLieAlgebra(m.algebra, form, tol)
+    mp = MetricLieAlgebra(f.algebra, form, tol)
+    mp._cache["frame"] = None  # judged in the frame of m, as every check here
 
-    residuals = {}
-    residuals["complex_structure"] = operator_residual(j @ j + np.eye(d))
-    residuals["symmetric"] = operator_residual(metric_adjoint(j, form) - j)
     constant, einstein_res = is_einstein(mp)
-    residuals["einstein"] = einstein_res
-    residuals["einstein_constant"] = abs(constant - 1.0) if constant is not None else np.inf
-    nm = connection_matrices(m)
-    residuals["parallel"] = operator_residual(j @ nm - nm @ j)
+    nm = connection_matrices(f)
     recon = (lam * gp - mu * (gp @ j)) / (lam ** 2 + mu ** 2)
-    residuals["reconstruction"] = operator_residual(g - recon)
+    residuals = {"complex_structure": operator_residual(j @ j + np.eye(d)),
+                 "symmetric": operator_residual(metric_adjoint(j, form) - j), "einstein": einstein_res,
+                 "einstein_constant": abs(constant - 1.0) if constant is not None else np.inf,
+                 "parallel": operator_residual(j @ nm - nm @ j), "reconstruction": operator_residual(g - recon)}
 
-    bad = {k: v for k, v in residuals.items() if not tol.passes(v, _TYPE_I_RESIDUALS[k], m.exponents)}
+    bad = {k: v for k, v in residuals.items() if not tol.passes(v, _TYPE_I_RESIDUALS[k], f.exponents)}
     if bad:
         raise VerificationError(f"type-I pair failed verification: {bad}", residuals=residuals)
-    return TypeIDecomposition(J=j, einstein_metric=form, lam=lam, mu=mu, residuals=residuals)
+    q = np.linalg.inv(p)
+    return TypeIDecomposition(p @ j @ q, SymmetricForm(q.T @ gp @ q, tol), lam, mu, residuals)
 
 
 @dataclass(frozen=True)
@@ -184,21 +176,17 @@ class TypeIICanonicalBasis:
     residuals: dict = field(default_factory=dict)
 
 
-def _expected_type_ii_gram(dim: int, sign: int) -> np.ndarray:
-    g = np.eye(dim)
-    g[0, 0] = g[1, 1] = 0.0
-    g[0, 1] = g[1, 0] = float(sign)
-    return g
-
-
-def _expected_type_ii_ric(dim: int) -> np.ndarray:
-    r = np.zeros((dim, dim))
-    r[1, 0] = 1.0
-    return r
+_TYPE_II_RESIDUALS = {"gram": "unit_free", "ricci_block": "ric", "complement_signs": "unit_free"}
 
 
 def type_II_canonical_basis(m: MetricLieAlgebra) -> TypeIICanonicalBasis:
-    """Null basis normalising a Lorentz square-zero Ricci operator."""
+    """Null basis normalising a Lorentz square-zero Ricci operator, built in the frame and mapped back.
+
+    In the frame |u| and |v| go as 1/sigma and sigma with the size sigma of
+    the brackets, so the residuals are column-scaled: each Gram entry is
+    divided by the norms of its two columns, each Ricci-block entry by the
+    norms of its row of B^-1 and its column of B, which leaves the units of Ric.
+    """
     tol = m.tol
     sig = signature(m.metric)
     if sig.p != 1:
@@ -207,19 +195,20 @@ def type_II_canonical_basis(m: MetricLieAlgebra) -> TypeIICanonicalBasis:
     if cls.tag != TYPE_II:
         raise NotTypeIIError(f"metric classifies as {cls.tag!r}, not type II")
 
-    g = m.gram
-    op = ricci(m).operator
+    f, p = frame(m)
+    g = f.gram
+    op = ricci(f).operator
     u_svd, svals, _ = np.linalg.svd(op)
     rank = int(np.count_nonzero(svals > tol.rank * svals[0]))
     if rank != 1:
         raise NotTypeIIError(f"Ricci image is {rank}-dimensional, expected 1")
     v0 = u_svd[:, 0]
     v0_norm = float(v0 @ g @ v0)
-    if not tol.passes(abs(v0_norm), "metric", m.exponents):
+    if not tol.passes(abs(v0_norm), "metric", f.exponents):
         raise NullImageError(f"Ricci image is not null: <v, v> = {v0_norm:.3e}")
 
     w, *_ = np.linalg.lstsq(op, v0, rcond=None)
-    if not tol.passes(operator_residual(op @ w - v0), "unit_free", m.exponents):
+    if not tol.passes(operator_residual(op @ w - v0), "unit_free", f.exponents):
         raise NotTypeIIError("Ricci image vector has no preimage; operator is inconsistent")
 
     s = float(w @ g @ v0)
@@ -237,16 +226,20 @@ def type_II_canonical_basis(m: MetricLieAlgebra) -> TypeIICanonicalBasis:
     on, signs = pseudo_orthonormal_basis(restricted)
     ecols = null_basis @ on
 
-    basis = np.column_stack([u, v] + [ecols[:, k] for k in range(ecols.shape[1])])
-    residuals = {
-        "gram": operator_residual(basis.T @ g @ basis - _expected_type_ii_gram(m.dim, sign)),
-        "ricci_block": operator_residual(np.linalg.solve(basis, op @ basis) - _expected_type_ii_ric(m.dim)),
-        "complement_signs": float(np.count_nonzero(signs < 0)),
-    }
-    bad = {k: v_ for k, v_ in residuals.items() if not tol.passes(v_, "unit_free", m.exponents)}
+    basis = np.column_stack([u, v, ecols])
+    inverse = np.linalg.inv(basis)
+    col_norms, row_norms = np.linalg.norm(basis, axis=0), np.linalg.norm(inverse, axis=1)
+    gram_err = basis.T @ g @ basis - np.eye(m.dim)  # expected <u, v> = sign, <u, u> = <v, v> = 0, <e_i, e_j> = I
+    gram_err[:2, :2] -= [[-1.0, sign], [sign, -1.0]]
+    ric_err = inverse @ op @ basis
+    ric_err[1, 0] -= 1.0  # expected Ric u = v, Ric v = Ric e_i = 0
+    residuals = {"gram": operator_residual(gram_err / np.outer(col_norms, col_norms)),
+                 "ricci_block": operator_residual(ric_err / np.outer(row_norms, col_norms)),
+                 "complement_signs": float(np.count_nonzero(signs < 0))}
+    bad = {k: v_ for k, v_ in residuals.items() if not tol.passes(v_, _TYPE_II_RESIDUALS[k], f.exponents)}
     if bad:
         raise VerificationError(f"canonical basis failed verification: {bad}", residuals=residuals)
-    return TypeIICanonicalBasis(basis=basis, gram_sign=sign, residuals=residuals)
+    return TypeIICanonicalBasis(basis=p @ basis, gram_sign=sign, residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -290,8 +283,7 @@ def decompose_double_extension(m: MetricLieAlgebra) -> DecomposedExtension:
                 residual=res,
             )
 
-    base_gram = mc.gram[2:, 2:]
-    base_gram = 0.5 * (base_gram + base_gram.T)
+    base_gram = mc.gram[2:, 2:]  # a block of a symmetric Gram matrix
 
     dmat = c[0, 2:, 2:].T                                  # D[c, a] = e_c component of [u, e_a]
     lvec = np.linalg.solve(base_gram, c[0, 2:, 1])         # <L, e_a>_0 = v-component of [u, e_a]

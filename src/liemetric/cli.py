@@ -55,7 +55,7 @@ from .classify import (TYPE_I, TYPE_II, TypeIDecomposition, classify_ricci, deco
 from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditions, complexify, double_extension, type_I_metric
 from .errors import (BadParamsError, DegenerateFormError, JacobiError, LieMetricError, ParseError, ValidationError,
                      VerificationError)
-from .geometry import MetricLieAlgebra, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
+from .geometry import MetricLieAlgebra, frame, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
 from .lie import MAX_DIM, LieAlgebra, _is_integer, structure_report
 from .linalg import Tolerance, _is_real, _not_real, _plain_reals, as_matrix, signature
 
@@ -156,14 +156,18 @@ def _field_problem(rec, dim: int, seen) -> str | None:
     return None if len(rec) == 2 + ("coeffs" in rec) else _unknown_field(rec, ("i", "j", "coeffs"))
 
 
+def _is_index(key: str) -> bool:
+    """Whether a coefficient key is ASCII decimal digits (``int`` also reads '1_0', ' 2', '+1' and Arabic digits)."""
+    return key.isdigit() and key.isascii()
+
+
 def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError | None:
     """The ParseError of a bracket record's first bad key, else a repeated index, else its lowest bad value; or None."""
     where, coeffs, ks = f"{path}: brackets[{rec_no}]", rec.get("coeffs", {}), []
     for key in coeffs:
-        try:
-            k = int(key)
-        except ValueError:
+        if not _is_index(key.removeprefix("-")):  # a minus sign is read, and then out of range
             return ParseError(f"{where}: coefficient index {key!r} is not an integer")
+        k = int(key)
         if not 0 <= k < dim:
             return ParseError(f"{where}: coefficient index {k} out of range")
         ks.append(k)
@@ -189,8 +193,8 @@ def _bracket_rows(path, brackets: list, dim: int):
     """Pair index arrays (i, j) and the (records, dim) rows of coefficients the bracket records give.
 
     The bulk check says only yes or no: each record's fields by :func:`_field_problem`, then all keys by one
-    ``map(int, ...)``, all values by :func:`liemetric.linalg._plain_reals`, one range test and one test of the
-    sorted (record, index) codes.  On a no, :func:`_first_bad_record` names the first bad record.
+    :func:`_is_index` of their concatenation, all values by ``_plain_reals``, one range test and one test of
+    the sorted (record, index) codes.  On a no, :func:`_first_bad_record` names the first bad record.
     """
     seen = {}
     for rec in brackets:
@@ -198,14 +202,17 @@ def _bracket_rows(path, brackets: list, dim: int):
             raise _first_bad_record(path, brackets, dim)
         seen[rec["i"], rec["j"]] = rec.get("coeffs", {})
     maps = list(seen.values())
+    keys = list(chain.from_iterable(maps))
+    if not (all(keys) and _is_index("".join(keys) or "0")):  # no key empty, and all digits
+        raise _first_bad_record(path, brackets, dim)
     try:
-        k = np.array(list(map(int, chain.from_iterable(maps))), dtype=np.intp)
-    except (ValueError, OverflowError):  # a key that is not an integer, or one beyond the index type
+        k = np.array(list(map(int, keys)), dtype=np.intp)
+    except OverflowError:  # a key beyond the index type
         raise _first_bad_record(path, brackets, dim) from None
     v = _plain_reals(list(chain.from_iterable(map(dict.values, maps))))
     recs = np.repeat(np.arange(len(maps)), list(map(len, maps)))
     code = np.sort(recs * dim + k)  # (record, index) codes, equal neighbours for a repeated index
-    if v is None or k.min(initial=0) < 0 or k.max(initial=0) >= dim or (code[1:] == code[:-1]).any():
+    if v is None or k.max(initial=0) >= dim or (code[1:] == code[:-1]).any():
         raise _first_bad_record(path, brackets, dim)
     rows = np.zeros((len(maps), dim))
     rows[recs, k] = v
@@ -270,7 +277,7 @@ def _type_I_pair(dec: TypeIDecomposition) -> dict:
 
 
 def build_report(m: MetricLieAlgebra) -> dict:
-    """The ``report`` payload, every verdict judged by ``m.tol``."""
+    """The ``report`` payload, every verdict judged by ``m.tol`` in the frame, every residual in frame units."""
     sig = signature(m.metric)
     rep = structure_report(m.algebra, m.tol)  # before the geometry memo fills, which keeps the peak memory low
     einstein_c, einstein_res = is_einstein(m)
@@ -278,7 +285,7 @@ def build_report(m: MetricLieAlgebra) -> dict:
     par = is_ricci_parallel(m)
     adinv, adinv_res = is_ad_invariant(m)
     cls = classify_ricci(m)
-    data = ricci(m)
+    data = ricci(frame(m)[0])
 
     # by imaginary part first: the real parts of a conjugate pair differ only by rounding
     eig = np.linalg.eigvals(data.operator)
@@ -299,11 +306,7 @@ def build_report(m: MetricLieAlgebra) -> dict:
             "residual": einstein_res,
         },
         "ricci_flat": {"flag": flat, "residual": flat_res},
-        "ricci_parallel": {
-            "flag": par.ok,
-            "commutator_residual": par.commutator_residual,
-            "nabla_ric_residual": par.nabla_residual,
-        },
+        "ricci_parallel": {"flag": par.ok, "residual": par.residual},
         "ad_invariant": {"flag": adinv, "residual": adinv_res},
         "classification": {
             "tag": cls.tag,

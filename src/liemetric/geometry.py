@@ -4,12 +4,17 @@ All tensors are taken at the identity in a fixed basis: the Levi-Civita
 connection has constant coefficients, so curvature and Ricci reduce to
 finite contractions of the structure tensor against the Gram matrix.
 
+Every verdict is judged, with one residual in frame units, in the frame
+(:func:`frame`), where g = diag(+-1): there ric - c*g, ric and nabla ric
+have the entries of Ric - lambda*Id, Ric and [Ric, nabla_i] up to sign.
+Ricci is contracted in the frame only and read back into other bases.
+
 The Ricci tensor is computed along two independent routes: the primary
-path contracts the connection matrices directly (no basis change, and no
-dim^4 curvature array), and :func:`ricci_structural` evaluates the closed
-orthonormal-basis formula term by term.  Neither calls the other; their
-agreement is the module's central correctness check.  :func:`curvature`
-builds the full dim^4 tensor on request and is not on the Ricci path.
+path contracts the connection matrices (no dim^4 curvature array), and
+:func:`ricci_structural` evaluates the closed orthonormal-basis formula
+term by term.  Neither calls the other; their agreement is the module's
+central correctness check.  :func:`curvature` builds the full dim^4
+tensor on request and is not on the Ricci path.
 
 Every contraction of a dim^3 tensor is ``@`` on a broadcast or reshaped
 view, so it runs as BLAS matrix products and never as einsum's C loop, and
@@ -33,7 +38,7 @@ from .linalg import (
     SymmetricForm,
     Tolerance,
     as_matrix,
-    as_vector,
+    as_real_array,
     exponent,
     operator_residual,
     pseudo_orthonormal_basis,
@@ -44,7 +49,7 @@ __all__ = [
     "RicciData",
     "ParallelCheck",
     "IsometryCheck",
-    "u_map",
+    "frame",
     "connection",
     "connection_matrices",
     "curvature",
@@ -75,9 +80,7 @@ class MetricLieAlgebra:
         if not isinstance(metric, SymmetricForm):
             metric = SymmetricForm(metric, tol)
         if metric.dim != algebra.dim:
-            raise DimensionMismatchError(
-                f"metric dim {metric.dim} does not match algebra dim {algebra.dim}"
-            )
+            raise DimensionMismatchError(f"metric dim {metric.dim} does not match algebra dim {algebra.dim}")
         self.algebra = algebra
         self.metric = metric
         self.tol = tol
@@ -129,8 +132,7 @@ class RicciData:
 @dataclass(frozen=True)
 class ParallelCheck:
     ok: bool
-    commutator_residual: float
-    nabla_residual: float
+    residual: float  # max|nabla ric| in the frame
 
 
 @dataclass(frozen=True)
@@ -141,16 +143,16 @@ class IsometryCheck:
     metric_residual: float
 
 
-def u_map(m: MetricLieAlgebra, x, y) -> np.ndarray:
-    """Symmetric Koszul correction U(x, y) = nabla_x y - 1/2 [x, y], read from the memoised connection.
+def frame(m: MetricLieAlgebra) -> tuple[MetricLieAlgebra, np.ndarray]:
+    """(F, P): ``m`` in its pseudo-orthonormal basis P, where g = diag(+-1) and k_g = 0.  F is its own frame.
 
-    It is defined through the metric pairing: <U(x, y), z> = 1/2 (<[z, x], y> + <x, [z, y]>).
-    """
-    x = as_vector(x, m.dim, name="x")
-    y = as_vector(y, m.dim, name="y")
-    u = connection(m) - 0.5 * m.algebra.tensor
-    n = m.dim
-    return y @ (x @ u.reshape(n, n * n)).reshape(n, n)
+    Computed once.  An algebra that is its own frame (P = Id) is marked with None: a reference to itself
+    would make a cycle that only the garbage collector frees."""
+    if "frame" not in m._cache:
+        p = pseudo_orthonormal_basis(m.metric)[0]
+        f = m if np.array_equal(p, np.eye(m.dim)) else change_basis(m, p)
+        m._cache["frame"], f._cache["frame"] = (f, p), None
+    return m._cache["frame"] or (m, np.eye(m.dim))
 
 
 @_memoised
@@ -185,26 +187,30 @@ def curvature(m: MetricLieAlgebra) -> np.ndarray:
 
 @_memoised
 def ricci(m: MetricLieAlgebra) -> RicciData:
-    """Ricci data straight from the connection matrices (basis-free primary path).
+    """Ricci data, contracted in the frame and read back into any other basis as Q^T ric_F Q, Q = P^-1.
 
     ric_jk = sum_i (N_i N_j - N_j N_i - sum_m c_ijm N_m)_{ik}, the trace of
     curvature without the dim^4 array: every intermediate is dim^3.  The
     terms of each i are batched products, summed over i afterwards: folding
-    that sum into the products would move the last bits of the result.  The
-    result is symmetrised.
+    that sum into the products would move the last bits of the result.
     """
-    c = m.algebra.tensor
-    n = m.dim
-    nm = connection_matrices(m)
-    idx = np.arange(n)
-    d = nm[idx, idx]  # d[i] = row i of N_i
-    swapped = nm.transpose(1, 0, 2)  # swapped[i, j] = row i of N_j
-    terms = (d @ swapped.reshape(n, n * n)).reshape(n, n, n) - swapped @ nm - c @ swapped
-    ric = terms.sum(axis=0)
-    ric = 0.5 * (ric + ric.T)
-    operator = m.metric.solve(ric)
-    tau = trace_functional(m.algebra)
-    z = m.metric.solve(tau)
+    f, p = frame(m)
+    if f is m:
+        c = m.algebra.tensor
+        n = m.dim
+        nm = connection_matrices(m)
+        idx = np.arange(n)
+        d = nm[idx, idx]  # d[i] = row i of N_i
+        swapped = nm.transpose(1, 0, 2)  # swapped[i, j] = row i of N_j
+        terms = (d @ swapped.reshape(n, n * n)).reshape(n, n, n) - swapped @ nm - c @ swapped
+        ric = terms.sum(axis=0)
+        ric = 0.5 * (ric + ric.T)
+        operator, z = m.metric.solve(ric), m.metric.solve(trace_functional(m.algebra))
+    else:
+        data, q = ricci(f), np.linalg.inv(p)
+        ric = q.T @ data.tensor @ q
+        ric = 0.5 * (ric + ric.T)
+        operator, z = p @ data.operator @ q, p @ data.mean_curvature
     for arr in (ric, operator, z):
         arr.flags.writeable = False
     return RicciData(tensor=ric, operator=operator, scalar=float(np.trace(operator)), mean_curvature=z)
@@ -261,40 +267,36 @@ def nabla_ric(m: MetricLieAlgebra) -> np.ndarray:
 
 
 def is_ricci_parallel(m: MetricLieAlgebra) -> ParallelCheck:
-    """Both characterisations of nabla ric = 0, each reported separately; ``ok`` needs both.
-
-    (a) Ric commutes with every nabla_{e_i};
-    (b) the nabla_ric array vanishes.
-    """
-    op = ricci(m).operator
-    nm = connection_matrices(m)
-    comm = op @ nm - nm @ op
-    comm_res = operator_residual(comm)
-    nab_res = operator_residual(nabla_ric(m))
-    ok = m.tol.passes(comm_res, "ric_commutator", m.exponents) and m.tol.passes(nab_res, "nabla_ric", m.exponents)
-    return ParallelCheck(ok=ok, commutator_residual=comm_res, nabla_residual=nab_res)
+    """Whether nabla ric vanishes in the frame, where it holds the commutators [Ric, nabla_i] up to sign."""
+    f = frame(m)[0]
+    res = operator_residual(nabla_ric(f))
+    return ParallelCheck(ok=f.tol.passes(res, "nabla_ric", f.exponents), residual=res)
 
 
 def is_einstein(m: MetricLieAlgebra):
-    """Einstein constant and residual; (None, residual) when not Einstein."""
-    data = ricci(m)
-    c = data.scalar / m.dim if m.dim else 0.0
-    res = operator_residual(data.tensor - c * m.gram)
-    if m.tol.passes(res, "ric", m.exponents):
+    """Einstein constant and the frame residual |ric - c*g| (= |Ric - c*Id|); (None, residual) when not Einstein."""
+    f = frame(m)[0]
+    data = ricci(f)
+    c = data.scalar / f.dim if f.dim else 0.0
+    res = operator_residual(data.tensor - c * f.gram)
+    if f.tol.passes(res, "ric", f.exponents):
         return c, res
     return None, res
 
 
 def is_ricci_flat(m: MetricLieAlgebra):
-    res = operator_residual(ricci(m).tensor)
-    return m.tol.passes(res, "ric", m.exponents), res
+    """Whether ric vanishes, with the frame residual |ric| (= |Ric|)."""
+    f = frame(m)[0]
+    res = operator_residual(ricci(f).tensor)
+    return f.tol.passes(res, "ric", f.exponents), res
 
 
 def is_ad_invariant(m: MetricLieAlgebra):
-    """Max residual of <[x,y],z> + <y,[x,z]> over basis triples."""
-    b = m.algebra.tensor @ m.gram
+    """Max residual of <[x,y],z> + <y,[x,z]> over frame triples."""
+    f = frame(m)[0]
+    b = f.algebra.tensor @ f.gram
     res = operator_residual(b + b.transpose(0, 2, 1))
-    return m.tol.passes(res, "ad_invariance", m.exponents), res
+    return f.tol.passes(res, "ad_invariance", f.exponents), res
 
 
 def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> IsometryCheck:
@@ -333,8 +335,8 @@ def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
     p = as_matrix(p, dim=m.dim, name="p")
     pinv = np.linalg.inv(p)
     new_c = _pull_back(m.algebra.tensor, p) @ pinv.T
-    new_c = 0.5 * (new_c - new_c.transpose(1, 0, 2))
+    new_c = as_real_array(0.5 * (new_c - new_c.transpose(1, 0, 2)), "bracket tensor")  # antisymmetric, finite
     new_g = p.T @ m.gram @ p
-    algebra = LieAlgebra.from_tensor(new_c)
+    algebra = LieAlgebra._from_upper(new_c)
     algebra._passed = set(m.algebra._passed)  # carried over, not checked again
     return MetricLieAlgebra(algebra, SymmetricForm(new_g, m.tol), m.tol)

@@ -77,12 +77,9 @@ DEGREES = {
     "metric": (0, 1),           # Gram symmetry and reconstruction, <v, v>
     "unit_free": (0, 0),        # J^2 + 1, J* - J, c - 1, Ric^2 on Ric/|Ric|, mu^2/|Ric - lam|^2, type-II basis
     "jacobi": (2, 0),           # Jacobi and its blocks: cocycles, commuting derivations
-    "ric": (2, 0),              # ric, ric - c*g
-    "Ric": (2, -1),             # Ric - lam*Id, |Ric|, the Einstein constant
-    "nabla_ric": (3, 0),
-    "ric_commutator": (3, -1),  # [Ric, nabla_i]
+    "ric": (2, 0),              # ric, ric - c*g: in the frame also Ric, Ric - lam*Id
+    "nabla_ric": (3, 0),        # in the frame also [Ric, nabla_i]
     "ad_invariance": (1, 1),
-    "Ric2": (4, -2),            # Ric^2, (Ric - lam)^2 + mu^2
     # DoubleExtensionSpec residuals, in its data (see DoubleExtensionSpec.exponents)
     "skew": (1, -1), "derivation": (2, -1), "compatibility": (2, -1), "cocycle": (2, 0),
     "C1": (3, -3), "C2": (3, -3), "C3": (3, -2), "C4": (3, -3), "C5": (3, -2),
@@ -157,11 +154,18 @@ def as_real_array(a, name: str = "array") -> np.ndarray:
     raise _not_real(name, pos[0] if len(pos) == 1 else pos, val)
 
 
+def _with_ndim(a, ndim: int, name: str) -> np.ndarray:
+    """``a`` as a float array of ``ndim`` dimensions; a scalar fails on its shape before its value is read."""
+    arr = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
+    arr = as_real_array(arr, name) if arr.ndim else arr
+    if arr.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
+    return arr
+
+
 def as_matrix(a, square: bool = False, dim: int | None = None, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d float array of real numbers (see :func:`as_real_array`), checking shape constraints."""
-    arr = as_real_array(a, name)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
+    arr = _with_ndim(a, 2, name)
     if square and arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
     if dim is not None and arr.shape != (dim, dim):
@@ -171,9 +175,7 @@ def as_matrix(a, square: bool = False, dim: int | None = None, name: str = "matr
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-d float array of real numbers (see :func:`as_real_array`), checking its length."""
-    arr = as_real_array(x, name)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
+    arr = _with_ndim(x, 1, name)
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(f"{name} must have length {dim}, got {arr.shape[0]}")
     return arr

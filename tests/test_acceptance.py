@@ -174,7 +174,7 @@ def test_criterion_06_abelian_extensions_parallel_and_type_ii():
         spec = random_abelian_extension_spec(rng, dim, ABELIAN_FAMILIES[i % 3], tol)
         m = double_extension(spec)
         check = is_ricci_parallel(m)
-        worst = max(worst, check.commutator_residual, check.nabla_residual)
+        worst = max(worst, check.residual)
         gamma = extension_invariants(spec).gamma
         if abs(gamma) > 1e-6:
             type_ii_checked += 1
@@ -251,14 +251,14 @@ def test_criterion_09_complexification():
     sl2 = catalog("sl_killing", n=2)
     m1, _ = complexify(sl2)
     p1 = is_ricci_parallel(m1)
-    ok = p1.ok and max(p1.commutator_residual, p1.nabla_residual) <= 1e-8
+    ok = p1.ok and p1.residual <= 1e-8
 
     base2 = central_extension_metric(make_affine())
     c2, _ = is_einstein(base2)
     m2, _ = complexify(base2)
     p2 = is_ricci_parallel(m2)
     ok = ok and c2 is None  # a Ricci-parallel but non-Einstein base
-    ok = ok and p2.ok and max(p2.commutator_residual, p2.nabla_residual) <= 1e-8
+    ok = ok and p2.ok and p2.residual <= 1e-8
 
     m3, _ = complexify(catalog("affine_plane"))
     c3, _ = is_einstein(m3)
@@ -340,7 +340,7 @@ def test_criterion_12_two_step_parallel_witnesses():
     max_ric = 0.0
     for m in (h1_min, h1_der, h2_der):
         check = is_ricci_parallel(m)
-        ok = ok and check.ok and max(check.commutator_residual, check.nabla_residual) <= 1e-8
+        ok = ok and check.ok and check.residual <= 1e-8
         max_ric = max(max_ric, float(np.max(np.abs(ricci(m).operator))))
     ok = ok and max_ric > 1e-3
     _criterion(12, "two-step presentations of H_1 and H_2 are Ricci-parallel, one non-flat",

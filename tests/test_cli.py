@@ -594,6 +594,29 @@ def test_bracket_record_messages(tmp_path, capsys, brackets, message):
     assert capsys.readouterr().err == f"error: ParseError: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["1_0", " 2\n", "+1", "\u0661", "\uff11", "1 "])
+def test_coefficient_keys_are_ascii_digits(tmp_path, capsys, key):
+    # int() reads each of these (as 10, 2, 1, 1, 1 and 1), which would silently move a coefficient
+    path = tmp_path / "bad.json"
+    brackets = [{"i": 0, "j": 1, "coeffs": {"2": 1.0}}, {"i": 0, "j": 2, "coeffs": {key: 1.0}}]
+    path.write_text(json.dumps({"dim": 11, "brackets": brackets, "metric": np.eye(11).tolist()}), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: ParseError: {path}: brackets[1]: coefficient index {key!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("field, value, shape", [("D", None, "2-dimensional, got ndim=0"),
+                                                 ("K", "x", "2-dimensional, got ndim=0"),
+                                                 ("D", 3, "2-dimensional, got ndim=0"),
+                                                 ("L", None, "1-dimensional, got ndim=0"),
+                                                 ("L", True, "1-dimensional, got ndim=0")])
+def test_scalar_extension_data_fails_on_its_shape(tmp_path, capsys, field, value, shape):
+    # a scalar has no index to name, so its shape is checked before its value
+    base, ext = _double_extend_inputs(tmp_path)
+    ext.write_text(json.dumps({"L": [1.0, 0.0, 0.0], field: value}), encoding="utf-8")
+    assert run(["double-extend", base, ext]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: ParseError: {ext}: {field} must be {shape}\n"
+
+
 def test_unknown_fields_are_parse_errors(tmp_path, capsys):
     # a misspelt field would otherwise load the algebra as abelian, or build a zero D
     path = tmp_path / "a.json"

@@ -30,12 +30,12 @@ GOLDEN = {
     "double-extend/stdout": "ced701725cd3c15a64927b3f572234b87869a96f1f9863fa02a25185185a7a04",
     "complexify/stdout": "8b84afa6c8f3570e0433816fac7f6e21353987d5bcd71d9ebbf0ac8f17b00cb8",
     "complexify/type1.out": "757acb4a315b4b9df77aa955cfbdd32867c390f2b5ff1666727050c6c6a8bc33",
-    "complexify/type1.out.sidecar": "dbc390e4475eb527055663efd749beae2429cdf7842a33d99029999b1b3b7834",
+    "complexify/type1.out.sidecar": "93e0b9036219f067c2cd6da8b50e90a6ebcb7ec6e50e46f67cd1afeda7b94b8c",
     "decompose/out": "067199190829edb8b71f1391adf0b2aac1d8cb68652b11f613c66abb7789b82c",
-    "decompose/out.sidecar": "c00ca729162a4339711a9d205ec0efbe7d4a428082cb09e63b08e7ad21cd40c3",
-    "decompose/stdout": "8dc672fe3e098def99661161b95e407464859eafc10d27e8fd59a97a8291c538",
-    "report/sl_killing3": "e0c2266935854fd848f57c768657b54f0b0e4660c907a593aad9203e5844de41",
-    "report/directory": "caf67203725e82e93d7819a7ce1441a3d5fddb0e6343688dfa0a2904b57785d6",
+    "decompose/out.sidecar": "fe144b65c81a1f87374c5ed087e4270b81109123f577c445a504db5acb1aacdd",
+    "decompose/stdout": "95b498e1c7ecb7b01998b21340ec5a5c33b227a42787a4ef97a5bc8c8137d56a",
+    "report/sl_killing3": "b8ea787070c1f60c5e193e0227134fdb88478c1dba9cac64f517c505d5cd3771",
+    "report/directory": "30188c55d730b18f6ba58839900b8d271352b085a2daf3d34d866fedf13ddd6f",
 }
 
 CATALOG_CASES = {
@@ -121,7 +121,7 @@ GOLDEN_RELATIVE = {
     "validate/text": "87968fda63fc350b3db86f9e616dc4bf36e2ed7b6cbf8b92d57ef88e158993e8",
     "validate/json": "7bb5581f0056700d753e5e012864a587826f463b5b410a3ba8c502d0f6ba2d7d",
     "report/text": "b1d66f8727cc08c00674a2771c646c95386e5eaef9b76154c867548c67669486",
-    "report/directory_with_error": "1c38b324e2961ef33fddbece92d286e8dec9938055b62b3bd174bb3df97c75b1",
+    "report/directory_with_error": "8d24fa5455027d8ec11f0af6a727244f6accaf34d7f1765fc677b503dcfa78a2",
 }
 
 

@@ -724,7 +724,7 @@ def test_loaded_tensors_match_the_completed_triangle(tmp_path, monkeypatch):
     docs = [
         {"dim": 1, "brackets": []},
         {"dim": 1, "brackets": [], "basis_names": ["x"]},
-        {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"0": 1}}, {"i": 0, "j": 2, "coeffs": {" 1": -1.0}},
+        {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"0": 1}}, {"i": 0, "j": 2, "coeffs": {"1": -1.0}},
                                 {"i": 0, "j": 1, "coeffs": {"02": 1, "0": -0.0, "1": 0.0}}]},
         {"dim": 4, "brackets": [{"i": 0, "j": 1, "coeffs": {"3": -0.0}}, {"i": 0, "j": 2},
                                 {"i": 1, "j": 3, "coeffs": {}}, {"i": 2, "j": 3, "coeffs": {"0": 0}}]},
