@@ -334,7 +334,7 @@ def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
     """Pull the whole structure back along basis matrix p (columns = new basis)."""
     p = as_matrix(p, dim=m.dim, name="p")
     pinv = np.linalg.inv(p)
-    new_c = _pull_back(m.algebra.tensor, p) @ pinv.T
+    new_c = (_pull_back(m.algebra.tensor, p).reshape(m.dim ** 2, m.dim) @ pinv.T).reshape(m.algebra.tensor.shape)
     new_c = as_real_array(0.5 * (new_c - new_c.transpose(1, 0, 2)), "bracket tensor")  # antisymmetric, finite
     new_g = p.T @ m.gram @ p
     algebra = LieAlgebra._from_upper(new_c)

@@ -75,9 +75,9 @@ DEGREES = {
     "trace_ad": (1, 0),
     "connection": (1, 0),       # [J, nabla_i]
     "metric": (0, 1),           # Gram symmetry and reconstruction, <v, v>
-    "unit_free": (0, 0),        # J^2 + 1, J* - J, c - 1, Ric^2 on Ric/|Ric|, mu^2/|Ric - lam|^2, type-II basis
+    "unit_free": (0, 0),        # J^2 + 1, J* - J, c - 1, Ric^2 on Ric/|Ric|, mu^2/|Ric - lam|^2, type-II Gram
     "jacobi": (2, 0),           # Jacobi and its blocks: cocycles, commuting derivations
-    "ric": (2, 0),              # ric, ric - c*g: in the frame also Ric, Ric - lam*Id
+    "ric": (2, 0),              # ric, ric - c*g, type-II Ricci block: in the frame also Ric, Ric - lam*Id
     "nabla_ric": (3, 0),        # in the frame also [Ric, nabla_i]
     "ad_invariance": (1, 1),
     # DoubleExtensionSpec residuals, in its data (see DoubleExtensionSpec.exponents)
