@@ -335,7 +335,7 @@ def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
     p = as_matrix(p, dim=m.dim, name="p")
     pinv = np.linalg.inv(p)
     new_c = (_pull_back(m.algebra.tensor, p).reshape(m.dim ** 2, m.dim) @ pinv.T).reshape(m.algebra.tensor.shape)
-    new_c = as_real_array(0.5 * (new_c - new_c.transpose(1, 0, 2)), "bracket tensor")  # antisymmetric, finite
+    new_c = as_real_array(np.multiply(new_c - new_c.transpose(1, 0, 2), 0.5, out=new_c), "bracket tensor")
     new_g = p.T @ m.gram @ p
     algebra = LieAlgebra._from_upper(new_c)
     algebra._passed = set(m.algebra._passed)  # carried over, not checked again

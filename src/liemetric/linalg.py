@@ -145,7 +145,7 @@ def as_real_array(a, name: str = "array") -> np.ndarray:
             return arr.reshape(a.shape)
     elif issubclass(a.dtype.type, _REAL_TYPES):  # not np.object_
         arr = a.astype(float, copy=False)
-        if np.abs(arr).max() <= MAX_ABS:  # NaN and the infinities fail
+        if -MAX_ABS <= arr.min() and arr.max() <= MAX_ABS:  # NaN and the infinities fail; no temporary
             return arr
     bad = next(((pos, x) for pos, x in zip(np.ndindex(a.shape), a.flat) if not _is_real(x)), None)
     if bad is None:  # numpy scalars among the objects: real numbers, though not plain ones
