@@ -12,7 +12,7 @@ metric, so the Gram matrix stays as it was and only the brackets grow.
 
 A change of basis is an isometry, so the verdicts of ``build_report`` in the
 changed basis must be those in the base's own basis.  Run
-``python tests/basis_corpus.py`` to print each item that disagrees.
+``PYTHONPATH=src python tests/basis_corpus.py`` to print each item that disagrees.
 """
 
 from __future__ import annotations
