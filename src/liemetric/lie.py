@@ -28,11 +28,11 @@ term's own largest singular value: a term that should vanish holds only
 rounding noise, and a cut relative to that noise would count it as rank.
 The center, the null space of x -> ad(x), takes the same cut.
 Every rank is taken over the rows of its stack that are not all zero; in
-a sparse basis most of the dim^2 rows of a bracket stack are zero.  Those of
-[g, g] and of the center are read off the pair index, in the stack's
-row-major order; those of the later stacks are found by a scan.  An
-exactly zero row adds nothing to A^T A, so the singular values are those
-of the full stack and the cut keeps the same ones.
+a sparse basis most of the dim^2 rows of a bracket stack are zero.  Every
+stack is a view of the tensor or a product, and its nonzero rows are found
+by a scan, in the stack's row-major order.  An exactly zero row adds
+nothing to A^T A, so the singular values are those of the full stack and
+the cut keeps the same ones.
 
 No kernel here builds a dim^4 array: brackets of spans are contracted
 pairwise.  The Jacobi check counts its products C[a, b, m] C[m, k, l],
@@ -371,19 +371,6 @@ def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
     return stack[stack.any(axis=1)]
 
 
-def _center_rows(g: LieAlgebra) -> np.ndarray:
-    """The nonzero rows C[:, b, k] of the center's (dim^2, dim) stack, in its row-major order of (b, k).
-
-    They come from the pair index: a nonzero C[i, j, k], i < j, makes rows
-    (j, k) and (i, k) nonzero (C[j, i, k] = -C[i, j, k]), and no other row is.
-    """
-    i, j = g.bracket_pairs
-    r, k = np.nonzero(g.tensor[i, j])
-    rows = np.zeros((g.dim, g.dim), bool)
-    rows[j[r], k] = rows[i[r], k] = True
-    return g.tensor.transpose(1, 2, 0)[rows]
-
-
 def _row_span(g: LieAlgebra, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal row basis of the span of ``rows``, the nonzero rows of a stack of brackets.
 
@@ -418,15 +405,14 @@ def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
 def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Series-based structural predicates with an explicit numerical rank policy."""
     dim = g.dim
-    i, j = g.bracket_pairs  # the nonzero rows of the (dim^2, dim) stack [e_a, e_b] are these pairs and their mirrors
-    derived = _row_span(g, g.tensor.reshape(dim * dim, dim)[np.sort(np.concatenate((i * dim + j, j * dim + i)))], tol)
+    derived = _row_span(g, _nonzero_rows(g.tensor.reshape(dim * dim, dim)), tol)
     step = _series_length(
         g, derived, lambda t: _row_span(g, _nonzero_rows((t @ g.tensor).reshape(dim * t.shape[0], dim)), tol)
     )
     derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
 
     # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix, under the cut of _row_span
-    svals = np.linalg.svd(_center_rows(g), compute_uv=False)
+    svals = np.linalg.svd(_nonzero_rows(g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim)), compute_uv=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
 
     tau = trace_functional(g)
