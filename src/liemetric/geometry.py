@@ -31,14 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ValidationError
 from .lie import LieAlgebra, killing_form, trace_functional
 from .linalg import (
     DEFAULT_TOL,
+    MAX_ABS,
     SymmetricForm,
     Tolerance,
     as_matrix,
-    as_real_array,
     exponent,
     operator_residual,
     pseudo_orthonormal_basis,
@@ -150,7 +150,10 @@ def frame(m: MetricLieAlgebra) -> tuple[MetricLieAlgebra, np.ndarray]:
     would make a cycle that only the garbage collector frees."""
     if "frame" not in m._cache:
         p = pseudo_orthonormal_basis(m.metric)[0]
-        f = m if np.array_equal(p, np.eye(m.dim)) else change_basis(m, p)
+        try:
+            f = m if np.array_equal(p, np.eye(m.dim)) else change_basis(m, p)
+        except ValidationError as exc:
+            raise ValidationError(f"{exc}; the new basis is the metric's pseudo-orthonormal frame") from exc
         m._cache["frame"], f._cache["frame"] = (f, p), None
     return m._cache["frame"] or (m, np.eye(m.dim))
 
@@ -335,8 +338,10 @@ def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
     p = as_matrix(p, dim=m.dim, name="p")
     pinv = np.linalg.inv(p)
     new_c = (_pull_back(m.algebra.tensor, p).reshape(m.dim ** 2, m.dim) @ pinv.T).reshape(m.algebra.tensor.shape)
-    new_c = as_real_array(np.multiply(new_c - new_c.transpose(1, 0, 2), 0.5, out=new_c), "bracket tensor")
+    algebra = LieAlgebra._from_upper(np.multiply(new_c - new_c.transpose(1, 0, 2), 0.5, out=new_c))
+    reach = algebra.max_structure_constant
+    if not reach <= MAX_ABS:  # the degree analysis needs the bound; NaN fails
+        raise ValidationError(f"brackets in the new basis reach {reach:.3e}, beyond MAX_ABS = {MAX_ABS:g}")
     new_g = p.T @ m.gram @ p
-    algebra = LieAlgebra._from_upper(new_c)
     algebra._passed = set(m.algebra._passed)  # carried over, not checked again
     return MetricLieAlgebra(algebra, SymmetricForm(new_g, m.tol), m.tol)

@@ -534,6 +534,19 @@ def test_out_of_range_numbers_elsewhere(tmp_path, capsys):
     assert err.count("magnitude at most 1e+50") == 4 and "Traceback" not in err
 
 
+def test_bracket_overflow_in_the_frame_is_a_validation_error(tmp_path, capsys):
+    # every entry is within MAX_ABS, but the frame of a metric of scale 1e-40 scales the brackets by 1e20
+    doc = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": 1e50}}], "metric": [[1e-40, 0], [0, 1e-40]]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["report", path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: brackets in the new basis reach 1.000e+70, beyond MAX_ABS")
+    assert "pseudo-orthonormal frame" in err and "index" not in err
+
+
 def test_strings_and_booleans_are_not_numbers(tmp_path, capsys):
     # a cast to float would read the metric as signature (0, 2) and L = [true] as [1.0]
     path = tmp_path / "m.json"

@@ -26,7 +26,7 @@ from liemetric import (
     validate_jacobi,
     verify_isometry,
 )
-from liemetric.errors import DimensionMismatchError, JacobiError
+from liemetric.errors import DimensionMismatchError, JacobiError, ValidationError
 from liemetric.linalg import DEFAULT_TOL, DEGREES, Tolerance, exponent, pseudo_orthonormal_basis
 from references import u_map
 from sampling import random_invertible, random_metric_lie_algebra
@@ -522,6 +522,16 @@ def test_validation_under_a_looser_tolerance_does_not_carry_to_a_stricter_one():
     assert g.is_validated
     with pytest.raises(JacobiError):
         MetricLieAlgebra(g, np.eye(3))
+
+
+def test_change_basis_bounds_the_brackets_it_computes():
+    # p and the brackets are within MAX_ABS; the brackets in the basis p, 1e20 * 1e50, are not
+    m = MetricLieAlgebra(LieAlgebra(2, {(0, 1): [0.0, 1e50]}), np.eye(2))
+    with pytest.raises(ValidationError, match=r"^brackets in the new basis reach 1\.000e\+70, beyond MAX_ABS = 1e\+50$"):
+        change_basis(m, np.diag([1e20, 1e20]))
+    m = MetricLieAlgebra(LieAlgebra(2, {(0, 1): [0.0, 1e50]}), 1e-40 * np.eye(2))
+    with pytest.raises(ValidationError, match="pseudo-orthonormal frame"):
+        is_einstein(m)
 
 
 def test_change_basis_carries_validation_without_a_second_check(monkeypatch, rng):
