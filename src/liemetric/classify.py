@@ -202,7 +202,10 @@ def type_II_canonical_basis(m: MetricLieAlgebra) -> TypeIICanonicalBasis:
     rank = int(np.count_nonzero(svals > tol.rank * svals[0]))
     if rank != 1:
         raise NotTypeIIError(f"Ricci image is {rank}-dimensional, expected 1")
-    v0 = u_svd[:, 0]
+    pv = p @ u_svd[:, 0]
+    if pv[np.argmax(np.abs(pv) >= (1 - 1e-8) * np.abs(pv).max())] < 0:
+        u_svd = -u_svd  # the reported v = a * P v0 is positive at its first largest entry (ties within 1e-8)
+    v0 = u_svd[:, 0]  # a strided column either way, so the products below round alike for both signs
     v0_norm = float(v0 @ g @ v0)
     if not tol.passes(abs(v0_norm), "metric", f.exponents):
         raise NullImageError(f"Ricci image is not null: <v, v> = {v0_norm:.3e}")

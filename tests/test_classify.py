@@ -20,6 +20,7 @@ from liemetric import (
     verify_isometry,
 )
 from liemetric.cli import build_report
+from liemetric.linalg import signature
 from liemetric.errors import (
     NotTypeIError,
     NotTypeIIError,
@@ -313,3 +314,24 @@ def test_type_I_metric_in_unequal_scales_stays_type_I(base):
         cls = classify_ricci(change_basis(m, _unequal_scales(rng, m.dim)))
         assert cls.tag == "type_I"
         assert (cls.lam, cls.mu) == pytest.approx((own.lam, own.mu), rel=1e-6)
+
+
+def _type_II_cases():
+    from basis_corpus import bases
+    from conftest import CATALOG_CASES
+
+    yield from (catalog(name, **params) for name, params in CATALOG_CASES)
+    yield from (catalog("double_ext_demo", kind=kind, dim=d) for kind in ("solvable", "nilpotent") for d in (2, 3, 7))
+    yield from (m for _, m in bases())
+
+
+def test_type_II_v_column_is_positive_at_its_first_largest_entry():
+    # the canonical sign: entries within a relative 1e-8 of the largest magnitude are ties, the first one wins
+    count = 0
+    for m in _type_II_cases():
+        if signature(m.metric).p != 1 or classify_ricci(m).tag != "type_II":
+            continue
+        v = type_II_canonical_basis(m).basis[:, 1]
+        assert v[np.argmax(np.abs(v) >= (1 - 1e-8) * np.abs(v).max())] > 0, m
+        count += 1
+    assert count == 36

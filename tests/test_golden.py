@@ -32,10 +32,10 @@ GOLDEN = {
     "complexify/type1.out": "757acb4a315b4b9df77aa955cfbdd32867c390f2b5ff1666727050c6c6a8bc33",
     "complexify/type1.out.sidecar": "93e0b9036219f067c2cd6da8b50e90a6ebcb7ec6e50e46f67cd1afeda7b94b8c",
     "decompose/out": "067199190829edb8b71f1391adf0b2aac1d8cb68652b11f613c66abb7789b82c",
-    "decompose/out.sidecar": "fe144b65c81a1f87374c5ed087e4270b81109123f577c445a504db5acb1aacdd",
-    "decompose/stdout": "95b498e1c7ecb7b01998b21340ec5a5c33b227a42787a4ef97a5bc8c8137d56a",
+    "decompose/out.sidecar": "20d666479cb1433000ecccfcdebaee4f34285d0927ef9d6ab51f52eebabe281d",
+    "decompose/stdout": "5c9e630861b0e4727576b62e06ae584aef0fe962a795ac4eddb70fa12d9dacff",
     "report/sl_killing3": "b8ea787070c1f60c5e193e0227134fdb88478c1dba9cac64f517c505d5cd3771",
-    "report/directory": "30188c55d730b18f6ba58839900b8d271352b085a2daf3d34d866fedf13ddd6f",
+    "report/directory": "7ccc0ae5442991e30fbf6f1e89c67d8f87346203b8fc3e623b182cc1edaa2e16",
 }
 
 CATALOG_CASES = {
