@@ -2,8 +2,12 @@
 
 import numpy as np
 
-from liemetric.geometry import MetricLieAlgebra, connection
+from liemetric.geometry import MetricLieAlgebra, connection, frame, ricci
+from liemetric.lie import trace_functional
 from liemetric.linalg import as_vector
+
+# degree of each of invariants() in the structure constants
+INVARIANT_DEGREES = (2, 4, 6, 2)
 
 
 def u_map(m: MetricLieAlgebra, x, y) -> np.ndarray:
@@ -16,3 +20,11 @@ def u_map(m: MetricLieAlgebra, x, y) -> np.ndarray:
     u = connection(m) - 0.5 * m.algebra.tensor
     n = m.dim
     return y @ (x @ u.reshape(n, n * n)).reshape(n, n)
+
+
+def invariants(m: MetricLieAlgebra) -> np.ndarray:
+    """Basis-free invariants taken in the frame: tr Ric, tr Ric^2, tr Ric^3 and |tau|^2_g = tau^T g^-1 tau."""
+    f = frame(m)[0]
+    op = ricci(f).operator
+    tau = trace_functional(f.algebra)
+    return np.array([np.trace(op), np.trace(op @ op), np.trace(op @ op @ op), tau @ np.linalg.solve(f.gram, tau)])

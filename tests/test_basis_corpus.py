@@ -1,14 +1,27 @@
-"""Verdicts of the basis-change corpus (see ``basis_corpus``) against those in each base's own basis.
+"""Verdicts and invariants of the basis-change corpus (see ``basis_corpus``) against each base's own.
 
 Every item whose verdicts differ from its base's is listed in ``XFAIL`` by
 corpus seed and index, with what differs, and is a strict xfail: a fix turns
 it into a failure, so the list can only shrink, and never grows silently.
+
+The basis-free invariants of ``references.invariants`` are compared on every
+unequal-scale item and every boost of rapidity at most ``MAX_BOOST``.  Each
+error is measured at the base's scale max|C_F|^degree, C_F the base's brackets
+in its frame, and held to one bound per change kind.  A boost of rapidity r
+grows the frame brackets by up to e^r, so a degree-d invariant loses about
+eps * e^(d r) to cancellation: 1.5e-8 at r = 3, but 2.4e-3 and 3.8e2 at r = 5
+and 7, which are beyond what the frame can resolve.
 """
 
+import functools
+
+import numpy as np
 import pytest
 
-from basis_corpus import SEED, corpus, disagreement
+from basis_corpus import SEED, bases, corpus, disagreement
+from liemetric.geometry import frame
 from liemetric.lie import structure_report
+from references import INVARIANT_DEGREES, invariants
 from test_lie import _dense_rows_report
 
 XFAIL = {SEED: {
@@ -49,3 +62,26 @@ def test_corpus_size():
 def test_structure_report_matches_dense_rows_on_the_corpus():
     for item in corpus(SEED):
         assert structure_report(item.m.algebra) == _dense_rows_report(item.m.algebra), item.index
+
+
+# unequal-scale changes have condition number s <= 1e3: a diagonal one scales the coordinates, a rotated one
+# mixes them and leaves the frame a relative error near eps * s^2, times the degree up to 6: about 1.3e-9
+INVARIANT_BOUNDS = {"scale": 1e-10, "permuted": 1e-10, "rotated": 1e-8, "boost": 1e-7}
+MAX_BOOST = 3.0
+
+
+@functools.cache
+def _base_invariants(seed: int, b: int):
+    m = bases(seed)[b][1]
+    return invariants(m), frame(m)[0].algebra.max_structure_constant ** np.array(INVARIANT_DEGREES)
+
+
+@pytest.mark.parametrize("seed, index", [
+    pytest.param(SEED, item.index, id=f"{SEED}-{item.index}")
+    for item in corpus(SEED) if item.change != "boost" or item.size <= MAX_BOOST
+])
+def test_invariants_do_not_depend_on_the_basis(seed, index):
+    item = corpus(seed)[index]
+    want, scale = _base_invariants(seed, item.base)
+    err = np.abs(invariants(item.m) - want)
+    assert np.all(err <= INVARIANT_BOUNDS[item.change] * scale), err / scale
