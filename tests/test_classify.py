@@ -20,14 +20,17 @@ from liemetric import (
     verify_isometry,
 )
 from liemetric.cli import build_report
-from liemetric.linalg import signature
 from liemetric.errors import (
     NotTypeIError,
     NotTypeIIError,
     PreconditionError,
     WrongSignatureError,
 )
+from liemetric.linalg import signature
 from sampling import random_invertible, random_nilpotent_extension_spec
+
+from basis_corpus import bases
+from conftest import CATALOG_CASES
 
 
 @pytest.fixture
@@ -317,9 +320,6 @@ def test_type_I_metric_in_unequal_scales_stays_type_I(base):
 
 
 def _type_II_cases():
-    from basis_corpus import bases
-    from conftest import CATALOG_CASES
-
     yield from (catalog(name, **params) for name, params in CATALOG_CASES)
     yield from (catalog("double_ext_demo", kind=kind, dim=d) for kind in ("solvable", "nilpotent") for d in (2, 3, 7))
     yield from (m for _, m in bases())
