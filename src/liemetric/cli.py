@@ -56,7 +56,7 @@ from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditio
 from .errors import (BadParamsError, DegenerateFormError, JacobiError, LieMetricError, ParseError, ValidationError,
                      VerificationError)
 from .geometry import MetricLieAlgebra, frame, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
-from .lie import MAX_DIM, LieAlgebra, _is_integer, structure_report
+from .lie import MAX_DIM, LieAlgebra, _is_integer, _scatter, structure_report
 from .linalg import Tolerance, _is_real, _not_real, _plain_reals, as_matrix, signature
 
 EXIT_OK = 0
@@ -243,7 +243,7 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
 
     try:
         gram = as_matrix(metric, dim=dim, name="field 'metric'")
-        return MetricLieAlgebra(LieAlgebra._from_rows(dim, i, j, rows, names), gram, tol)
+        return MetricLieAlgebra(LieAlgebra._adopting(_scatter(dim, i, j, rows), names), gram, tol)
     except JacobiError as exc:
         raise ValidationError(f"{path}: Jacobi identity fails (residual {exc.residual:.3e})") from exc
     except DegenerateFormError as exc:

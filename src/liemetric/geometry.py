@@ -338,7 +338,7 @@ def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
     p = as_matrix(p, dim=m.dim, name="p")
     pinv = np.linalg.inv(p)
     new_c = (_pull_back(m.algebra.tensor, p).reshape(m.dim ** 2, m.dim) @ pinv.T).reshape(m.algebra.tensor.shape)
-    algebra = LieAlgebra._from_upper(np.multiply(new_c - new_c.transpose(1, 0, 2), 0.5, out=new_c))
+    algebra = LieAlgebra._adopting(np.multiply(new_c - new_c.transpose(1, 0, 2), 0.5, out=new_c))
     reach = algebra.max_structure_constant
     if not reach <= MAX_ABS:  # the degree analysis needs the bound; NaN fails
         raise ValidationError(f"brackets in the new basis reach {reach:.3e}, beyond MAX_ABS = {MAX_ABS:g}")

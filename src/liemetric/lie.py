@@ -2,18 +2,19 @@
 
 The stored form is the dense antisymmetric bracket tensor
 C[i, j, :] = [e_i, e_j].  Every way of building an algebra ends in one core,
-:meth:`LieAlgebra._set`, given the nonzero rows [e_i, e_j], i < j, in
-row-major order: a dict of rows and the file loader drop their zero rows
-and sort the rest, a dense tensor or a construction writing blocks finds
-the nonzero rows of its strict upper triangle once.  The core keeps their
-pairs as the read-only pair index (``bracket_pairs``, computed once like
-max|C| and k_C) and writes the rows once into the tensor, negated in the
-lower triangle, so the two triangles never disagree.  The readers of the sparsity (the Jacobi
-check, the read-only ``structure`` view, the file writer) read the pair
-index, never a scan of the dim^3 tensor.  Construction is two-phase: raw
-load, then :meth:`LieAlgebra.validate` after the Jacobi check, which records
-the tolerance it passed under.  The geometry layer validates every algebra
-under its own tolerance.
+:meth:`LieAlgebra._adopt`, which adopts an exactly antisymmetric tensor its
+caller has just built: a dict of rows and the file loader scatter their
+nonzero rows into both triangles, a construction or a dense tensor has its
+strict upper triangle mirrored, :func:`direct_sum` places two whole tensors
+as blocks, and a change of basis hands over (C - C^T)/2.  So the lower
+triangle is the negation of the upper one, up to the sign of zero.  The core
+makes the tensor read-only and reads the pair index (``bracket_pairs``) off
+it once, by a row-major scan of its nonzero upper rows; like max|C| and k_C
+it is never recomputed.  The readers of the sparsity (the Jacobi check, the
+read-only ``structure`` view, the file writer) read the pair index.
+Construction is two-phase: raw load, then :meth:`LieAlgebra.validate` after
+the Jacobi check, which records the tolerance it passed under.  The geometry
+layer validates every algebra under its own tolerance.
 
 Tolerances.  An algebra stores k_C (``exponent``) for
 :meth:`~liemetric.linalg.Tolerance.passes`: the Jacobi residual is
@@ -77,11 +78,14 @@ _ANTISYMMETRY_TOL = Tolerance(abs=5e-13, rel=5e-13)
 MAX_DIM = 256
 
 
-def _row_major(dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray):
-    """The pairs (i, j) and rows that are not all zero (a row of -0.0 is all zero), in row-major (i, j) order."""
-    keep = np.flatnonzero(rows.any(axis=1))
-    keep = keep[np.argsort(i[keep] * dim + j[keep])]
-    return i[keep], j[keep], rows[keep]
+def _scatter(dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The tensor of [e_i[p], e_j[p]] = rows[p], distinct pairs i[p] < j[p]; an all-zero row (-0.0 too) stays +0.0."""
+    keep = rows.any(axis=1)
+    i, j, rows = i[keep], j[keep], rows[keep]
+    c = np.zeros((dim, dim, dim))
+    c[i, j] = rows
+    c[j, i] = -rows
+    return c
 
 
 def _is_integer(x) -> bool:
@@ -120,45 +124,38 @@ class LieAlgebra:
             pairs.append((i, j))
             rows.append(as_vector(coeffs, dim, name=f"[e_{i}, e_{j}] coefficient"))
         i, j = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
-        self._set(dim, *_row_major(dim, i, j, np.array(rows).reshape(len(rows), dim)), basis_names)
+        self._adopt(_scatter(dim, i, j, np.array(rows).reshape(len(rows), dim)), basis_names)
 
     @classmethod
-    def _from_rows(cls, dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray, basis_names=None) -> "LieAlgebra":
-        """Algebra with [e_i[p], e_j[p]] = rows[p] for distinct pairs i[p] < j[p] in any order."""
-        g = cls.__new__(cls)
-        g._set(dim, *_row_major(dim, i, j, rows), basis_names)
-        return g
+    def _adopting(cls, c: np.ndarray, basis_names=None) -> "LieAlgebra":
+        """Algebra that adopts the exactly antisymmetric tensor ``c`` (see :meth:`_adopt`)."""
+        return cls.__new__(cls)._adopt(c, basis_names)
 
     @classmethod
     def _from_upper(cls, upper: np.ndarray, basis_names=None) -> "LieAlgebra":
-        """Algebra whose brackets are the strict upper triangle of a cubic array, its nonzero rows found once."""
+        """Algebra whose brackets are the strict upper triangle of a cubic array, mirrored into the lower one."""
         i, j = np.nonzero(np.triu(upper.any(axis=2), 1))
-        g = cls.__new__(cls)
-        g._set(upper.shape[0], i, j, upper[i, j], basis_names)
-        return g
+        return cls._adopting(_scatter(upper.shape[0], i, j, upper[i, j]), basis_names)
 
-    def _set(self, dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray, basis_names):
-        """The one construction core: the brackets [e_i[p], e_j[p]] = rows[p], nonzero rows in row-major order.
+    def _adopt(self, c: np.ndarray, basis_names) -> "LieAlgebra":
+        """The one construction core: adopt ``c``, exactly antisymmetric and held by no one else, as the tensor.
 
-        The pairs become the pair index, and the rows are written once into
-        the tensor: upper triangle as given, lower triangle negated.  Every
-        row not given stays +0.0 in both triangles.
-        """
+        ``c`` becomes read-only and the pair index is read off it once.  By
+        antisymmetry max|C| is its largest entry, found without a temporary."""
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
-            if len(basis_names) != dim:
+            if len(basis_names) != c.shape[0]:
                 raise DimensionMismatchError("basis_names length must equal dim")
-        c = np.zeros((dim, dim, dim))
-        c[i, j] = rows
-        c[j, i] = -rows
+        i, j = np.nonzero(np.triu(c.any(axis=2), 1))
         for a in (c, i, j):
             a.flags.writeable = False
-        self.dim, self.basis_names = dim, basis_names
+        self.dim, self.basis_names = c.shape[0], basis_names
         self._tensor, self._pairs = c, (i, j)
-        self._max_structure_constant = operator_residual(rows)
+        self._max_structure_constant = abs(float(c.max(initial=0.0)))  # NaN stays NaN
         self.exponent = exponent(self._max_structure_constant)
         self._passed = set()  # the tolerances validate() has passed under
         self._jacobi_residual = None
+        return self
 
     @classmethod
     def from_tensor(cls, tensor, basis_names=None) -> "LieAlgebra":
@@ -433,7 +430,5 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     t = np.zeros((a.dim + b.dim,) * 3)
     t[: a.dim, : a.dim, : a.dim] = a.tensor
     t[a.dim :, a.dim :, a.dim :] = b.tensor
-    names = None
-    if a.basis_names is not None and b.basis_names is not None:
-        names = a.basis_names + b.basis_names
-    return LieAlgebra._from_upper(t, basis_names=names)
+    names = None if None in (a.basis_names, b.basis_names) else a.basis_names + b.basis_names
+    return LieAlgebra._adopting(t, basis_names=names)

@@ -663,10 +663,14 @@ class _Kernels:
         self.dense_calls += 1
         return self.dense_kernel(g)
 
-    def assert_matches_completed(self, g: LieAlgebra, upper: np.ndarray):
-        """g's tensor is that of ``upper``'s triangle, signs of zeros included; same Jacobi residual and kernel."""
+    def assert_matches_completed(self, g: LieAlgebra, upper: np.ndarray, signs: np.ndarray | None = None):
+        """g's tensor is that of ``upper``'s triangle; same Jacobi residual and kernel.
+
+        Its zeros have the signs of those of ``signs``, by default of the completed triangle.
+        """
         ref = _complete(upper)
-        assert np.array_equal(g.tensor, ref) and np.array_equal(np.signbit(g.tensor), np.signbit(ref)), g
+        signs = ref if signs is None else signs
+        assert np.array_equal(g.tensor, ref) and np.array_equal(np.signbit(g.tensor), np.signbit(signs)), g
         assert g.max_structure_constant == operator_residual(ref)
         i, j = g.bracket_pairs
         assert np.array_equal(np.stack(g.bracket_pairs), np.nonzero(np.triu(np.any(ref != 0.0, axis=2), 1)))
@@ -735,14 +739,13 @@ def test_constructions_match_the_completed_triangle(monkeypatch):
                           random_nilpotent_extension_spec)
 
     built = []
-    from_upper = LieAlgebra.__dict__["_from_upper"].__func__
+    adopt = LieAlgebra._adopt
 
-    def recording(cls, upper, basis_names=None):
-        g = from_upper(cls, upper, basis_names)
-        built.append((g, np.array(upper)))
-        return g
+    def recording(g, c, basis_names):
+        built.append((g, np.array(c)))
+        return adopt(g, c, basis_names)
 
-    monkeypatch.setattr(LieAlgebra, "_from_upper", classmethod(recording))
+    monkeypatch.setattr(LieAlgebra, "_adopt", recording)
     rng = np.random.default_rng(17)
     for name, params, rebased in _ROW_CASES:
         m = catalog(name, **params)
@@ -763,6 +766,81 @@ def test_constructions_match_the_completed_triangle(monkeypatch):
     direct_sum(make_sl2(), make_heisenberg(1))
 
     kernels = _Kernels(monkeypatch)
-    for g, upper in built:
-        kernels.assert_matches_completed(g, upper)
+    for g, adopted in built:  # the core keeps each tensor as given, which completes its own upper triangle
+        kernels.assert_matches_completed(g, adopted, signs=adopted)
     assert len(built) > 150 and kernels.dense_calls > 0
+
+
+def _dict_built(rng, tmp_path):
+    yield from (LieAlgebra(dim, structure) for dim, structure in _signed_zero_structures())
+    yield from (make_sl2(), make_heisenberg(2), random_lie_algebra(rng, 6))
+
+
+def _file_loaded(rng, tmp_path):
+    from liemetric import cli
+
+    docs = [{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"0": 1}}, {"i": 0, "j": 1, "coeffs": {"2": -0.0}}]}]
+    docs += [cli.algebra_to_dict(catalog(name, **params)) for name, params in CATALOG_CASES]
+    for n, doc in enumerate(docs):
+        doc.setdefault("metric", np.eye(doc["dim"]).tolist())
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        yield cli.load_algebra_file(path, DEFAULT_TOL).algebra
+
+
+def _tensor_built(rng, tmp_path):
+    c = np.array(make_sl2().tensor)
+    c[1, 0, 2] += 1e-13
+    c[0, 2, 1] = -0.0
+    yield LieAlgebra.from_tensor(c)
+    c = rng.normal(size=(5, 5, 5))
+    yield LieAlgebra.from_tensor(c - c.transpose(1, 0, 2))
+
+
+def _direct_sums(rng, tmp_path):
+    yield direct_sum(make_sl2(), make_heisenberg(1))
+    m = catalog("einstein_solvable", n=1)
+    yield direct_sum(change_basis(m, random_invertible(rng, m.dim)).algebra, make_affine())
+
+
+def _constructed(rng, tmp_path):
+    from liemetric import constructions
+
+    from sampling import (random_abelian_extension_spec, random_general_extension_spec,
+                          random_nilpotent_extension_spec)
+
+    specs = [random_abelian_extension_spec(rng, 3), random_nilpotent_extension_spec(rng, 4),
+             random_general_extension_spec(rng)]
+    sl2, h = catalog("sl_killing", n=2), catalog("heisenberg", n=2).algebra
+    built = [constructions.double_extension(spec) for spec in specs]
+    built += [constructions.complexify(sl2)[0], constructions.type_I_metric(sl2, 1.0, 2.0),
+              constructions.central_extension_metric(h), constructions.bordemann_cotangent(h),
+              constructions.two_step_parallel(2, (0, 2), [np.array([[0.0, 1.0], [-1.0, 0.0]])])]
+    built += [catalog(name, **params) for name, params in CATALOG_CASES]
+    return (m.algebra for m in built)
+
+
+def _rebased(rng, tmp_path):
+    for name, params in CATALOG_CASES:
+        m = catalog(name, **params)
+        yield change_basis(m, random_invertible(rng, m.dim)).algebra
+
+
+def _frames(rng, tmp_path):
+    from liemetric.geometry import frame
+
+    for name, params in CATALOG_CASES:
+        m = catalog(name, **params)
+        yield frame(change_basis(m, random_invertible(rng, m.dim)))[0].algebra
+
+
+@pytest.mark.parametrize("build", [_dict_built, _file_loaded, _tensor_built, _direct_sums, _constructed, _rebased,
+                                   _frames], ids=lambda build: build.__name__.strip("_"))
+def test_every_entry_point_hands_the_core_an_antisymmetric_tensor(build, tmp_path):
+    """The tensor is read-only and antisymmetric, and the pair index lists its nonzero upper rows in row-major order."""
+    for g in build(np.random.default_rng(22), tmp_path):
+        c = g.tensor
+        assert not c.flags.writeable
+        assert np.array_equal(c, -c.transpose(1, 0, 2))
+        rows = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim) if np.any(c[i, j] != 0.0)]
+        assert list(zip(*map(np.ndarray.tolist, g.bracket_pairs))) == rows
