@@ -334,14 +334,18 @@ def _pull_back(c: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
-    """Pull the whole structure back along basis matrix p (columns = new basis)."""
+    """Pull the whole structure back along basis matrix p (columns = new basis); a singular p is a ValidationError."""
     p = as_matrix(p, dim=m.dim, name="p")
-    pinv = np.linalg.inv(p)
+    try:
+        pinv = np.linalg.inv(p)
+    except np.linalg.LinAlgError:
+        raise ValidationError("the new basis p is not invertible") from None
     new_c = (_pull_back(m.algebra.tensor, p).reshape(m.dim ** 2, m.dim) @ pinv.T).reshape(m.algebra.tensor.shape)
     algebra = LieAlgebra._adopting(np.multiply(new_c - new_c.transpose(1, 0, 2), 0.5, out=new_c))
-    reach = algebra.max_structure_constant
-    if not reach <= MAX_ABS:  # the degree analysis needs the bound; NaN fails
-        raise ValidationError(f"brackets in the new basis reach {reach:.3e}, beyond MAX_ABS = {MAX_ABS:g}")
     new_g = p.T @ m.gram @ p
+    for what, reach in (("brackets in the new basis reach", algebra.max_structure_constant),
+                        ("the metric in the new basis reaches", operator_residual(new_g))):
+        if not reach <= MAX_ABS:  # the degree analysis needs the bound; NaN fails
+            raise ValidationError(f"{what} {reach:.3e}, beyond MAX_ABS = {MAX_ABS:g}")
     algebra._passed = set(m.algebra._passed)  # carried over, not checked again
     return MetricLieAlgebra(algebra, SymmetricForm(new_g, m.tol), m.tol)

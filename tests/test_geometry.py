@@ -534,6 +534,20 @@ def test_change_basis_bounds_the_brackets_it_computes():
         is_einstein(m)
 
 
+def test_change_basis_bounds_the_metric_it_computes():
+    # p is within MAX_ABS; the metric in the basis p, 1e30 * 1e30, is not
+    m = MetricLieAlgebra(LieAlgebra(2, {}), np.eye(2))
+    with pytest.raises(ValidationError, match=r"^the metric in the new basis reaches 1\.000e\+60, beyond MAX_ABS = 1e\+50$"):
+        change_basis(m, 1e30 * np.eye(2))
+
+
+def test_change_basis_rejects_a_singular_basis():
+    m = catalog("sl_killing", n=2)
+    with pytest.raises(ValidationError, match="^the new basis p is not invertible$") as info:
+        change_basis(m, np.diag([1.0, 1.0, 0.0]))
+    assert info.value.exit_code == 2
+
+
 def test_change_basis_carries_validation_without_a_second_check(monkeypatch, rng):
     import liemetric.lie as lie_mod
 
