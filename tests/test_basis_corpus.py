@@ -8,10 +8,10 @@ The basis-free invariants of ``references.invariants`` are compared on every
 unequal-scale item and every boost of rapidity at most ``MAX_BOOST``.  Each
 error is measured at the base's scale max|C_F|^degree, C_F the base's brackets
 in its frame, and held to one bound per change kind; an item beyond it is a
-strict xfail in ``BRACKET_XFAIL`` that records the measured error.  A boost of rapidity r
-grows the frame brackets by up to e^r, so a degree-d invariant loses about
-eps * e^(d r) to cancellation: 1.5e-8 at r = 3, but 2.4e-3 and 3.8e2 at r = 5
-and 7, which are beyond what the frame can resolve.
+strict xfail in ``BRACKET_XFAIL`` that records the measured error.  A boost of
+rapidity r grows the frame brackets by up to e^r, so a degree-d invariant
+loses about eps * e^(d r) to cancellation: 1.5e-8 at r = 3, but 2.4e-3 and
+3.8e2 at r = 5 and 7, which are beyond what the frame can resolve.
 """
 
 import functools
@@ -72,10 +72,11 @@ MAX_BOOST = 3.0
 # references.invariants in two families, each asserted by its own test so that an xfail in one leaves the
 # other checked: tr Ric^k and |tau|^2_g, then tr (g^-1 B)^k and <C, C>_g
 RICCI, BRACKET = slice(0, 4), slice(4, 8)
-# items with an invariant of the bracket family beyond its bound, and the error measured at the base's scale
-BRACKET_XFAIL = {SEED: {
+# items of corpus SEED with an invariant of the bracket family beyond its bound, and the error measured at the
+# base's scale
+BRACKET_XFAIL = {
     56: "permuted s = 1e3: tr (g^-1 B)^3 off by 1.03e-10, beyond 1e-10",
-}}
+}
 
 
 def _invariant_cases(known: dict):
@@ -110,6 +111,6 @@ def test_invariants_do_not_depend_on_the_basis(seed, index):
     _assert_invariants(seed, index, RICCI)
 
 
-@pytest.mark.parametrize("seed, index", _invariant_cases(BRACKET_XFAIL[SEED]))
+@pytest.mark.parametrize("seed, index", _invariant_cases(BRACKET_XFAIL))
 def test_bracket_invariants_do_not_depend_on_the_basis(seed, index):
     _assert_invariants(seed, index, BRACKET)
