@@ -165,11 +165,12 @@ def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError | N
     """The ParseError of a bracket record's first bad key, else a repeated index, else its lowest bad value; or None."""
     where, coeffs, ks = f"{path}: brackets[{rec_no}]", rec.get("coeffs", {}), []
     for key in coeffs:
-        if not _is_index(key.removeprefix("-")):  # a minus sign is read, and then out of range
+        digits = key.removeprefix("-")
+        if not _is_index(digits):
             return ParseError(f"{where}: coefficient index {key!r} is not an integer")
-        k = int(key)
-        if not 0 <= k < dim:
-            return ParseError(f"{where}: coefficient index {k} out of range")
+        k, sign = int(digits), key[: len(key) - len(digits)]
+        if sign or k >= dim:  # a minus-signed key is out of range, "-0" too
+            return ParseError(f"{where}: coefficient index {sign}{k} out of range")
         ks.append(k)
     if len(set(ks)) < len(ks):
         return ParseError(f"{where}: two coefficient keys name the same index")

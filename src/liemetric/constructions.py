@@ -466,7 +466,7 @@ def _sl_algebra(n: int):
     """sl(n) on the basis E_ij (i != j), H_k = E_kk - E_(k+1)(k+1), with the Gram matrix 2n tr(xy).
 
     The basis, the commutators and the coordinate map are integer arrays,
-    so every constant is exact.
+    so every constant is exact and the tensor is adopted as it is built.
     """
     off_i, off_j = np.nonzero(~np.eye(n, dtype=bool))
     noff, dim = n * (n - 1), n * n - 1
@@ -485,7 +485,7 @@ def _sl_algebra(n: int):
     t = (comm @ coords.T).astype(float)
     gram = (2 * n * np.einsum("aij,bji->ab", mats, mats)).astype(float)
     names = [f"E{i + 1}{j + 1}" for i, j in zip(off_i, off_j)] + [f"H{k + 1}" for k in range(n - 1)]
-    return LieAlgebra._from_upper(t, basis_names=names), gram
+    return LieAlgebra._adopting(t, basis_names=names), gram
 
 
 def _catalog_sl_killing(tol, n):

@@ -6,12 +6,13 @@ C[i, j, :] = [e_i, e_j].  Every way of building an algebra ends in one core,
 caller has just built: a dict of rows and the file loader scatter their
 nonzero rows into both triangles, a construction or a dense tensor has its
 strict upper triangle mirrored, :func:`direct_sum` places two whole tensors
-as blocks, and a change of basis hands over (C - C^T)/2.  So the lower
-triangle is the negation of the upper one, up to the sign of zero.  The core
-makes the tensor read-only and reads the pair index (``bracket_pairs``) off
-it once, by a row-major scan of its nonzero upper rows; like max|C| and k_C
-it is never recomputed.  The readers of the sparsity (the Jacobi check, the
-read-only ``structure`` view, the file writer) read the pair index.
+as blocks, sl(n) hands over its exact integer commutators, and a change of
+basis hands over (C - C^T)/2.  So the lower triangle is the negation of the
+upper one, up to the sign of zero.  The core makes the tensor read-only and
+takes max|C| and k_C.  The pair index (``bracket_pairs``, a row-major scan of
+the nonzero upper rows) and the Jacobi residual are read off it when first
+read.  Only the Jacobi check, ``structure``, ``repr`` and the file writer read
+the pair index, so a frame never builds it.
 Construction is two-phase: raw load, then :meth:`LieAlgebra.validate` after
 the Jacobi check, which records the tolerance it passed under.  The geometry
 layer validates every algebra under its own tolerance.
@@ -140,21 +141,17 @@ class LieAlgebra:
     def _adopt(self, c: np.ndarray, basis_names) -> "LieAlgebra":
         """The one construction core: adopt ``c``, exactly antisymmetric and held by no one else, as the tensor.
 
-        ``c`` becomes read-only and the pair index is read off it once.  By
-        antisymmetry max|C| is its largest entry, found without a temporary."""
+        ``c`` becomes read-only.  By antisymmetry max|C| is its largest
+        entry, found without a temporary."""
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
             if len(basis_names) != c.shape[0]:
                 raise DimensionMismatchError("basis_names length must equal dim")
-        i, j = np.nonzero(np.triu(c.any(axis=2), 1))
-        for a in (c, i, j):
-            a.flags.writeable = False
-        self.dim, self.basis_names = c.shape[0], basis_names
-        self._tensor, self._pairs = c, (i, j)
+        c.flags.writeable = False
+        self.dim, self.basis_names, self._tensor = c.shape[0], basis_names, c
         self._max_structure_constant = abs(float(c.max(initial=0.0)))  # NaN stays NaN
         self.exponent = exponent(self._max_structure_constant)
         self._passed = set()  # the tolerances validate() has passed under
-        self._jacobi_residual = None
         return self
 
     @classmethod
@@ -178,15 +175,17 @@ class LieAlgebra:
         """Dense antisymmetric tensor C with C[i, j, :] = [e_i, e_j] (read-only)."""
         return self._tensor
 
-    @property
+    @functools.cached_property
     def bracket_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (i, j), i < j in row-major order, of the nonzero brackets [e_i, e_j] (read-only)."""
-        return self._pairs
+        """Read-only (i, j), i < j in row-major order, of the nonzero brackets [e_i, e_j]; scanned on first read."""
+        i, j = np.nonzero(np.triu(self._tensor.any(axis=2), 1))
+        i.flags.writeable = j.flags.writeable = False
+        return i, j
 
     @property
     def structure(self) -> MappingProxyType:
         """Read-only {(i, j): [e_i, e_j]} over the nonzero brackets with i < j, in (i, j) order."""
-        i, j = self._pairs
+        i, j = self.bracket_pairs
         rows = self._tensor[i, j]
         rows.flags.writeable = False
         return MappingProxyType(dict(zip(zip(i.tolist(), j.tolist()), rows)))
@@ -206,12 +205,10 @@ class LieAlgebra:
         """Whether :meth:`validate` has passed under some tolerance."""
         return bool(self._passed)
 
-    @property
+    @functools.cached_property
     def jacobi_residual(self) -> float:
         """:func:`validate_jacobi` of this algebra, computed once (the tensor is read-only)."""
-        if self._jacobi_residual is None:
-            self._jacobi_residual = validate_jacobi(self)
-        return self._jacobi_residual
+        return validate_jacobi(self)
 
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] by contraction against the structure tensor."""
@@ -237,7 +234,7 @@ class LieAlgebra:
         return self
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self._pairs[0])})"
+        return f"LieAlgebra(dim={self.dim}, brackets={len(self.bracket_pairs[0])})"
 
 
 def validate_jacobi(g: LieAlgebra) -> float:

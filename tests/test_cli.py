@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liemetric import LieAlgebra, catalog, change_basis, cli, constructions, errors, linalg, ricci_structural
+from liemetric import LieAlgebra, catalog, change_basis, cli, constructions, errors, frame, linalg, ricci_structural
 from liemetric.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, load_algebra_file,
                            main)
 from sampling import random_invertible, random_metric_lie_algebra
@@ -177,6 +177,18 @@ def test_report_directory_keeps_going_past_a_bad_file(tmp_path, capsys):
     assert records[0]["error"].startswith("ParseError: ") and "finite" in records[0]["error"]
     assert set(records[0]) == {"file", "error", "exit_code"}
     assert records[1]["report"]["structure"]["is_nilpotent"]
+
+
+def test_report_directory_gives_a_record_for_a_minus_zero_key(tmp_path, capsys):
+    # "-0" passes a digits test once its sign is read off; the per-record rule must still name it
+    doc = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"-0": 1.0}}], "metric": np.eye(2).tolist()}
+    (tmp_path / "a_minus_zero.json").write_text(json.dumps(doc), encoding="utf-8")
+    write_catalog(tmp_path, "heisenberg", "b_h1.json", n=1)
+    assert run(["report", tmp_path]) == EXIT_PARSE
+    records = json.loads(capsys.readouterr().out)
+    assert [r["file"] for r in records] == ["a_minus_zero.json", "b_h1.json"]
+    assert records[0]["exit_code"] == EXIT_PARSE
+    assert records[0]["error"].endswith("brackets[0]: coefficient index -0 out of range")
 
 
 def test_report_directory_skips_construction_sidecars(tmp_path):
@@ -599,6 +611,8 @@ def test_strings_and_booleans_are_not_numbers(tmp_path, capsys):
     ([{"i": 0, "j": 1, "coeffs": {"2": 1.0}}, {"i": 0, "j": 2, "coef": {}}], "brackets[1]: unknown field 'coef'"),
     ([{"i": 0, "j": 1, "coeffs": {"3": 1.0}}, {"i": 0, "j": 2, "coef": {}}],
      "brackets[0]: coefficient index 3 out of range"),
+    ([{"i": 0, "j": 1, "coeffs": {"-0": 1.0}}], "brackets[0]: coefficient index -0 out of range"),
+    ([{"i": 0, "j": 1, "coeffs": {"2": 1.0, "-00": 1.0}}], "brackets[0]: coefficient index -0 out of range"),
 ])
 def test_bracket_record_messages(tmp_path, capsys, brackets, message):
     path = tmp_path / "bad.json"
@@ -667,7 +681,8 @@ def _bracket_list(r: random.Random):
     for i, j in r.sample(pairs, r.randint(0, len(pairs))):
         coeffs = {}
         for _ in range(r.randint(0, dim)):
-            key = str(r.randrange(dim)) if r.random() < 0.96 else r.choice(["01", " 1", "-1", "", "9" * 30, str(dim)])
+            key = (str(r.randrange(dim)) if r.random() < 0.96 else
+                   r.choice(["01", " 1", "-1", "-0", "-00", "", "9" * 30, str(dim)]))
             coeffs[key] = (r.choice([r.uniform(-2.0, 2.0), r.randint(-3, 3), -0.0, 1e50]) if r.random() < 0.97 else
                            r.choice([True, False, None, "1", [1.0], float("nan"), 10 ** 400, 1e60]))
         rec, fault = {"i": i, "j": j, "coeffs": coeffs}, r.random()
@@ -749,6 +764,21 @@ def test_loader_scans_no_dim3_array(tmp_path, monkeypatch):
     loaded = load_algebra_file(path, m.tol)
     assert sizes and max(sizes) < m.dim ** 3
     assert np.array_equal(loaded.algebra.tensor, m.algebra.tensor)
+
+
+def test_frames_never_index_their_brackets(monkeypatch):
+    # no reader of a change-of-basis output needs the pair index, so neither the frame nor the report scans for it
+    m, calls = catalog("sl_killing", n=3), []
+
+    def counted(a, *args, _orig=np.nonzero, **kwargs):
+        calls.append(np.shape(a))
+        return _orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "nonzero", counted)
+    f, p = frame(m)
+    build_report(m)
+    assert not np.array_equal(p, np.eye(m.dim)) and f is not m
+    assert calls == []
 
 
 @pytest.mark.parametrize("text, key", [
