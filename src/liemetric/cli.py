@@ -57,7 +57,7 @@ from .errors import (BadParamsError, DegenerateFormError, JacobiError, LieMetric
                      VerificationError)
 from .geometry import MetricLieAlgebra, frame, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
 from .lie import MAX_DIM, LieAlgebra, _is_integer, _scatter, structure_report
-from .linalg import Tolerance, _is_real, _not_real, _plain_reals, as_matrix, signature
+from .linalg import DEFAULT_TOL, Tolerance, _is_real, _not_real, _plain_reals, as_matrix, signature
 
 EXIT_OK = 0
 EXIT_PARSE = ParseError.exit_code
@@ -454,9 +454,12 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing does not change it)."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-abs", type=float, default=1e-9, help="residual floor at unit brackets and metric")
-    common.add_argument("--tol-rel", type=float, default=1e-9, help="added to --tol-abs at unit brackets and metric")
-    common.add_argument("--tol-rank", type=float, default=1e-8, help="rank cutoff, relative to max|C| or max|g|")
+    common.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.abs,
+                        help="residual floor at unit brackets and metric")
+    common.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel,
+                        help="added to --tol-abs at unit brackets and metric")
+    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank,
+                        help="rank cutoff, relative to max|C| or max|g|")
     common.add_argument("--out", default=None, help="write JSON output to this path")
 
     parser = argparse.ArgumentParser(prog="liemetric",

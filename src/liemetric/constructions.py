@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geometry import (MetricLieAlgebra, ParallelCheck, connection_matrices, is_einstein, is_ricci_flat,
                        is_ricci_parallel, ricci)
-from .lie import MAX_DIM, LieAlgebra, _is_integer, trace_functional
+from .lie import LieAlgebra, _check_dim, _is_integer, trace_functional
 from .linalg import (
     DEFAULT_TOL,
     MAX_ABS,
@@ -129,8 +129,10 @@ def double_extension(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     Brackets: [u, e] = D e + <L, e>_0 v, [e, e'] = [e, e']_0 + <K e, e'>_0 v,
     v central.  Metric: hyperbolic pairing <u, v> = 1 on top of the base
     metric, so the signature gains (1, 1).  The data and the result are
-    judged by the tolerance of the base.
+    judged by the tolerance of the base.  An n + 2 above ``MAX_DIM`` raises
+    BadParamsError.
     """
+    _check_dim("double_extension", spec.base.dim + 2)
     tol, exps = spec.base.tol, spec.exponents
     for name, res in spec.validate().items():
         if not tol.passes(res, name, exps):
@@ -243,10 +245,11 @@ def complexify(base: MetricLieAlgebra):
 
     Returns the doubled metric algebra and the block complex structure J
     sending x + iy to -y + ix.  Doubling preserves Ricci-parallelism and
-    doubles an Einstein constant.
+    doubles an Einstein constant.  A 2n above ``MAX_DIM`` raises BadParamsError.
     """
     n = base.dim
     dim = 2 * n
+    _check_dim("complexify", dim)
     c0 = base.algebra.tensor
     t = np.zeros((dim, dim, dim))
     t[:n, :n, :n] = c0
@@ -316,13 +319,15 @@ def _cochain_metric_algebra(upper: np.ndarray, gram: np.ndarray, tol: Tolerance)
         raise CocycleError(msg) from exc
 
 
-def _dual_extension(d_algebra: LieAlgebra, theta, tol: Tolerance):
-    """What the extensions D + D* share: checked theta, the [C | theta] brackets, the split pairing.
+def _dual_extension(name: str, d_algebra: LieAlgebra, theta, tol: Tolerance):
+    """What the extensions D + D* share: checked size and theta, the [C | theta] brackets, the split pairing.
 
     Returns ``(theta, t, gram)`` where ``t[:n, :n]`` holds [x_a, x_b] = C[a, b] + theta[a, b]
-    and the rest of ``t`` is zero.  A base that is not a Lie algebra raises JacobiError.
+    and the rest of ``t`` is zero.  A 2n above ``MAX_DIM`` raises BadParamsError, a base that is
+    not a Lie algebra JacobiError.
     """
     n = d_algebra.dim
+    _check_dim(name, 2 * n)
     d_algebra.validate(tol)
     theta = np.zeros((n, n, n)) if theta is None else as_real_array(theta, "theta")
     if theta.shape != (n, n, n):
@@ -348,7 +353,7 @@ def central_extension_metric(d_algebra: LieAlgebra, theta=None,
     metric has signature (n, n), is always Ricci-parallel, and its Ricci
     tensor is -1/2 times the Killing form.
     """
-    _, t, gram = _dual_extension(d_algebra, theta, tol)
+    _, t, gram = _dual_extension("central_extension_metric", d_algebra, theta, tol)
     return _cochain_metric_algebra(t, gram, tol)
 
 
@@ -362,7 +367,7 @@ def bordemann_cotangent(d_algebra: LieAlgebra, theta=None,
     CocycleError.  The resulting metric is ad-invariant, hence
     Ricci-parallel with connection half the bracket.
     """
-    theta, t, gram = _dual_extension(d_algebra, theta, tol)
+    theta, t, gram = _dual_extension("bordemann_cotangent", d_algebra, theta, tol)
     cyc_res = operator_residual(theta + theta.transpose(0, 2, 1))
     if not tol.passes(cyc_res, "bracket", (_block_exponent(theta), 0)):
         raise CyclicityError(f"theta(x,y)(z) + theta(x,z)(y) != 0 (residual {cyc_res:.3e})")
@@ -465,25 +470,28 @@ def _catalog_einstein_solvable(tol, n):
 def _sl_algebra(n: int):
     """sl(n) on the basis E_ij (i != j), H_k = E_kk - E_(k+1)(k+1), with the Gram matrix 2n tr(xy).
 
-    The basis, the commutators and the coordinate map are integer arrays,
-    so every constant is exact and the tensor is adopted as it is built.
+    The basis and the coordinate map hold 0 and +-1, and every product of them
+    is a small integer, which float64 matrix products give exactly; so every
+    constant is exact and the tensor is adopted as it is built.
     """
     off_i, off_j = np.nonzero(~np.eye(n, dtype=bool))
     noff, dim = n * (n - 1), n * n - 1
-    mats = np.zeros((dim, n, n), dtype=np.int64)
+    mats = np.zeros((dim, n, n))
     mats[np.arange(noff), off_i, off_j] = 1
     k = np.arange(n - 1)
     mats[noff + k, k, k] = 1
     mats[noff + k, k + 1, k + 1] = -1
     # coordinates of a traceless x: its off-diagonal entries, then the partial traces x_00 + ... + x_kk
-    coords = np.zeros((dim, n * n), dtype=np.int64)
+    coords = np.zeros((dim, n * n))
     coords[np.arange(noff), off_i * n + off_j] = 1
-    coords[noff:, np.arange(n) * (n + 1)] = np.tri(n - 1, n, dtype=np.int64)
+    coords[noff:, np.arange(n) * (n + 1)] = np.tri(n - 1, n)
 
-    prod = np.einsum("aij,bjk->abik", mats, mats)
-    comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(dim, dim, n * n)
-    t = (comm @ coords.T).astype(float)
-    gram = (2 * n * np.einsum("aij,bji->ab", mats, mats)).astype(float)
+    # prod[a, i, b, k] = (x_a x_b)[i, k], all pairs in one (dim n, n) @ (n, dim n) product
+    prod = (mats.reshape(dim * n, n) @ mats.transpose(1, 0, 2).reshape(n, dim * n)).reshape(dim, n, dim, n)
+    comm = prod.transpose(0, 2, 1, 3) - prod.transpose(2, 0, 1, 3)  # [x_a, x_b][i, k]
+    # + 0.0 turns a zero that a product left as -0.0 into +0.0
+    t = comm.reshape(dim, dim, n * n) @ coords.T + 0.0
+    gram = 2 * n * np.einsum("aibi->ab", prod) + 0.0  # tr(x_a x_b) = sum_i (x_a x_b)[i, i]
     names = [f"E{i + 1}{j + 1}" for i, j in zip(off_i, off_j)] + [f"H{k + 1}" for k in range(n - 1)]
     return LieAlgebra._adopting(t, basis_names=names), gram
 
@@ -554,12 +562,6 @@ def _param_value(name: str, key: str, val, kind: str, bound):
             return val
         need = f"one of {list(bound)}"
     raise BadParamsError(f"{name}: parameter {key!r} must be {need}, got {val!r}")
-
-
-def _check_dim(name: str, dim: int):
-    """Reject an output dimension above ``MAX_DIM``, before anything of that size is allocated."""
-    if dim > MAX_DIM:
-        raise BadParamsError(f"{name}: the parameters give dimension {dim}, above the limit {MAX_DIM}")
 
 
 def _checked_params(name: str, params: dict) -> dict:

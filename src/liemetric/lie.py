@@ -57,7 +57,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError, JacobiError
+from .errors import BadParamsError, DimensionMismatchError, JacobiError
 from .linalg import DEFAULT_TOL, Tolerance, as_real_array, as_vector, exponent, operator_residual
 
 __all__ = [
@@ -73,10 +73,16 @@ __all__ = [
 # from_tensor accepts |C + C^T| up to 1e-12 at unit brackets
 _ANTISYMMETRY_TOL = Tolerance(abs=5e-13, rel=5e-13)
 
-# Largest dimension read from a file or asked of the catalog.  The dense
-# bracket tensor holds dim^3 doubles, so dim 256 is already 128 MiB, and the
-# kernels keep a few arrays of that size alive at once.
+# Largest dimension read from a file, asked of the catalog or built by a
+# construction.  The dense bracket tensor holds dim^3 doubles, so dim 256 is
+# already 128 MiB, and the kernels keep a few arrays of that size alive at once.
 MAX_DIM = 256
+
+
+def _check_dim(name: str, dim: int):
+    """Reject an output dimension above ``MAX_DIM``, before anything of that size is allocated."""
+    if dim > MAX_DIM:
+        raise BadParamsError(f"{name}: the result would have dimension {dim}, above the limit {MAX_DIM}")
 
 
 def _scatter(dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -423,7 +429,8 @@ def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureRe
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    """Direct sum of two algebras (block brackets, no interaction)."""
+    """Direct sum of two algebras (block brackets, no interaction); BadParamsError above ``MAX_DIM``."""
+    _check_dim("direct_sum", a.dim + b.dim)
     t = np.zeros((a.dim + b.dim,) * 3)
     t[: a.dim, : a.dim, : a.dim] = a.tensor
     t[a.dim :, a.dim :, a.dim :] = b.tensor

@@ -20,16 +20,12 @@ from .errors import DegenerateFormError, DimensionMismatchError, ParseError
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "DEGREES",
-    "exponent",
     "Signature",
     "SymmetricForm",
-    "as_real_array",
-    "as_matrix",
-    "operator_residual",
     "signature",
     "pseudo_orthonormal_basis",
     "metric_adjoint",
+    "operator_residual",
 ]
 
 

@@ -3,11 +3,12 @@ import json
 import random
 import sys
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from liemetric import LieAlgebra, catalog, change_basis, cli, constructions, errors, frame, linalg, ricci_structural
+from liemetric import LieAlgebra, catalog, change_basis, cli, constructions, errors, frame, lie, linalg, ricci_structural
 from liemetric.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, load_algebra_file,
                            main)
 from sampling import random_invertible, random_metric_lie_algebra
@@ -35,6 +36,14 @@ def test_validate_degenerate_metric(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["validate", path]) == EXIT_PARSE
     assert "nondegeneracy" in capsys.readouterr().err
+
+
+def test_validate_asymmetric_metric(tmp_path, capsys):
+    doc = {"dim": 2, "brackets": [], "metric": [[1, 0.5], [0, 1]]}
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert "ValidationError" in (err := capsys.readouterr().err) and "metric symmetry fails" in err
 
 
 def test_validate_bad_bracket_order(tmp_path, capsys):
@@ -430,6 +439,28 @@ def test_catalog_round_trip_all_entries(tmp_path, capsys):
             assert cls["constant"] == pytest.approx(expected["constant"], abs=1e-10)
         if "mu" in expected:
             assert cls["mu"] == pytest.approx(expected["mu"], abs=1e-9)
+
+
+def test_params_that_are_not_an_object_exit_3(capsys):
+    assert run(["catalog", "heisenberg", "--params", "[1]"]) == EXIT_PRECONDITION
+    assert "BadParamsError: --params must be a JSON object" in capsys.readouterr().err
+
+
+def test_complexify_above_max_dim_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lie, "MAX_DIM", 8)  # the loader's bound stays 256, so both files load
+    base = write_catalog(tmp_path, "abelian", "ab.json", p=1, q=4)
+    assert run(["complexify", base]) == EXIT_PRECONDITION
+    sl3 = write_catalog(tmp_path, "sl_killing", "sl3.json", n=3)
+    assert run(["complexify", sl3, "--type1", "0", "1"]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.count("BadParamsError: complexify: the result would have dimension") == 2
+    assert "dimension 10, above the limit 8" in err and "dimension 16, above the limit 8" in err
+
+
+def test_default_tolerance_is_default_tol(tmp_path, capsys):
+    path = write_catalog(tmp_path, "heisenberg", "h1.json", n=1)
+    assert run(["report", path, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["tolerance"] == asdict(linalg.DEFAULT_TOL)
 
 
 def test_catalog_unknown_and_bad_params(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from liemetric import (
     classify_ricci,
     complexify,
     connection,
+    direct_sum,
     double_extension,
     extension_invariants,
     bordemann_cotangent,
@@ -43,6 +45,7 @@ from liemetric.errors import (
     UnknownNameError,
     ZeroMuError,
 )
+from liemetric import lie
 from liemetric.lie import MAX_DIM
 from liemetric.linalg import Tolerance
 from sampling import (
@@ -512,6 +515,41 @@ def test_two_step_rejects_dimension_above_max_dim():
         two_step_parallel(MAX_DIM - 2, (0, MAX_DIM - 2), wrong_shape)
 
 
+def test_constructions_reject_dimension_above_max_dim_before_allocating(monkeypatch):
+    # the bound shrunk to 8, so that no case comes near the real one
+    monkeypatch.setattr(lie, "MAX_DIM", 8)
+    ab = LieAlgebra(24)
+    base = MetricLieAlgebra(ab, np.eye(24))
+    spec = DoubleExtensionSpec(base, np.zeros((24, 24)), np.zeros((24, 24)), np.zeros(24))
+    builds = {
+        "complexify": lambda: complexify(base),  # dim 48
+        "double_extension": lambda: double_extension(spec),  # dim 26
+        "central_extension_metric": lambda: central_extension_metric(ab),  # dim 48
+        "bordemann_cotangent": lambda: bordemann_cotangent(ab),  # dim 48
+        "direct_sum": lambda: direct_sum(ab, ab),  # dim 48
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParamsError, match=f"^{name}: .* above the limit 8$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 ** 3 * 8 // 4, (name, peak)  # far below the smallest output tensor
+    with pytest.raises(BadParamsError, match="^complexify: the result would have dimension 16, above the limit 8$"):
+        type_I_metric(catalog("sl_killing", n=3), 0.0, 1.0)  # sl(3) has dim 8
+
+
+def test_constructions_accept_dimension_max_dim(monkeypatch):
+    monkeypatch.setattr(lie, "MAX_DIM", 8)
+    four = LieAlgebra(4)
+    assert complexify(MetricLieAlgebra(four, np.eye(4)))[0].dim == 8
+    assert double_extension(DoubleExtensionSpec(euclidean_abelian(6), np.eye(6), np.zeros((6, 6)),
+                                                np.zeros(6))).dim == 8
+    assert central_extension_metric(four).dim == bordemann_cotangent(four).dim == direct_sum(four, four).dim == 8
+
+
 def test_two_step_accepts_numpy_integer_sizes():
     m = two_step_parallel(np.int64(2), (np.int32(1), np.int64(1)), [np.zeros((2, 2))])
     assert tuple(signature(m.metric)) == (2, 2)
@@ -540,6 +578,30 @@ def test_catalog_sl_killing_ricci():
     assert_allclose(ricci(m).operator, -0.25 * np.eye(3), atol=1e-13)
     # the catalog gram is the genuine Killing form
     assert_allclose(m.gram, killing_form(m.algebra), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8])
+def test_catalog_sl_killing_is_the_exact_integer_commutator_table(n):
+    # reference: the basis matrices read off the basis names, multiplied in integers
+    m = catalog("sl_killing", n=n)
+    names = m.algebra.basis_names
+    mats = []
+    for name in names:
+        x = np.zeros((n, n), dtype=np.int64)
+        if name[0] == "E":
+            x[int(name[1]) - 1, int(name[2]) - 1] = 1
+        else:
+            k = int(name[1:]) - 1
+            x[k, k], x[k + 1, k + 1] = 1, -1
+        mats.append(x)
+
+    def coords(x):  # the off-diagonal entries in basis order, then the partial traces of the diagonal
+        return [x[int(s[1]) - 1, int(s[2]) - 1] for s in names if s[0] == "E"] + list(np.cumsum(np.diag(x))[:-1])
+
+    t = m.algebra.tensor
+    assert np.array_equal(t, [[coords(a @ b - b @ a) for b in mats] for a in mats])
+    assert np.array_equal(m.gram, [[2 * n * np.trace(a @ b) for b in mats] for a in mats])
+    assert not np.signbit(t[t == 0]).any() and not np.signbit(m.gram[m.gram == 0]).any()
 
 
 def test_catalog_sl_complex_classifies():

@@ -43,6 +43,11 @@ def test_tolerance_threshold():
     assert not 1e-3 <= tol.threshold(1.0)
 
 
+def test_residual_beyond_the_double_range_at_unit_scale_fails():
+    # 1e308 * 2**1200 overflows in ldexp: the residual fails instead of raising
+    assert not Tolerance().passes(1e308, "nabla_ric", (-400, 0))
+
+
 def test_operator_residual_values():
     assert operator_residual(np.zeros((3, 3))) == 0.0
     assert operator_residual(np.eye(3)) == 1.0
