@@ -260,7 +260,10 @@ def decompose_double_extension(m: MetricLieAlgebra) -> DecomposedExtension:
     Nilpotency (or dimension <= 4) guarantees success; the structural
     facts it buys ([v, g] = 0, no bracket component along u, abelian
     Euclidean base) are checked numerically on every input and surfaced
-    as StructureMismatchError when violated, never dropped.  The
+    as StructureMismatchError when violated, never dropped.  Beyond them
+    it can fail: the flat Euclidean e(2) ([e1, e3] = -e2, [e2, e3] = e1)
+    double-extended by D = diag(1, 1, 0) is Ricci-parallel of type II and
+    not nilpotent, and its base_abelian residual is 1.  The
     preconditions (Lorentz signature, type II) are those of
     :func:`type_II_canonical_basis`.
     """

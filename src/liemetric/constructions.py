@@ -271,8 +271,10 @@ def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float) -> MetricLieAlg
     """Mixed metric on the doubled algebra whose Ricci operator is lam*Id + mu*J.
 
     Requires an Einstein base with nonzero constant and mu != 0; judged by
-    the tolerance of the base.
+    the tolerance of the base.  A 2n above ``MAX_DIM`` raises
+    BadParamsError before any work on the base.
     """
+    _check_dim("complexify", 2 * base.dim)
     tol = base.tol
     lam, mu = as_vector([lam, mu], 2, name="(lam, mu)")
     c, res = is_einstein(base)

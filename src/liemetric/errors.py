@@ -6,6 +6,11 @@ class LieMetricError(Exception):
 
     exit_code = 3  # a mathematical precondition fails; 2 for bad input, 4 for a failed certificate
 
+    def __init__(self, message, **details):
+        """Store each keyword detail (``residual``, ``residuals``, ``condition``) as an attribute."""
+        super().__init__(message)
+        self.__dict__.update(details)
+
 
 class DimensionMismatchError(LieMetricError):
     """Vector or matrix dimensions do not match the expected algebra size."""
@@ -16,20 +21,11 @@ class DegenerateFormError(LieMetricError):
 
 
 class JacobiError(LieMetricError):
-    """Structure constants fail the Jacobi identity beyond tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Structure constants fail the Jacobi identity beyond tolerance; ``residual`` is the Jacobi residual."""
 
 
 class InvalidSpecError(LieMetricError):
-    """Double-extension data violates one of its defining constraints."""
-
-    def __init__(self, message, condition=None, residual=None):
-        super().__init__(message)
-        self.condition = condition
-        self.residual = residual
+    """Double-extension data violates one of its defining constraints, the ``condition`` with its ``residual``."""
 
 
 class CocycleError(LieMetricError):
@@ -56,12 +52,6 @@ class NotTypeIError(LieMetricError):
     """Operation requires a Ricci operator with complex-pair minimal polynomial."""
 
 
-class NullImageError(LieMetricError):
-    """The Ricci image vector fails to be null, contradicting classification."""
-
-    exit_code = 4
-
-
 class PreconditionError(LieMetricError):
     """A mathematical precondition of the operation is not met."""
 
@@ -74,24 +64,18 @@ class WrongSignatureError(PreconditionError):
     """The metric signature does not match the operation's requirement."""
 
 
-class StructureMismatchError(LieMetricError):
-    """Computed bracket data falls outside the expected structural pattern."""
-
-    exit_code = 4
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class VerificationError(LieMetricError):
-    """A constructed object fails one of its certified invariants."""
+    """A computed object fails one of its certified invariants; raised itself, ``residuals`` holds every residual."""
 
     exit_code = 4
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = dict(residuals or {})
+
+class NullImageError(VerificationError):
+    """The Ricci image vector fails to be null, contradicting classification."""
+
+
+class StructureMismatchError(VerificationError):
+    """Computed bracket data falls outside the expected structural pattern; ``residual`` is the failed check's."""
 
 
 class UnknownNameError(LieMetricError):

@@ -73,9 +73,10 @@ __all__ = [
 # from_tensor accepts |C + C^T| up to 1e-12 at unit brackets
 _ANTISYMMETRY_TOL = Tolerance(abs=5e-13, rel=5e-13)
 
-# Largest dimension read from a file, asked of the catalog or built by a
-# construction.  The dense bracket tensor holds dim^3 doubles, so dim 256 is
-# already 128 MiB, and the kernels keep a few arrays of that size alive at once.
+# Largest dimension read from a file, asked of the catalog or built by
+# LieAlgebra, from_tensor or a construction.  The dense bracket tensor holds
+# dim^3 doubles, so dim 256 is already 128 MiB, and the kernels keep a few
+# arrays of that size alive at once.
 MAX_DIM = 256
 
 
@@ -106,7 +107,7 @@ class LieAlgebra:
     Parameters
     ----------
     dim : int
-        Dimension of the algebra.
+        Dimension of the algebra; above ``MAX_DIM`` it raises BadParamsError.
     structure : mapping from (i, j) with i < j to a length-``dim`` vector
         Expansion of [e_i, e_j] in the basis.  Pairs that are absent
         bracket to zero.
@@ -119,6 +120,7 @@ class LieAlgebra:
         if not _is_integer(dim) or dim < 0:
             raise DimensionMismatchError(f"dim must be a nonnegative integer, got {dim!r}")
         dim = int(dim)
+        _check_dim("LieAlgebra", dim)
         pairs, rows = [], []
         for key, coeffs in dict(structure or {}).items():
             if not (isinstance(key, tuple) and len(key) == 2):
@@ -165,12 +167,14 @@ class LieAlgebra:
         """Build from a dense bracket tensor C[i, j, :] = [e_i, e_j].
 
         C must be antisymmetric in (i, j) to 1e-12 relative to 2**k_C; the
-        upper triangle is kept exactly and the lower one rebuilt from it.
+        upper triangle is kept exactly and the lower one rebuilt from it.  A
+        dim above ``MAX_DIM`` raises BadParamsError.
         """
         tensor = as_real_array(tensor, "bracket tensor")
         dim = tensor.shape[0]
         if tensor.shape != (dim, dim, dim):
             raise DimensionMismatchError(f"bracket tensor must be cubic, got {tensor.shape}")
+        _check_dim("from_tensor", dim)
         asym = operator_residual(tensor + tensor.transpose(1, 0, 2))
         if not _ANTISYMMETRY_TOL.passes(asym, "bracket", (exponent(operator_residual(tensor)), 0)):
             raise ValueError(f"bracket tensor is not antisymmetric (residual {asym:.3e})")

@@ -8,6 +8,7 @@ from liemetric import (
     MetricLieAlgebra,
     catalog,
     change_basis,
+    check_parallel_conditions,
     classify_ricci,
     connection_matrices,
     decompose_double_extension,
@@ -19,11 +20,16 @@ from liemetric import (
     type_II_canonical_basis,
     verify_isometry,
 )
+from liemetric import classify
+from liemetric.classify import RicciClassification
 from liemetric.cli import build_report
 from liemetric.errors import (
     NotTypeIError,
     NotTypeIIError,
+    NullImageError,
     PreconditionError,
+    StructureMismatchError,
+    VerificationError,
     WrongSignatureError,
 )
 from liemetric.linalg import signature
@@ -253,6 +259,61 @@ def test_decompose_recovers_euclidean_abelian_base(solvable_demo):
     assert dec.spec.base.dim == 2
     assert dec.spec.base.algebra.structure == {}
     assert_allclose(dec.spec.base.gram, np.eye(2), atol=1e-12)
+
+
+def _raises_verification(cls, call):
+    """The error ``call`` raises: exactly ``cls``, a VerificationError with exit code 4."""
+    with pytest.raises(cls) as info:
+        call()
+    exc = info.value
+    assert type(exc) is cls and exc.exit_code == 4 and isinstance(exc, VerificationError)
+    return exc
+
+
+def test_decompose_non_nilpotent_e2_extension_is_a_structure_mismatch():
+    # the flat Euclidean e(2) ([e1, e3] = -e2, [e2, e3] = e1) double-extended by D = diag(1, 1, 0): Lorentz,
+    # type II and Ricci-parallel, yet not nilpotent, and its base is not abelian
+    e2 = MetricLieAlgebra(LieAlgebra(3, {(0, 2): [0.0, -1.0, 0.0], (1, 2): [1.0, 0.0, 0.0]}), np.eye(3))
+    spec = DoubleExtensionSpec(e2, np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3)), np.zeros(3))
+    report = check_parallel_conditions(spec)
+    assert report.ok and report.invariants.gamma == pytest.approx(-2.0)
+    m = double_extension(spec)
+    assert tuple(signature(m.metric)) == (1, 4) and classify_ricci(m).tag == "type_II"
+    exc = _raises_verification(StructureMismatchError, lambda: decompose_double_extension(m))
+    assert exc.residual == 1.0
+    assert "base_abelian residual 1.000e+00" in str(exc)
+
+
+def test_type_I_pair_that_is_not_parallel_fails_verification(monkeypatch):
+    m = type_I_metric(catalog("affine_plane"), 0.0, 1.0)
+    orig = classify.connection_matrices
+    # a diagonal with distinct entries commutes with no complex structure
+    monkeypatch.setattr(classify, "connection_matrices", lambda f: orig(f) + np.diag(np.arange(f.dim, dtype=float)))
+    exc = _raises_verification(VerificationError, lambda: type_I_decomposition(m))
+    assert exc.residuals["parallel"] == pytest.approx(3.0)
+    assert all(res < 1e-12 for key, res in exc.residuals.items() if key != "parallel")
+
+
+def test_non_null_ricci_image_is_a_null_image_error(monkeypatch):
+    # e(1, 1) + R, Riemannian on e(1, 1) and timelike on R: Ric = diag(0, 0, -2, 0), a spacelike image
+    sol = LieAlgebra(4, {(0, 2): [0.0, 1.0, 0.0, 0.0], (1, 2): [1.0, 0.0, 0.0, 0.0]})
+    m = MetricLieAlgebra(sol, np.diag([1.0, 1.0, 1.0, -1.0]))
+    assert tuple(signature(m.metric)) == (1, 3) and classify_ricci(m).tag == "other"
+    monkeypatch.setattr(classify, "classify_ricci", lambda m: RicciClassification(tag="type_II"))
+    exc = _raises_verification(NullImageError, lambda: type_II_canonical_basis(m))
+    assert str(exc) == "Ricci image is not null: <v, v> = 1.000e+00"
+
+
+def test_canonical_basis_with_a_timelike_complement_fails_verification(monkeypatch, nilpotent_demo):
+    orig = classify.pseudo_orthonormal_basis
+
+    def flipped(form):
+        on, signs = orig(form)
+        return on, -signs
+
+    monkeypatch.setattr(classify, "pseudo_orthonormal_basis", flipped)
+    exc = _raises_verification(VerificationError, lambda: type_II_canonical_basis(nilpotent_demo))
+    assert exc.residuals["complement_signs"] == nilpotent_demo.dim - 2
 
 
 def test_small_lorentz_heisenberg_is_not_type_ii():

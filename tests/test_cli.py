@@ -8,7 +8,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from liemetric import LieAlgebra, catalog, change_basis, cli, constructions, errors, frame, lie, linalg, ricci_structural
+from liemetric import (LieAlgebra, MetricLieAlgebra, catalog, change_basis, cli, constructions, errors, frame, lie, linalg,
+                       ricci_structural)
 from liemetric.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, algebra_to_dict, build_report, load_algebra_file,
                            main)
 from sampling import random_invertible, random_metric_lie_algebra
@@ -492,6 +493,26 @@ def test_verification_failures_map_to_exit_4(tmp_path, monkeypatch, capsys):
     assert "StructureMismatchError" in capsys.readouterr().err
 
 
+def test_decompose_of_a_non_nilpotent_type_ii_extension_exits_4(tmp_path, capsys):
+    # e(2) ([e1, e3] = -e2, [e2, e3] = e1), flat and Euclidean, double-extended by D = diag(1, 1, 0)
+    e2 = MetricLieAlgebra(LieAlgebra(3, {(0, 2): [0.0, -1.0, 0.0], (1, 2): [1.0, 0.0, 0.0]}), np.eye(3))
+    base, ext, out = tmp_path / "e2.json", tmp_path / "ext.json", tmp_path / "e2_ext.json"
+    base.write_text(json.dumps(algebra_to_dict(e2)), encoding="utf-8")
+    ext.write_text(json.dumps({"D": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}), encoding="utf-8")
+    assert run(["double-extend", base, ext, "--out", out]) == EXIT_OK
+    assert json.loads((tmp_path / "e2_ext.json.sidecar.json").read_text())["conditions_verdict"] is True
+    capsys.readouterr()
+    assert run(["decompose", out]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().err == ("error: StructureMismatchError: bracket data outside the double-extension "
+                                       "pattern (base_abelian residual 1.000e+00)\n")
+
+
+def test_encoder_rejects_what_is_not_json():
+    for obj in ({1, 2}, object()):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._ENCODER.encode({"value": obj})
+
+
 def test_algebra_file_round_trip_exact(tmp_path):
     # shortest-repr floats parse back to identical doubles
     m = catalog("heisenberg", n=2)
@@ -891,3 +912,4 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, c
     monkeypatch.setattr(cli_mod, "catalog", boom)
     assert run(["catalog", "heisenberg"]) == DOCUMENTED_EXIT_CODES.get(cls.__name__, EXIT_PRECONDITION)
     assert capsys.readouterr().err == f"error: {cls.__name__}: boom\n"
+    assert (cls.exit_code == 4) == issubclass(cls, errors.VerificationError)  # exit 4 is one family

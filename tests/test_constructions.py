@@ -45,7 +45,7 @@ from liemetric.errors import (
     UnknownNameError,
     ZeroMuError,
 )
-from liemetric import lie
+from liemetric import constructions, lie
 from liemetric.lie import MAX_DIM
 from liemetric.linalg import Tolerance
 from sampling import (
@@ -340,6 +340,16 @@ def test_central_extension_rejects_non_cocycle():
         central_extension_metric(dalg, theta)
 
 
+def test_central_extension_checks_the_shape_and_antisymmetry_of_theta():
+    dalg = LieAlgebra(2)
+    with pytest.raises(BadParamsError, match=r"theta must have shape \(2, 2, 2\)"):
+        central_extension_metric(dalg, np.zeros((2, 2, 3)))
+    theta = np.zeros((2, 2, 2))
+    theta[0, 1, 0] = 1.0  # theta[1, 0] left at zero
+    with pytest.raises(CocycleError, match="theta must be antisymmetric"):
+        central_extension_metric(dalg, theta)
+
+
 def test_central_extension_nontrivial_cocycle():
     # on an abelian algebra every antisymmetric theta is a cocycle
     theta = np.zeros((2, 2, 2))
@@ -497,10 +507,18 @@ def test_two_step_rejects_theta_that_is_not_a_cocycle():
     (2.0, (1, 1), [np.zeros((2, 2))]),
     (True, (0, True), [np.zeros((1, 1))]),
     (2, (1, 1, 0), [np.zeros((2, 2))]),
+    (3, (1, 1), []),
 ])
 def test_two_step_rejects_bad_sizes(g0_dim, signature, derivations):
     with pytest.raises(BadParamsError):
         two_step_parallel(g0_dim, signature, derivations)
+
+
+def test_two_step_checks_the_shapes_of_alpha_and_theta():
+    with pytest.raises(BadParamsError, match=r"alpha must have shape \(1, 1, 2\)"):
+        two_step_parallel(2, (0, 2), [np.eye(2)], alpha=np.zeros((1, 1, 3)))
+    with pytest.raises(BadParamsError, match=r"theta must have shape \(3, 3, 1\)"):
+        two_step_parallel(2, (0, 2), [np.eye(2)], theta=np.zeros((3, 3, 2)))
 
 
 def test_two_step_rejects_dimension_above_max_dim():
@@ -516,11 +534,12 @@ def test_two_step_rejects_dimension_above_max_dim():
 
 
 def test_constructions_reject_dimension_above_max_dim_before_allocating(monkeypatch):
-    # the bound shrunk to 8, so that no case comes near the real one
-    monkeypatch.setattr(lie, "MAX_DIM", 8)
+    # the inputs are built first, since LieAlgebra obeys the bound too; then the bound
+    # is shrunk to 8, so that no case comes near the real one
     ab = LieAlgebra(24)
     base = MetricLieAlgebra(ab, np.eye(24))
     spec = DoubleExtensionSpec(base, np.zeros((24, 24)), np.zeros((24, 24)), np.zeros(24))
+    monkeypatch.setattr(lie, "MAX_DIM", 8)
     builds = {
         "complexify": lambda: complexify(base),  # dim 48
         "double_extension": lambda: double_extension(spec),  # dim 26
@@ -537,8 +556,14 @@ def test_constructions_reject_dimension_above_max_dim_before_allocating(monkeypa
         finally:
             tracemalloc.stop()
         assert peak < 26 ** 3 * 8 // 4, (name, peak)  # far below the smallest output tensor
+
+    def no_work(m):
+        raise AssertionError("the base was examined before its 2n was checked")
+
+    sl3 = catalog("sl_killing", n=3)  # dim 8
+    monkeypatch.setattr(constructions, "is_einstein", no_work)
     with pytest.raises(BadParamsError, match="^complexify: the result would have dimension 16, above the limit 8$"):
-        type_I_metric(catalog("sl_killing", n=3), 0.0, 1.0)  # sl(3) has dim 8
+        type_I_metric(sl3, 0.0, 1.0)
 
 
 def test_constructions_accept_dimension_max_dim(monkeypatch):

@@ -289,6 +289,11 @@ def test_verify_isometry_dim_mismatch(affine, abelian3):
         verify_isometry(np.eye(3), affine, abelian3)
 
 
+def test_metric_of_the_wrong_size_is_rejected(affine):
+    with pytest.raises(DimensionMismatchError, match="metric dim 3 does not match algebra dim 2"):
+        MetricLieAlgebra(affine.algebra, np.eye(3))
+
+
 def test_verify_isometry_after_change_basis(rng):
     for m in random_suite(rng, 5):
         p = np.eye(m.dim) + 0.3 * rng.normal(size=(m.dim, m.dim))

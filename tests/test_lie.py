@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from liemetric import (
     trace_functional,
     validate_jacobi,
 )
-from liemetric.errors import DimensionMismatchError, JacobiError
+from liemetric import lie
+from liemetric.errors import BadParamsError, DimensionMismatchError, JacobiError
 from liemetric.linalg import DEFAULT_TOL
 from sampling import random_invertible, random_lie_algebra
 
@@ -230,6 +232,30 @@ def test_from_tensor_completes_from_upper_triangle():
     c[1, 0, 2] += 1e-6
     with pytest.raises(ValueError, match="antisymmetric"):
         LieAlgebra.from_tensor(c)
+
+
+def test_from_tensor_and_basis_names_check_their_shapes():
+    with pytest.raises(DimensionMismatchError, match="must be cubic"):
+        LieAlgebra.from_tensor(np.zeros((2, 2, 3)))
+    with pytest.raises(DimensionMismatchError, match="basis_names length"):
+        LieAlgebra(2, {}, basis_names=["x"])
+
+
+def test_lie_algebra_and_from_tensor_reject_dimension_above_max_dim_before_allocating(monkeypatch):
+    tensor = np.zeros((24, 24, 24))
+    monkeypatch.setattr(lie, "MAX_DIM", 8)
+    builds = {"LieAlgebra": lambda: LieAlgebra(24, {(0, 1): np.ones(24)}),
+              "from_tensor": lambda: LieAlgebra.from_tensor(tensor)}
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParamsError, match=f"^{name}: the result would have dimension 24, above the limit 8$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.nbytes // 4, (name, peak)
+    assert LieAlgebra(8).dim == LieAlgebra.from_tensor(np.zeros((8, 8, 8))).dim == 8
 
 
 def _cyclic_jacobi(c: np.ndarray) -> float:

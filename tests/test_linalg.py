@@ -18,7 +18,7 @@ from liemetric import (
     signature,
 )
 from liemetric.cli import build_report
-from liemetric.errors import DegenerateFormError, ParseError
+from liemetric.errors import DegenerateFormError, DimensionMismatchError, ParseError
 
 
 def random_form(rng, dim, p):
@@ -87,6 +87,11 @@ def test_degeneracy_cut_is_relative_to_the_form():
 def test_asymmetric_gram_rejected():
     with pytest.raises(ValueError):
         SymmetricForm([[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_non_square_gram_rejected():
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        SymmetricForm(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
