@@ -208,7 +208,7 @@ def type_II_canonical_basis(m: MetricLieAlgebra) -> TypeIICanonicalBasis:
     v0 = u_svd[:, 0]  # a strided column either way, so the products below round alike for both signs
     v0_norm = float(v0 @ g @ v0)
     if not tol.passes(abs(v0_norm), "metric", f.exponents):
-        raise NullImageError(f"Ricci image is not null: <v, v> = {v0_norm:.3e}")
+        raise NullImageError(f"Ricci image is not null: <v, v> = {v0_norm:.3e}", residual=v0_norm)
 
     w, *_ = np.linalg.lstsq(op, v0, rcond=None)
     if not tol.passes(operator_residual(op @ w - v0), "unit_free", f.exponents):

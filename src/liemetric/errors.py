@@ -71,7 +71,7 @@ class VerificationError(LieMetricError):
 
 
 class NullImageError(VerificationError):
-    """The Ricci image vector fails to be null, contradicting classification."""
+    """The Ricci image vector fails to be null, contradicting classification; ``residual`` is its <v, v>."""
 
 
 class StructureMismatchError(VerificationError):

@@ -23,30 +23,23 @@ quadratic in the structure constants, tr ad and antisymmetry are linear.
 
 Rank policy.  The lower central and the derived series both start at
 [g, g], the row span of the tensor read as a (dim^2, dim) matrix, and run
-until a term vanishes or stops shrinking.
-A term keeps the singular directions above ``tol.rank`` times the
-algebra's largest structure constant, never above a fraction of the
-term's own largest singular value: a term that should vanish holds only
-rounding noise, and a cut relative to that noise would count it as rank.
-The center, the null space of x -> ad(x), takes the same cut.
-Every rank is taken over the rows of its stack that are not all zero; in
-a sparse basis most of the dim^2 rows of a bracket stack are zero.  Every
-stack is a view of the tensor or a product, and its nonzero rows are found
-by a scan, in the stack's row-major order.  An exactly zero row adds
-nothing to A^T A, so the singular values are those of the full stack and
-the cut keeps the same ones.
+until a term vanishes or stops shrinking.  A term keeps the singular
+directions above ``tol.rank`` times the algebra's largest structure
+constant, never above a fraction of the term's own largest singular value:
+a term that should vanish holds only rounding noise, and a cut relative to
+that noise would count it as rank.  The center, the null space of
+x -> ad(x), takes the same cut.  Each rank is taken over the rows of its
+stack (a view of the tensor or a product) that are not all zero, found by a
+row-major scan: an exactly zero row adds nothing to A^T A, so the singular
+values, and what the cut keeps, are those of the full stack.  A span from
+a stack with more rows than columns and more than 4096 entries (a smaller U
+costs less than a QR call) comes from the SVD of its R factor (Chan, ACM
+TOMS 8, 1982): R has the same singular values and right vectors, and the
+(rows, dim) U is never formed.  Householder QR is backward stable.
 
 No kernel here builds a dim^4 array: brackets of spans are contracted
-pairwise.  The Jacobi check counts its products C[a, b, m] C[m, k, l],
-a < b, exactly from the pair index (see :func:`validate_jacobi`).  With none
-(abelian algebras, and two-step nilpotent ones such as H_n whose brackets
-only have components along central basis vectors) the residual is exactly
-0.0 and no kernel runs.  Up to dim^3/8 products the sparse kernel forms and
-sums them, reading the nonzero rows and their negated mirrors in the
-row-major order of ``np.nonzero(C)``; the catalog algebras in their own
-bases all fall inside that cut.  Denser tensors (random bases, for instance)
-take the dense kernel, which forms each triple i < j < k once: dim^5/2
-multiply-adds and a working set of about 2.5 dim^3 doubles.
+pairwise, and the Jacobi check picks a sparse or a dense kernel by its exact
+product count, read from the pair index (see :func:`validate_jacobi`).
 """
 
 from __future__ import annotations
@@ -370,27 +363,24 @@ class StructureReport:
     nilpotency_step: int | None
 
 
-def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d stack that are not all zero; they alone carry its singular values."""
-    return stack[stack.any(axis=1)]
-
-
-def _row_span(g: LieAlgebra, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal row basis of the span of ``rows``, the nonzero rows of a stack of brackets.
+def _row_span(g: LieAlgebra, stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal row basis of the span of a 2-d stack of brackets, from its rows that are not all zero.
 
     Singular values count as rank above ``tol.rank * g.max_structure_constant``
-    (see the module docstring).
+    (see the module docstring); a large tall stack is cut to the R factor of its QR first.
     """
+    rows = stack[stack.any(axis=1)]
+    if rows.shape[0] > rows.shape[1] and rows.size > 4096:
+        rows = np.linalg.qr(rows, mode="r")
     _, svals, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
-    return vt[:rank]
+    return vt[:int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))]
 
 
 def _bracket_span(g: LieAlgebra, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal row basis of [span(a), span(b)] for row-basis matrices a, b."""
     dim = g.dim
     left = (a @ g.tensor.reshape(dim, dim * dim)).reshape(a.shape[0], dim, dim)  # [a_r, e_j]
-    return _row_span(g, _nonzero_rows((b @ left).reshape(a.shape[0] * b.shape[0], dim)), tol)  # [a_r, b_s]
+    return _row_span(g, (b @ left).reshape(a.shape[0] * b.shape[0], dim), tol)  # [a_r, b_s]
 
 
 def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
@@ -409,18 +399,16 @@ def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
 def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Series-based structural predicates with an explicit numerical rank policy."""
     dim = g.dim
-    derived = _row_span(g, _nonzero_rows(g.tensor.reshape(dim * dim, dim)), tol)
-    step = _series_length(
-        g, derived, lambda t: _row_span(g, _nonzero_rows((t @ g.tensor).reshape(dim * t.shape[0], dim)), tol)
-    )
+    derived = _row_span(g, g.tensor.reshape(dim * dim, dim), tol)
+    step = _series_length(g, derived, lambda t: _row_span(g, (t @ g.tensor).reshape(dim * t.shape[0], dim), tol))
     derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
 
-    # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix, under the cut of _row_span
-    svals = np.linalg.svd(_nonzero_rows(g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim)), compute_uv=False)
+    # center = null space of x -> ad(x), flattened to a (dim^2, dim) matrix, under the cut of _row_span; with its
+    # singular values alone there is no U to save, and LAPACK takes them from its own QR of a tall stack
+    ad = g.tensor.transpose(1, 2, 0).reshape(dim * dim, dim)
+    svals = np.linalg.svd(ad[ad.any(axis=1)], compute_uv=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
-
-    tau = trace_functional(g)
-    unimodular = tol.passes(operator_residual(tau), "trace_ad", (g.exponent, 0))
+    unimodular = tol.passes(operator_residual(trace_functional(g)), "trace_ad", (g.exponent, 0))
 
     return StructureReport(
         is_nilpotent=step is not None,

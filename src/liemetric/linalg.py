@@ -178,11 +178,11 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def operator_residual(a) -> float:
-    """Max-norm of an array; the residual used to decide 'operator vanishes'."""
+    """Max-norm of an array, the residual that decides 'operator vanishes'; +0.0 when all zero or empty, NaN if any is.
+
+    Read from the largest and smallest entries, so no temporary |a| is built."""
     arr = np.asarray(a, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.abs(arr).max())
+    return float(max(arr.max(initial=0.0), -arr.min(initial=0.0)) + 0.0)
 
 
 class SymmetricForm:

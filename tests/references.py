@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from liemetric.geometry import MetricLieAlgebra, connection, frame, ricci
+from liemetric.geometry import MetricLieAlgebra, connection, connection_matrices, frame, ricci
 from liemetric.lie import killing_form, trace_functional
-from liemetric.linalg import as_vector
+from liemetric.linalg import as_vector, pseudo_orthonormal_basis
 
 # degree of each of invariants() in the structure constants
 INVARIANT_DEGREES = (2, 4, 6, 2, 2, 4, 6, 2)
@@ -39,3 +39,61 @@ def invariants(m: MetricLieAlgebra) -> np.ndarray:
     raised = gi @ c.transpose(2, 0, 1) @ gi  # raised[k, a, b] = g^ai g^bj C_ij^k
     return np.array(_power_traces(ricci(f).operator) + [tau @ np.linalg.solve(g, tau)]
                     + _power_traces(gi @ killing_form(f.algebra)) + [np.sum(raised * (c @ g).transpose(2, 0, 1))])
+
+
+# The out-of-place expressions the geometry kernels compute in place.  Each
+# floating-point operation is the same, so the kernels must match them bit for bit.
+
+
+def max_abs(a) -> float:
+    """The max-norm through a temporary |a|."""
+    a = np.asarray(a, dtype=float)
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def connection_out_of_place(m: MetricLieAlgebra) -> np.ndarray:
+    c, g = m.algebra.tensor, m.gram
+    b = c @ g
+    u_low = 0.5 * (b.transpose(1, 2, 0) + b.transpose(2, 1, 0))
+    u = u_low @ np.linalg.inv(g).T
+    return 0.5 * c + u
+
+
+def ricci_out_of_place(f: MetricLieAlgebra) -> np.ndarray:
+    """The Ricci tensor of an algebra that is its own frame, from its per-i terms."""
+    c, n = f.algebra.tensor, f.dim
+    nm = connection_matrices(f)
+    idx = np.arange(n)
+    d = nm[idx, idx]
+    swapped = nm.transpose(1, 0, 2)
+    terms = (d @ swapped.reshape(n, n * n)).reshape(n, n, n) - swapped @ nm - c @ swapped
+    ric = terms.sum(axis=0)
+    return 0.5 * (ric + ric.T)
+
+
+def nabla_ric_out_of_place(m: MetricLieAlgebra) -> np.ndarray:
+    lowered = connection(m) @ ricci(m).tensor
+    return -lowered - lowered.transpose(0, 2, 1)
+
+
+def ad_invariance_out_of_place(f: MetricLieAlgebra) -> float:
+    b = f.algebra.tensor @ f.gram
+    return max_abs(b + b.transpose(0, 2, 1))
+
+
+def ricci_structural_out_of_place(m: MetricLieAlgebra) -> np.ndarray:
+    """The closed formula of ``ricci_structural``, its term3 from two scaled copies of [e_i, b_a]."""
+    c, g, n = m.algebra.tensor, m.gram, m.dim
+    basis, signs = pseudo_orthonormal_basis(m.metric)
+    eps = signs.astype(float)
+    term_k = -0.5 * killing_form(m.algebra)
+    az = m.algebra.ad(m.metric.solve(trace_functional(m.algebra)))
+    azg = az.T @ g
+    term_z = -0.5 * (azg + azg.T)
+    br = basis.T @ c
+    term3 = -0.5 * (br * eps[:, None]).reshape(n, n * n) @ (br @ g).reshape(n, n * n).T
+    pulled = basis.T @ (basis.T @ c.reshape(n, n * n)).reshape(n, n, n)
+    p = (pulled @ g).reshape(n * n, n)
+    term4 = 0.25 * (p.T * np.outer(eps, eps).ravel()) @ p
+    out = term_k + term_z + term3 + term4
+    return 0.5 * (out + out.T)

@@ -20,9 +20,11 @@ import numpy as np
 import pytest
 
 from basis_corpus import SEED, bases, corpus, disagreement
-from liemetric.geometry import frame
+from liemetric import catalog, lie
+from liemetric.geometry import change_basis, frame
 from liemetric.lie import structure_report
 from references import INVARIANT_DEGREES, invariants
+from sampling import random_invertible
 from test_lie import _dense_rows_report
 
 XFAIL = {SEED: {
@@ -63,6 +65,41 @@ def test_corpus_size():
 def test_structure_report_matches_dense_rows_on_the_corpus():
     for item in corpus(SEED):
         assert structure_report(item.m.algebra) == _dense_rows_report(item.m.algebra), item.index
+
+
+def _full_svd_span(g, stack, tol):
+    """``lie._row_span`` without the QR step: the span from the SVD of the nonzero rows themselves."""
+    _, svals, vt = np.linalg.svd(stack[stack.any(axis=1)], full_matrices=False)
+    return vt[:int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))]
+
+
+def test_qr_spans_keep_every_rank_of_the_full_svd(monkeypatch):
+    # a large tall stack's span comes from the R factor of its QR; every series step must keep the rank of the
+    # full SVD, and the report must be the one the full SVD gives, field by field
+    rng = np.random.default_rng(26)
+    large = [catalog(name, **params) for name, params in (("sl_killing", {"n": 7}), ("sl_killing", {"n": 8}),
+                                                          ("heisenberg", {"n": 32}), ("einstein_solvable", {"n": 23}))]
+    algebras = [item.m.algebra for item in corpus(SEED)]
+    algebras += [change_basis(m, random_invertible(rng, m.dim)).algebra for m in large]
+    qr_span, qr, ranks, factored = lie._row_span, np.linalg.qr, [], []
+
+    def both(g, stack, tol):
+        span = qr_span(g, stack, tol)
+        ranks.append((span.shape[0], _full_svd_span(g, stack, tol).shape[0]))
+        return span
+
+    def counted_qr(a, *args, **kwargs):
+        factored.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    for g in algebras:
+        monkeypatch.setattr(lie, "_row_span", both)
+        got = structure_report(g)
+        monkeypatch.setattr(lie, "_row_span", _full_svd_span)
+        assert got == structure_report(g), g
+    assert len(ranks) > 2000 and all(qr_rank == svd_rank for qr_rank, svd_rank in ranks)
+    assert len(factored) >= 4  # the [g, g] stack of each large algebra, at least
 
 
 # unequal-scale changes have condition number s <= 1e3: a diagonal one scales the coordinates, a rotated one

@@ -302,6 +302,7 @@ def test_non_null_ricci_image_is_a_null_image_error(monkeypatch):
     monkeypatch.setattr(classify, "classify_ricci", lambda m: RicciClassification(tag="type_II"))
     exc = _raises_verification(NullImageError, lambda: type_II_canonical_basis(m))
     assert str(exc) == "Ricci image is not null: <v, v> = 1.000e+00"
+    assert exc.residual == 1.0
 
 
 def test_canonical_basis_with_a_timelike_complement_fails_verification(monkeypatch, nilpotent_demo):

@@ -27,8 +27,10 @@ from liemetric import (
     verify_isometry,
 )
 from liemetric.errors import DimensionMismatchError, JacobiError, ValidationError
-from liemetric.linalg import DEFAULT_TOL, DEGREES, Tolerance, exponent, pseudo_orthonormal_basis
-from references import u_map
+from liemetric.geometry import frame
+from liemetric.linalg import DEFAULT_TOL, DEGREES, Tolerance, exponent, operator_residual, pseudo_orthonormal_basis
+from references import (ad_invariance_out_of_place, connection_out_of_place, max_abs, nabla_ric_out_of_place,
+                        ricci_out_of_place, ricci_structural_out_of_place, u_map)
 from sampling import random_invertible, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine
@@ -518,6 +520,40 @@ def test_matmul_kernels_agree_with_their_einsum_references():
         ref_res = np.max(np.abs(lhs - rhs), initial=0.0)
         k_bracket = exponent(max(np.max(np.abs(lhs), initial=0.0), np.max(np.abs(rhs), initial=0.0)))
         assert m.tol.passes(abs(iso.bracket_residual - ref_res), "bracket", (k_bracket, 0)), dim
+
+
+def _in_place_cases():
+    """Random-basis algebras of dim 1-12 in two signatures each, sl(7) and the Einstein extension of H_23 in
+    their catalog bases, and sl(5) in a random basis."""
+    rng = np.random.default_rng(26)
+    for dim in range(1, 13):
+        for p in (0, (dim + 1) // 2):
+            yield random_metric_lie_algebra(rng, dim, (p, dim - p))
+    yield catalog("sl_killing", n=7)
+    yield catalog("einstein_solvable", n=23)
+    yield change_basis(catalog("sl_killing", n=5), random_invertible(rng, 24))
+
+
+def test_in_place_kernels_match_their_out_of_place_expressions_bit_for_bit():
+    # the kernels reuse their buffers but keep every floating-point operation, so no bit may move
+    count = 0
+    for m in _in_place_cases():
+        f = frame(m)[0]
+        pairs = [
+            (connection(m), connection_out_of_place(m)),
+            (connection(f), connection_out_of_place(f)),
+            (ricci(f).tensor, ricci_out_of_place(f)),
+            (nabla_ric(m), nabla_ric_out_of_place(m)),
+            (nabla_ric(f), nabla_ric_out_of_place(f)),
+            (ricci_structural(m), ricci_structural_out_of_place(m)),
+            (np.float64(is_ad_invariant(m)[1]), np.float64(ad_invariance_out_of_place(f))),
+            (np.float64(operator_residual(nabla_ric(f))), np.float64(max_abs(nabla_ric(f)))),
+        ]
+        for k, (new, ref) in enumerate(pairs):
+            assert new.dtype == ref.dtype and new.shape == ref.shape, (m.dim, k)
+            assert new.tobytes() == ref.tobytes(), (m.dim, k)
+            count += 1
+    assert count == 27 * 8
 
 
 def test_validation_under_a_looser_tolerance_does_not_carry_to_a_stricter_one():

@@ -528,15 +528,19 @@ def test_structure_report_matches_dense_rows():
     ("heisenberg", {"n": 32}, 64),
 ])
 def test_structure_report_factors_only_nonzero_rows(monkeypatch, name, params, most_rows):
-    # every SVD of structure_report sees the nonzero rows of its stack, not the dim^2 dense rows
+    # every factorisation of structure_report (the QR of a tall stack, then an SVD) sees the nonzero rows of
+    # its stack, not the dim^2 dense rows
     g = catalog(name, **params).algebra
-    svd, operands = np.linalg.svd, []
+    operands = []
 
-    def recording(a, *args, **kwargs):
-        operands.append(np.asarray(a))
-        return svd(a, *args, **kwargs)
+    def recording(factor):
+        def factored(a, *args, **kwargs):
+            operands.append(np.asarray(a))
+            return factor(a, *args, **kwargs)
+        return factored
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
     structure_report(g)
     assert operands
     assert all(np.all(np.any(a, axis=1)) for a in operands)

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from liemetric import (
 )
 from liemetric.cli import build_report
 from liemetric.errors import DegenerateFormError, DimensionMismatchError, ParseError
+from references import max_abs
 
 
 def random_form(rng, dim, p):
@@ -52,6 +54,24 @@ def test_operator_residual_values():
     assert operator_residual(np.zeros((3, 3))) == 0.0
     assert operator_residual(np.eye(3)) == 1.0
     assert operator_residual([[0.0, 2.0], [-1.0, 0.0]]) == 2.0
+
+
+@pytest.mark.parametrize("a", [np.zeros((2, 3)), -np.zeros(4), np.array([0.0, -0.0]), np.zeros((0, 3)), []])
+def test_operator_residual_of_a_zero_or_empty_array_is_positive_zero(a):
+    res = operator_residual(a)
+    assert type(res) is float and res == 0.0 and math.copysign(1.0, res) == 1.0
+
+
+@pytest.mark.parametrize("a", [[np.nan], [1.0, np.nan, -2.0], [-np.inf, np.nan], [[0.0, -0.0], [np.nan, 3.0]]])
+def test_operator_residual_keeps_nan(a):
+    assert math.isnan(operator_residual(a))
+
+
+def test_operator_residual_is_the_max_of_the_absolute_values_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for a in [rng.normal(size=(5, 7)), -np.abs(rng.normal(size=9)), np.abs(rng.normal(size=(3, 3, 3))),
+              np.array([-np.inf, 1.0]), np.array([5e-324, -5e-324]), np.array([-0.0, 2.0**-1074])]:
+        assert np.float64(operator_residual(a)).tobytes() == np.float64(max_abs(a)).tobytes()
 
 
 def test_signature_diagonal():
