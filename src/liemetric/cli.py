@@ -280,7 +280,7 @@ def _type_I_pair(dec: TypeIDecomposition) -> dict:
 def build_report(m: MetricLieAlgebra) -> dict:
     """The ``report`` payload, every verdict judged by ``m.tol`` in the frame, every residual in frame units."""
     sig = signature(m.metric)
-    rep = structure_report(m.algebra, m.tol)  # before the geometry memo fills, which keeps the peak memory low
+    jacobi, rep = m.algebra.jacobi_residual, structure_report(m.algebra, m.tol)  # before the geometry memo fills
     einstein_c, einstein_res = is_einstein(m)
     flat, flat_res = is_ricci_flat(m)
     par = is_ricci_parallel(m)
@@ -299,7 +299,7 @@ def build_report(m: MetricLieAlgebra) -> dict:
         "tolerance": asdict(m.tol),
         "dim": m.dim,
         "signature": sig._asdict(),
-        "jacobi_residual": m.algebra.jacobi_residual,
+        "jacobi_residual": jacobi,
         "structure": asdict(rep),
         "einstein": {
             "flag": einstein_c is not None,

@@ -3,7 +3,7 @@
 import numpy as np
 
 from liemetric.geometry import MetricLieAlgebra, connection, connection_matrices, frame, ricci
-from liemetric.lie import killing_form, trace_functional
+from liemetric.lie import _blocks, killing_form, trace_functional
 from liemetric.linalg import as_vector, pseudo_orthonormal_basis
 
 # degree of each of invariants() in the structure constants
@@ -82,7 +82,34 @@ def ad_invariance_out_of_place(f: MetricLieAlgebra) -> float:
 
 
 def ricci_structural_out_of_place(m: MetricLieAlgebra) -> np.ndarray:
-    """The closed formula of ``ricci_structural``, its term3 from two scaled copies of [e_i, b_a]."""
+    """The closed formula of ``ricci_structural``, summed over the same blocks of the pseudo-orthonormal basis."""
+    c, g, n = m.algebra.tensor, m.gram, m.dim
+    basis, signs = pseudo_orthonormal_basis(m.metric)
+    neg = int(np.count_nonzero(signs < 0))
+    by_first = c.reshape(n, n * n)
+    term3, term4 = np.zeros((n, n)), np.zeros((n, n))
+    for start, size, eps in ((0, neg, -1.0), (neg, n - neg, 1.0)):
+        for s in _blocks(size, n * n):
+            s, rows = slice(start + s.start, start + s.stop), s.stop - s.start
+            br = (basis[:, s].T @ by_first).reshape(rows, n, n).transpose(1, 0, 2)
+            lowered = (br.reshape(n * rows, n) @ g).reshape(n, rows * n)
+            term3 = term3 + (-0.5 * eps * br).reshape(n, rows * n) @ lowered.T
+            pulled = (basis.T @ lowered).reshape(n * rows, n)
+            plus, minus = pulled[neg * rows:], pulled[:neg * rows]
+            term4 = term4 + eps * (plus.T @ plus - minus.T @ minus)
+    killing = np.zeros((n, n))
+    for s in _blocks(n):
+        killing[:, s] = by_first @ c[s].transpose(0, 2, 1).reshape(-1, n * n).T
+    term_k = -0.25 * (killing + killing.T)
+    az = m.algebra.ad(m.metric.solve(trace_functional(m.algebra)))
+    azg = az.T @ g
+    term_z = -0.5 * (azg + azg.T)
+    out = term_k + term_z + term3 + 0.25 * term4
+    return 0.5 * (out + out.T)
+
+
+def ricci_structural_unblocked(m: MetricLieAlgebra) -> np.ndarray:
+    """The closed formula with each sum over the basis in one product: ``ricci_structural`` before it took blocks."""
     c, g, n = m.algebra.tensor, m.gram, m.dim
     basis, signs = pseudo_orthonormal_basis(m.metric)
     eps = signs.astype(float)

@@ -23,6 +23,7 @@ from basis_corpus import SEED, bases, corpus, disagreement
 from liemetric import catalog, lie
 from liemetric.geometry import change_basis, frame
 from liemetric.lie import structure_report
+from liemetric.linalg import DEFAULT_TOL
 from references import INVARIANT_DEGREES, invariants
 from sampling import random_invertible
 from test_lie import _dense_rows_report
@@ -73,14 +74,19 @@ def _full_svd_span(g, stack, tol):
     return vt[:int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))]
 
 
-def test_qr_spans_keep_every_rank_of_the_full_svd(monkeypatch):
-    # a large tall stack's span comes from the R factor of its QR; every series step must keep the rank of the
-    # full SVD, and the report must be the one the full SVD gives, field by field
+def _rank_cases():
+    """The corpus, and sl(7), sl(8), H_32 and the Einstein extension of H_23 in a random basis."""
     rng = np.random.default_rng(26)
     large = [catalog(name, **params) for name, params in (("sl_killing", {"n": 7}), ("sl_killing", {"n": 8}),
                                                           ("heisenberg", {"n": 32}), ("einstein_solvable", {"n": 23}))]
     algebras = [item.m.algebra for item in corpus(SEED)]
-    algebras += [change_basis(m, random_invertible(rng, m.dim)).algebra for m in large]
+    return algebras + [change_basis(m, random_invertible(rng, m.dim)).algebra for m in large]
+
+
+def test_qr_spans_keep_every_rank_of_the_full_svd(monkeypatch):
+    # a large tall stack's span comes from the R factor of its QR; every series step must keep the rank of the
+    # full SVD, and the report must be the one the full SVD gives, field by field
+    algebras = _rank_cases()
     qr_span, qr, ranks, factored = lie._row_span, np.linalg.qr, [], []
 
     def both(g, stack, tol):
@@ -100,6 +106,28 @@ def test_qr_spans_keep_every_rank_of_the_full_svd(monkeypatch):
         assert got == structure_report(g), g
     assert len(ranks) > 2000 and all(qr_rank == svd_rank for qr_rank, svd_rank in ranks)
     assert len(factored) >= 4  # the [g, g] stack of each large algebra, at least
+
+
+def test_block_reduced_stacks_keep_every_rank_of_the_full_svd(monkeypatch):
+    # a series step's stack is reduced by QRs of row blocks as it is formed, so the span above sees it reduced
+    # already; every reduction, of the series products, the [g, g] and the center stacks, must keep the rank
+    # that the SVD of the whole stack's nonzero rows gives under the algebra's cut
+    reduce, ranks = lie._reduced, []
+    for g in _rank_cases():
+        def rank(rows, cut=DEFAULT_TOL.rank * g.max_structure_constant):
+            return int(np.count_nonzero(np.linalg.svd(rows, compute_uv=False) > cut))
+
+        def both(blocks, dim):
+            blocks = list(blocks)
+            rows = reduce(iter(blocks), dim)
+            whole = np.concatenate([np.empty((0, dim))] + [b[b.any(axis=1)] for b in blocks])
+            ranks.append((rank(rows), rank(whole), rows.shape[0] < whole.shape[0]))
+            return rows
+
+        monkeypatch.setattr(lie, "_reduced", both)
+        structure_report(g)
+    assert len(ranks) > 2500 and all(reduced == whole for reduced, whole, _ in ranks)
+    assert sum(factored for *_, factored in ranks) >= 8  # the [g, g] and center stacks of each large algebra
 
 
 # unequal-scale changes have condition number s <= 1e3: a diagonal one scales the coordinates, a rotated one

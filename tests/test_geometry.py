@@ -30,7 +30,7 @@ from liemetric.errors import DimensionMismatchError, JacobiError, ValidationErro
 from liemetric.geometry import frame
 from liemetric.linalg import DEFAULT_TOL, DEGREES, Tolerance, exponent, operator_residual, pseudo_orthonormal_basis
 from references import (ad_invariance_out_of_place, connection_out_of_place, max_abs, nabla_ric_out_of_place,
-                        ricci_out_of_place, ricci_structural_out_of_place, u_map)
+                        ricci_out_of_place, ricci_structural_out_of_place, ricci_structural_unblocked, u_map)
 from sampling import random_invertible, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine
@@ -554,6 +554,14 @@ def test_in_place_kernels_match_their_out_of_place_expressions_bit_for_bit():
             assert new.tobytes() == ref.tobytes(), (m.dim, k)
             count += 1
     assert count == 27 * 8
+
+
+def test_blocked_structural_ricci_agrees_with_the_unblocked_formula_to_a_few_ulps():
+    # summing term3 and term4 over blocks of the basis regroups their sums, so the oracle's last bits move: by at
+    # most 9 units in the last place of max|ric| on these cases
+    for m in _in_place_cases():
+        ref = ricci_structural_unblocked(m)
+        assert np.max(np.abs(ricci_structural(m) - ref)) <= 16 * np.spacing(np.max(np.abs(ref))), m.dim
 
 
 def test_validation_under_a_looser_tolerance_does_not_carry_to_a_stricter_one():

@@ -11,9 +11,15 @@ from liemetric import (
     StructureReport,
     catalog,
     change_basis,
+    connection,
     direct_sum,
+    is_ad_invariant,
+    is_ricci_parallel,
     killing_form,
+    nabla_ric,
     operator_residual,
+    ricci,
+    ricci_structural,
     structure_report,
     trace_functional,
     validate_jacobi,
@@ -523,14 +529,16 @@ def test_structure_report_matches_dense_rows():
     assert count > 150
 
 
-@pytest.mark.parametrize("name, params, most_rows", [
-    ("sl_killing", {"n": 7}, 726),
-    ("heisenberg", {"n": 32}, 64),
-])
-def test_structure_report_factors_only_nonzero_rows(monkeypatch, name, params, most_rows):
-    # every factorisation of structure_report (the QR of a tall stack, then an SVD) sees the nonzero rows of
-    # its stack, not the dim^2 dense rows
-    g = catalog(name, **params).algebra
+@pytest.mark.parametrize("g", [
+    catalog("sl_killing", n=7).algebra,
+    catalog("heisenberg", n=32).algebra,
+    change_basis(catalog("sl_killing", n=7), random_invertible(np.random.default_rng(26), 48)).algebra,
+    LieAlgebra(0, {}),
+    LieAlgebra(1, {}),
+], ids=["sl7", "h32", "sl7-random", "dim0", "dim1"])
+def test_structure_report_factors_only_nonzero_rows(monkeypatch, g):
+    # every factorisation of structure_report (the QRs of a stack's row blocks, then an SVD) sees nonzero rows
+    # of its stack, at most one QR block of them; the blocked geometry kernels take dims 0 and 1 too
     operands = []
 
     def recording(factor):
@@ -544,7 +552,12 @@ def test_structure_report_factors_only_nonzero_rows(monkeypatch, name, params, m
     structure_report(g)
     assert operands
     assert all(np.all(np.any(a, axis=1)) for a in operands)
-    assert max(a.shape[0] for a in operands) <= most_rows
+    assert max(a.shape[0] for a in operands) <= max(lie._QR_ROWS, 2 * g.dim)
+    if g.dim < 2:
+        m = MetricLieAlgebra(g, np.eye(g.dim))
+        assert connection(m).shape == nabla_ric(m).shape == (g.dim,) * 3
+        assert ricci(m).tensor.shape == ricci_structural(m).shape == (g.dim, g.dim)
+        assert is_ricci_parallel(m).residual == is_ad_invariant(m)[1] == 0.0
 
 
 def _loop_jacobi(g: LieAlgebra) -> float:
