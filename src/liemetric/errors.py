@@ -92,7 +92,7 @@ class ParseError(LieMetricError):
     exit_code = 2
 
 
-class ValidationError(LieMetricError):
-    """An input file parses but fails mathematical validation."""
+class ValidationError(LieMetricError, ValueError):
+    """An input parses but fails mathematical validation; a ``ValueError`` too."""
 
     exit_code = 2

@@ -24,7 +24,7 @@ to dim 32) with at most two block temporaries, each GEMM keeping its operand
 shapes and inner dimension, so no bit moves.  The algebra and the frame's
 tensor and connection are the only dim^3 arrays left: a report and the
 structural Ricci route peak at 2.8 dim^3 arrays above the algebra on sl(7)
-(2.9 in a random basis, 2.5 for H_32 in one; 4.3 and 4.7 before blocks).
+(2.9 in a random basis, 2.5 for H_32 in one).
 """
 
 from __future__ import annotations

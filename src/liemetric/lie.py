@@ -30,12 +30,16 @@ a term that should vanish holds only rounding noise, and a cut relative to
 that noise would count it as rank.  The center, the null space of
 x -> ad(x), takes the same cut.  Each rank is taken over the rows of its
 stack that are not all zero: an exactly zero row adds nothing to A^T A.
-Rows are gathered up to one QR block of max(144, 2 dim) rows; when more
-come, those gathered are cut to their R factor, with the same singular
-values and right vectors (Chan, ACM TOMS 8, 1982), so a stack is reduced by
-QRs of row blocks (TSQR, SIAM J. Sci. Comput. 34, 2012), never whole.  A QR
-of sl(7)'s 726 nonzero [g, g] rows takes 1.40 ms when OpenBLAS spreads it
-over 2 threads and 0.53 ms on 1; one of a block stays on one thread.
+Each stack comes as row blocks (views of the tensor, or products with it
+formed as read), and one pass of :func:`_reduced` gathers their rows up to
+one QR block of max(144, 2 dim); when more come, those gathered are cut to
+their R factor, with the same singular values and right vectors (Chan, ACM
+TOMS 8, 1982).  So a stack is reduced once, by QRs of row blocks (TSQR, SIAM
+J. Sci. Comput. 34, 2012), and one SVD of what is left gives :func:`_row_span`
+its span.  A QR of sl(7)'s 726 nonzero [g, g] rows takes 1.40 ms when
+OpenBLAS spreads it over 2 threads and 0.53 ms on 1; one of a block stays on
+one thread.  The center needs only a rank, so its SVD skips the right
+vectors, which would cost 2.4-2.9 times as much at dim 48.
 
 No kernel here builds a dim^4 array: brackets of spans are contracted
 pairwise, and the Jacobi check picks a sparse or a dense kernel by its exact
@@ -50,7 +54,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadParamsError, DimensionMismatchError, JacobiError
+from .errors import BadParamsError, DimensionMismatchError, JacobiError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerance, as_real_array, as_vector, exponent, operator_residual
 
 __all__ = [
@@ -172,9 +176,9 @@ class LieAlgebra:
     def from_tensor(cls, tensor, basis_names=None) -> "LieAlgebra":
         """Build from a dense bracket tensor C[i, j, :] = [e_i, e_j].
 
-        C must be antisymmetric in (i, j) to 1e-12 relative to 2**k_C; the
-        upper triangle is kept exactly and the lower one rebuilt from it.  A
-        dim above ``MAX_DIM`` raises BadParamsError.
+        C must be antisymmetric in (i, j) to 1e-12 relative to 2**k_C, else
+        ValidationError; the upper triangle is kept exactly and the lower one
+        rebuilt from it.  A dim above ``MAX_DIM`` raises BadParamsError.
         """
         tensor = as_real_array(tensor, "bracket tensor")
         dim = tensor.shape[0]
@@ -183,7 +187,7 @@ class LieAlgebra:
         _check_dim("from_tensor", dim)
         asym = operator_residual(tensor + tensor.transpose(1, 0, 2))
         if not _ANTISYMMETRY_TOL.passes(asym, "bracket", (exponent(operator_residual(tensor)), 0)):
-            raise ValueError(f"bracket tensor is not antisymmetric (residual {asym:.3e})")
+            raise ValidationError(f"bracket tensor is not antisymmetric (residual {asym:.3e})")
         return cls._from_upper(tensor, basis_names)
 
     @property
@@ -390,26 +394,10 @@ def _reduced(blocks, dim: int) -> np.ndarray:
     return rows
 
 
-def _row_span(g: LieAlgebra, stack: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal row basis of the span of a 2-d stack of brackets, :func:`_reduced` ``_BLOCK`` entries at a time.
-
-    Singular values count as rank above ``tol.rank * g.max_structure_constant``
-    (see the module docstring).
-    """
-    _, svals, vt = np.linalg.svd(_reduced((stack[s] for s in _blocks(len(stack), g.dim)), g.dim), full_matrices=False)
+def _row_span(g: LieAlgebra, blocks, tol: Tolerance) -> np.ndarray:
+    """Orthonormal row basis of the stacked row ``blocks``: one :func:`_reduced`, one SVD, the module's cut."""
+    _, svals, vt = np.linalg.svd(_reduced(blocks, g.dim), full_matrices=False)
     return vt[:int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))]
-
-
-def _product_span(g: LieAlgebra, block, slices: tuple, tol: Tolerance) -> np.ndarray:
-    """:func:`_row_span` of the stack of ``block(s)`` over ``slices``, reduced as it is formed if it is more than one."""
-    return _row_span(g, block(slices[0]) if len(slices) == 1 else _reduced(map(block, slices), g.dim), tol)
-
-
-def _bracket_span(g: LieAlgebra, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal row basis of [span(a), span(b)] for row-basis matrices a, b, formed by blocks of a."""
-    dim, c2 = g.dim, g.tensor.reshape(g.dim, g.dim ** 2)  # a_r @ c2 = [a_r, e_j], and b @ [a_r, e_j] = [a_r, b_s]
-    return _product_span(g, lambda s: (b @ (a[s] @ c2).reshape(-1, dim, dim)).reshape(-1, dim),
-                         _blocks(a.shape[0], dim * dim), tol)
 
 
 def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
@@ -427,16 +415,16 @@ def _series_length(g: LieAlgebra, term: np.ndarray, nxt) -> int | None:
 
 def structure_report(g: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Series-based structural predicates with an explicit numerical rank policy."""
-    dim = g.dim
-    derived = _row_span(g, g.tensor.reshape(dim * dim, dim), tol)
-    step = _series_length(g, derived, lambda t: _product_span(  # [e_i, t_q] by blocks of i
-        g, lambda s: (t @ g.tensor[s]).reshape(-1, dim), _blocks(dim, t.shape[0] * dim), tol))
-    derived_length = _series_length(g, derived, lambda t: _bracket_span(g, t, t, tol))
+    dim, c = g.dim, g.tensor
+    flat, ad = c.reshape(dim * dim, dim), c.reshape(dim, dim * dim)  # a @ ad = [a, e_j]; ad.T is x -> ad(x)
+    derived = _row_span(g, (flat[s] for s in _blocks(dim * dim, dim)), tol)
+    step = _series_length(g, derived, lambda t: _row_span(  # [e_i, t_q] by blocks of i
+        g, ((t @ c[s]).reshape(-1, dim) for s in _blocks(dim, t.shape[0] * dim)), tol))
+    derived_length = _series_length(g, derived, lambda t: _row_span(  # [t_r, t_q] by blocks of r
+        g, ((t @ (t[s] @ ad).reshape(-1, dim, dim)).reshape(-1, dim) for s in _blocks(t.shape[0], dim * dim)), tol))
 
-    # center = null space of x -> ad(x), whose (dim^2, dim) matrix is the transpose of the tensor's (dim, dim^2) view,
-    # under the cut of _row_span; with its singular values alone there is no V to save
-    ad = g.tensor.reshape(dim, dim * dim).T
-    svals = np.linalg.svd(_reduced((ad[s] for s in _blocks(dim * dim, dim)), dim), compute_uv=False)
+    # the center is the null space of x -> ad(x), under the cut of _row_span; it needs only the singular values
+    svals = np.linalg.svd(_reduced((ad.T[s] for s in _blocks(dim * dim, dim)), dim), compute_uv=False)
     rank = int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))
     unimodular = tol.passes(operator_residual(trace_functional(g)), "trace_ad", (g.exponent, 0))
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFormError, DimensionMismatchError, ParseError
+from .errors import DegenerateFormError, DimensionMismatchError, ParseError, ValidationError
 
 __all__ = [
     "Tolerance",
@@ -43,7 +43,7 @@ class Tolerance:
 
     def __post_init__(self):
         if not all(0 < x < np.inf for x in (self.abs, self.rel, self.rank)):
-            raise ValueError("tolerance fields must be strictly positive and finite")
+            raise ValidationError("tolerance fields must be strictly positive and finite")
 
     def threshold(self, scale: float = 1.0) -> float:
         return self.abs + self.rel * scale
@@ -201,7 +201,7 @@ class SymmetricForm:
         gram = as_matrix(gram, square=True, name="gram")
         self.exponent = exponent(operator_residual(gram))
         if not tol.passes(operator_residual(gram - gram.T), "metric", (0, self.exponent)):
-            raise ValueError("gram matrix is not symmetric to tolerance")
+            raise ValidationError("gram matrix is not symmetric to tolerance")
         gram = 0.5 * (gram + gram.T)
         vals, vecs = np.linalg.eigh(gram)
         cut = max(math.ldexp(tol.rank, self.exponent), 1 / MAX_ABS)

@@ -68,8 +68,9 @@ def test_structure_report_matches_dense_rows_on_the_corpus():
         assert structure_report(item.m.algebra) == _dense_rows_report(item.m.algebra), item.index
 
 
-def _full_svd_span(g, stack, tol):
+def _full_svd_span(g, blocks, tol):
     """``lie._row_span`` without the QR step: the span from the SVD of the nonzero rows themselves."""
+    stack = np.concatenate([np.empty((0, g.dim))] + list(blocks))
     _, svals, vt = np.linalg.svd(stack[stack.any(axis=1)], full_matrices=False)
     return vt[:int(np.count_nonzero(svals > tol.rank * g.max_structure_constant))]
 
@@ -89,9 +90,10 @@ def test_qr_spans_keep_every_rank_of_the_full_svd(monkeypatch):
     algebras = _rank_cases()
     qr_span, qr, ranks, factored = lie._row_span, np.linalg.qr, [], []
 
-    def both(g, stack, tol):
-        span = qr_span(g, stack, tol)
-        ranks.append((span.shape[0], _full_svd_span(g, stack, tol).shape[0]))
+    def both(g, blocks, tol):
+        blocks = list(blocks)
+        span = qr_span(g, blocks, tol)
+        ranks.append((span.shape[0], _full_svd_span(g, blocks, tol).shape[0]))
         return span
 
     def counted_qr(a, *args, **kwargs):
@@ -109,9 +111,9 @@ def test_qr_spans_keep_every_rank_of_the_full_svd(monkeypatch):
 
 
 def test_block_reduced_stacks_keep_every_rank_of_the_full_svd(monkeypatch):
-    # a series step's stack is reduced by QRs of row blocks as it is formed, so the span above sees it reduced
-    # already; every reduction, of the series products, the [g, g] and the center stacks, must keep the rank
-    # that the SVD of the whole stack's nonzero rows gives under the algebra's cut
+    # each stack is reduced once, by QRs of row blocks as it is formed; every reduction, of the series products,
+    # the [g, g] and the center stacks, must keep the rank that the SVD of the whole stack's nonzero rows gives
+    # under the algebra's cut
     reduce, ranks = lie._reduced, []
     for g in _rank_cases():
         def rank(rows, cut=DEFAULT_TOL.rank * g.max_structure_constant):
@@ -128,6 +130,24 @@ def test_block_reduced_stacks_keep_every_rank_of_the_full_svd(monkeypatch):
         structure_report(g)
     assert len(ranks) > 2500 and all(reduced == whole for reduced, whole, _ in ranks)
     assert sum(factored for *_, factored in ranks) >= 8  # the [g, g] and center stacks of each large algebra
+
+
+def test_each_stack_is_reduced_once(monkeypatch):
+    # every rank of structure_report is one SVD of one reduction: a stack of many row blocks is not reduced again
+    reduce, svd, calls = lie._reduced, np.linalg.svd, []
+
+    def counted(f, kind):
+        def call(*args, **kwargs):
+            calls.append(kind)
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(lie, "_reduced", counted(reduce, "reduce"))
+    monkeypatch.setattr(np.linalg, "svd", counted(svd, "svd"))
+    for g in _rank_cases():
+        calls.clear()
+        structure_report(g)
+        assert calls.count("reduce") == calls.count("svd") >= 2, g
 
 
 # unequal-scale changes have condition number s <= 1e3: a diagonal one scales the coordinates, a rotated one

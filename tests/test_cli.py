@@ -930,3 +930,16 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, c
     assert run(["catalog", "heisenberg"]) == DOCUMENTED_EXIT_CODES.get(cls.__name__, EXIT_PRECONDITION)
     assert capsys.readouterr().err == f"error: {cls.__name__}: boom\n"
     assert (cls.exit_code == 4) == issubclass(cls, errors.VerificationError)  # exit 4 is one family
+
+
+@pytest.mark.parametrize("bad_input", [
+    lambda: LieAlgebra.from_tensor(np.ones((2, 2, 2))),
+    lambda: linalg.SymmetricForm([[1.0, 1.0], [0.0, 1.0]]),
+    lambda: linalg.Tolerance(rank=0.0),
+], ids=["from_tensor-antisymmetry", "gram-symmetry", "tolerance-field"])
+def test_input_errors_are_validation_errors_and_value_errors(bad_input):
+    # the package raises only its own errors; a ValidationError is a ValueError too, for callers that catch those
+    with pytest.raises(errors.ValidationError) as info:
+        bad_input()
+    assert isinstance(info.value, errors.LieMetricError) and isinstance(info.value, ValueError)
+    assert info.value.exit_code == 2
