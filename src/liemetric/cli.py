@@ -129,6 +129,8 @@ def _read_object(path) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nesting past the recursion limit, an integer past 4300 digits
+        raise ParseError(f"{path}: beyond the JSON parser's limits: {exc}") from None
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -168,10 +170,12 @@ def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError | N
         digits = key.removeprefix("-")
         if not _is_index(digits):
             return ParseError(f"{where}: coefficient index {key!r} is not an integer")
-        k, sign = int(digits), key[: len(key) - len(digits)]
-        if sign or k >= dim:  # a minus-signed key is out of range, "-0" too
-            return ParseError(f"{where}: coefficient index {sign}{k} out of range")
-        ks.append(k)
+        sign, digits = key[: len(key) - len(digits)], digits.lstrip("0") or "0"
+        if sign or len(digits) > 50 or int(digits) >= dim:  # a minus-signed key is out of range, "-0" too
+            # int() and str() stop at 4300 digits, so a long key is shown cut
+            shown = digits if len(digits) <= 50 else f"{digits[:50]}... ({len(digits)} digits)"
+            return ParseError(f"{where}: coefficient index {sign}{shown} out of range")
+        ks.append(int(digits))
     if len(set(ks)) < len(ks):
         return ParseError(f"{where}: two coefficient keys name the same index")
     bad = min(((k, val) for k, val in zip(ks, coeffs.values()) if not _is_real(val)), default=None)
@@ -206,9 +210,9 @@ def _bracket_rows(path, brackets: list, dim: int):
     keys = list(chain.from_iterable(maps))
     if not (all(keys) and _is_index("".join(keys) or "0")):  # no key empty, and all digits
         raise _first_bad_record(path, brackets, dim)
-    try:
-        k = np.array(list(map(int, keys)), dtype=np.intp)
-    except OverflowError:  # a key beyond the index type
+    try:  # leading zeros stripped, since int() refuses a key of more than 4300 digits
+        k = np.array([int(key.lstrip("0") or "0") for key in keys], dtype=np.intp)
+    except (OverflowError, ValueError):  # a key beyond the index type or int()'s digit limit
         raise _first_bad_record(path, brackets, dim) from None
     v = _plain_reals(list(chain.from_iterable(map(dict.values, maps))))
     recs = np.repeat(np.arange(len(maps)), list(map(len, maps)))
@@ -441,6 +445,8 @@ def _cmd_catalog(args, tol: Tolerance) -> int:
         params = json.loads(args.params, object_pairs_hook=_distinct_keys) if args.params else {}
     except json.JSONDecodeError as exc:
         raise BadParamsError(f"--params is not valid JSON: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nesting past the recursion limit, an integer past 4300 digits
+        raise BadParamsError(f"--params is beyond the JSON parser's limits: {exc}") from None
     except ParseError as exc:
         raise ParseError(f"--params: {exc}") from None
     if not isinstance(params, dict):

@@ -292,10 +292,28 @@ def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float) -> MetricLieAlg
     return MetricLieAlgebra(doubled.algebra, gram, tol)
 
 
-def _check_antisymmetric(theta: np.ndarray, tol: Tolerance, what: str):
-    res = operator_residual(theta + theta.transpose(1, 0, 2))
-    if not tol.passes(res, "bracket", (_block_exponent(theta), 0)):
-        raise CocycleError(f"{what} must be antisymmetric in its two arguments (residual {res:.3e})")
+def _cochain(value, shape: tuple, name: str, tol: Tolerance) -> np.ndarray:
+    """Cochain ``name`` of ``shape``, zeros when ``value`` is None, antisymmetric in its first two indices.
+
+    A wrong shape raises BadParamsError, antisymmetry failing at the cochain's own k_C CocycleError."""
+    if value is None:
+        return np.zeros(shape)
+    arr = as_real_array(value, name)
+    if arr.shape != shape:
+        raise BadParamsError(f"{name} must have shape {shape}, got {arr.shape}")
+    res = operator_residual(arr + arr.transpose(1, 0, 2))
+    if not tol.passes(res, "bracket", (_block_exponent(arr), 0)):
+        raise CocycleError(f"{name} must be antisymmetric in its two arguments (residual {res:.3e})")
+    return arr
+
+
+def _split_pairing(n: int, signs=()) -> np.ndarray:
+    """The Gram matrix of D + g0 + D* (dim D = n): D paired with D* by the identity, g0 carrying diag(signs)."""
+    m = len(signs)
+    gram = np.zeros((2 * n + m, 2 * n + m))
+    gram[:n, n + m:] = gram[n + m:, :n] = np.eye(n)
+    gram[n:n + m, n:n + m] = np.diag(signs)
+    return gram
 
 
 def _block_exponent(*blocks) -> int:
@@ -331,18 +349,12 @@ def _dual_extension(name: str, d_algebra: LieAlgebra, theta, tol: Tolerance):
     n = d_algebra.dim
     _check_dim(name, 2 * n)
     d_algebra.validate(tol)
-    theta = np.zeros((n, n, n)) if theta is None else as_real_array(theta, "theta")
-    if theta.shape != (n, n, n):
-        raise BadParamsError(f"theta must have shape ({n}, {n}, {n}), got {theta.shape}")
-    _check_antisymmetric(theta, tol, "theta")
+    theta = _cochain(theta, (n, n, n), "theta", tol)
 
     t = np.zeros((2 * n, 2 * n, 2 * n))
     t[:n, :n, :n] = d_algebra.tensor
     t[:n, :n, n:] = theta
-    gram = np.zeros((2 * n, 2 * n))
-    gram[:n, n:] = np.eye(n)
-    gram[n:, :n] = np.eye(n)
-    return theta, t, gram
+    return theta, t, _split_pairing(n)
 
 
 def central_extension_metric(d_algebra: LieAlgebra, theta=None,
@@ -413,29 +425,16 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
             if not tol.passes(res, "jacobi", (k_ders, 0)):
                 raise NonCommutingError(f"derivations {i} and {j} do not commute (residual {res:.3e})")
 
-    alpha = np.zeros((nd, nd, g0_dim)) if alpha is None else as_real_array(alpha, "alpha")
-    if alpha.shape != (nd, nd, g0_dim):
-        raise BadParamsError(f"alpha must have shape ({nd}, {nd}, {g0_dim})")
-    _check_antisymmetric(alpha, tol, "alpha")
-
     nm = nd + g0_dim
-    theta = np.zeros((nm, nm, nd)) if theta is None else as_real_array(theta, "theta")
-    if theta.shape != (nm, nm, nd):
-        raise BadParamsError(f"theta must have shape ({nm}, {nm}, {nd})")
-    _check_antisymmetric(theta, tol, "theta")
+    alpha = _cochain(alpha, (nd, nd, g0_dim), "alpha", tol)
+    theta = _cochain(theta, (nm, nm, nd), "theta", tol)
 
     dim = nd + g0_dim + nd
     t = np.zeros((dim, dim, dim))  # the bracket [.,.]' on D + g0 lands in g0, theta in D*
     t[:nd, :nd, nd:nm] = alpha
     t[:nd, nd:nm, nd:nm] = ders.transpose(0, 2, 1)  # [d_a, e] = d_a e
     t[:nm, :nm, nm:] = theta
-
-    gram = np.zeros((dim, dim))
-    gram[:nd, nd + g0_dim:] = np.eye(nd)
-    gram[nd + g0_dim:, :nd] = np.eye(nd)
-    g0 = np.diag([-1.0] * p + [1.0] * q)
-    gram[nd:nd + g0_dim, nd:nd + g0_dim] = g0
-    return _cochain_metric_algebra(t, gram, tol)
+    return _cochain_metric_algebra(t, _split_pairing(nd, [-1.0] * p + [1.0] * q), tol)
 
 
 # ---------------------------------------------------------------------------

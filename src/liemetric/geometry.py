@@ -183,9 +183,8 @@ def connection_matrices(m: MetricLieAlgebra) -> np.ndarray:
     return connection(m).transpose(0, 2, 1)
 
 
-@_memoised
 def curvature(m: MetricLieAlgebra) -> np.ndarray:
-    """Curvature tensor riem[i, j, k, l]: component of R(e_i, e_j) e_k along e_l."""
+    """Curvature tensor riem[i, j, k, l]: component of R(e_i, e_j) e_k along e_l; a dim^4 array, never cached."""
     c = m.algebra.tensor
     nm = connection_matrices(m)
     n = m.dim

@@ -93,7 +93,8 @@ def _blocks(rows: int, row_size: int | None = None) -> tuple[slice, ...]:
 def _check_dim(name: str, dim: int):
     """Reject an output dimension above ``MAX_DIM``, before anything of that size is allocated."""
     if dim > MAX_DIM:
-        raise BadParamsError(f"{name}: the result would have dimension {dim}, above the limit {MAX_DIM}")
+        shown = dim if dim < 10 ** 20 else "beyond 10^20"  # str() of an int stops at 4300 digits
+        raise BadParamsError(f"{name}: the result would have dimension {shown}, above the limit {MAX_DIM}")
 
 
 def _scatter(dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray) -> np.ndarray:

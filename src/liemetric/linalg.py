@@ -130,7 +130,8 @@ def as_real_array(a, name: str = "array") -> np.ndarray:
     """``a`` as a float array if every entry passes :func:`_is_real`, else the ParseError for the first that fails.
 
     The types are checked before any cast, so strings and booleans are never read as numbers.
-    An empty ``a`` has no entry to fail, whatever its dtype, and gives zeros of its shape.
+    An empty ``a`` has no entry to fail, whatever its dtype, and gives zeros of its shape.  Lists
+    nested beyond numpy's dimension limit raise DimensionMismatchError.
     """
     a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
     if not a.size:
@@ -143,10 +144,13 @@ def as_real_array(a, name: str = "array") -> np.ndarray:
         arr = a.astype(float, copy=False)
         if -MAX_ABS <= arr.min() and arr.max() <= MAX_ABS:  # NaN and the infinities fail; no temporary
             return arr
-    bad = next(((pos, x) for pos, x in zip(np.ndindex(a.shape), a.flat) if not _is_real(x)), None)
+    bad = next(((k, x) for k, x in enumerate(a.ravel()) if not _is_real(x)), None)  # a.flat stops at 32 dimensions
     if bad is None:  # numpy scalars among the objects: real numbers, though not plain ones
         return a.astype(float)
-    pos, val = bad
+    k, val = bad
+    if a.ndim >= 32 and isinstance(val, (list, tuple)):  # numpy's dimension limit (64, 32 before numpy 2) was hit
+        raise DimensionMismatchError(f"{name} nests lists more than {a.ndim} deep")
+    pos = tuple(map(int, np.unravel_index(k, a.shape)))
     raise _not_real(name, pos[0] if len(pos) == 1 else pos, val)
 
 

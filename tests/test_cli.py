@@ -120,6 +120,46 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, raw):
     assert records[1]["report"]["structure"]["is_nilpotent"]
 
 
+# past the parser's recursion limit json raises RecursionError; an integer of over 4300 digits, ValueError
+DEEP_JSON = "[" * 100000 + "]" * 100000
+LONG_INT = "1" * 5000
+
+
+def test_files_beyond_the_json_parsers_limits_are_parse_errors(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a_deep.json").write_text(DEEP_JSON, encoding="utf-8")
+    (batch / "b_long.json").write_text(f'{{"dim": 1, "metric": [[{LONG_INT}]]}}', encoding="utf-8")
+    write_catalog(batch, "heisenberg", "c_h1.json", n=1)
+    base = write_catalog(tmp_path, "abelian", "base.json", p=0, q=2)
+    for name, message in (("a_deep.json", "maximum recursion depth"), ("b_long.json", "Exceeds the limit")):
+        bad = batch / name
+        for args in (["validate", bad], ["report", bad], ["double-extend", base, bad]):
+            assert run(args) == EXIT_PARSE, args
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: ParseError: {bad}: beyond the JSON parser's limits: {message}"), args
+    assert run(["report", batch]) == EXIT_PARSE
+    records = json.loads(capsys.readouterr().out)
+    assert [r["file"] for r in records] == ["a_deep.json", "b_long.json", "c_h1.json"]
+    assert [r.get("exit_code") for r in records] == [EXIT_PARSE, EXIT_PARSE, None]
+    assert records[2]["report"]["structure"]["is_nilpotent"]
+
+
+def test_lists_nested_past_numpys_dimension_limit_are_parse_errors(tmp_path, capsys):
+    deep = 1.0
+    for _ in range(65):
+        deep = [deep]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"dim": 1, "metric": deep}), encoding="utf-8")
+    assert run(["validate", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: ParseError: {path}: field 'metric' nests lists more than 64 deep\n"
+    base, ext = _double_extend_inputs(tmp_path)
+    for field in ("D", "K", "L"):
+        ext.write_text(json.dumps({field: deep}), encoding="utf-8")
+        assert run(["double-extend", base, ext]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: ParseError: {ext}: {field} nests lists more than 64 deep\n"
+
+
 def test_report_heisenberg(tmp_path, capsys):
     path = write_catalog(tmp_path, "heisenberg", "h1.json", n=1)
     assert run(["report", path, "--json"]) == EXIT_OK
@@ -464,6 +504,17 @@ def test_params_that_are_not_an_object_exit_3(capsys):
     assert "BadParamsError: --params must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, message", [
+    (DEEP_JSON, "--params is beyond the JSON parser's limits: maximum recursion depth"),
+    (f'{{"n": {LONG_INT}}}', "--params is beyond the JSON parser's limits: Exceeds the limit"),
+    (f'{{"n": {LONG_INT[:4200]}}}', "sl_killing: the result would have dimension beyond 10^20, above the limit"),
+], ids=["deep", "long_int", "long_dimension"])
+def test_params_beyond_the_json_parsers_limits_exit_3(capsys, params, message):
+    # the last parses, but its dimension n^2 - 1 has 8400 digits, which str() refuses as int() refused the second
+    assert run(["catalog", "sl_killing", "--params", params]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith(f"error: BadParamsError: {message}")
+
+
 def test_complexify_above_max_dim_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lie, "MAX_DIM", 8)  # the loader's bound stays 256, so both files load
     base = write_catalog(tmp_path, "abelian", "ab.json", p=1, q=4)
@@ -698,6 +749,26 @@ def test_coefficient_keys_are_ascii_digits(tmp_path, capsys, key):
     path.write_text(json.dumps({"dim": 11, "brackets": brackets, "metric": np.eye(11).tolist()}), encoding="utf-8")
     assert run(["validate", path]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: ParseError: {path}: brackets[1]: coefficient index {key!r} is not an integer\n"
+
+
+def test_coefficient_keys_past_the_int_digit_limit(tmp_path, capsys):
+    # int() and str() refuse more than 4300 digits: a zero-padded key keeps its index, a long one is out of range
+    path = tmp_path / "keys.json"
+
+    def load(coeffs):
+        doc = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": coeffs}], "metric": np.eye(3).tolist()}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return run(["validate", path]), capsys.readouterr().err
+
+    padded = "0" * 5000 + "2"
+    assert load({padded: 1.0}) == (EXIT_OK, "")
+    assert load_algebra_file(path, linalg.DEFAULT_TOL).algebra.tensor[0, 1, 2] == 1.0
+    assert load({padded: 1.0, "3": 1.0}) == (EXIT_PARSE, f"error: ParseError: {path}: brackets[0]: "
+                                                         "coefficient index 3 out of range\n")
+    for key in ("7" * 5000, "0" * 5000 + "7" * 5000, "-" + "7" * 5000):
+        shown = "-" * key.startswith("-") + "7" * 50
+        assert load({key: 1.0}) == (EXIT_PARSE, f"error: ParseError: {path}: brackets[0]: "
+                                                f"coefficient index {shown}... (5000 digits) out of range\n")
 
 
 @pytest.mark.parametrize("field, value, shape", [("D", None, "2-dimensional, got ndim=0"),

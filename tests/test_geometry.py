@@ -126,6 +126,15 @@ def test_curvature_ad_invariant_quarter_double_bracket(sl2k, rng):
     assert_allclose(riem, expected, atol=1e-12)
 
 
+def test_curvature_leaves_no_dim4_array_in_the_cache():
+    m = catalog("sl_killing", n=3)
+    riem = curvature(m)
+    assert riem.shape == (8,) * 4 and not riem.flags.writeable
+    cached = [v for v in m._cache.values() if isinstance(v, np.ndarray)]
+    assert cached and all(v.ndim < 4 for v in cached)
+    assert_allclose(curvature(m), riem, rtol=0, atol=0)
+
+
 def test_curvature_abelian_zero(abelian3):
     assert_allclose(curvature(abelian3), np.zeros((3, 3, 3, 3)))
 

@@ -259,3 +259,29 @@ def test_plain_numbers_are_checked_in_bulk(monkeypatch):
     for bad, shown in ((10 ** 400, str(10 ** 400)), (10 ** 60, str(10 ** 60)), (float("nan"), "nan"), (True, "True")):
         with pytest.raises(ParseError, match=rf"value for index \(1, 0\) is {shown}, "):
             linalg.as_real_array([[1.0, 2.0], [bad, 3.0]])
+
+
+def _nested(leaf, depth: int):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+@pytest.mark.parametrize("depth", [33, 64, 65, 900])
+def test_lists_nested_past_numpys_dimension_limit_are_dimension_mismatches(depth):
+    from liemetric.linalg import as_matrix, as_real_array, as_vector
+
+    # numpy builds at most 64 dimensions and keeps deeper lists as entries; both must fail on the shape
+    for coerce in (lambda a: as_matrix(a, name="m"), lambda a: as_vector(a, name="m")):
+        with pytest.raises(DimensionMismatchError, match="^m "):
+            coerce(_nested(1.0, depth))
+    if depth > 64:
+        with pytest.raises(DimensionMismatchError, match="^m nests lists more than 64 deep$"):
+            as_real_array(_nested(1.0, depth), "m")
+
+
+def test_a_bad_entry_past_32_dimensions_is_named():
+    from liemetric.linalg import as_real_array
+
+    with pytest.raises(ParseError, match=r"^m value for index \(0(, 0){39}\) is 'x', "):
+        as_real_array(_nested("x", 40), "m")
