@@ -11,6 +11,7 @@ metric's frame (:func:`liemetric.geometry.frame`), mapped back after.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ from .geometry import (
     is_ricci_flat,
     ricci,
 )
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _blocks
 from .linalg import (
     SymmetricForm,
     metric_adjoint,
@@ -124,6 +125,15 @@ class TypeIDecomposition:
     residuals: dict = field(default_factory=dict)
 
 
+def _commutator_residual(j: np.ndarray, nm: np.ndarray) -> float:
+    """max|J N_i - N_i J| over the stack N, by blocks of i with two block temporaries; NaN stays."""
+    def block(s: slice) -> float:
+        out = j @ nm[s]
+        out -= nm[s] @ j
+        return operator_residual(out)
+    return float(functools.reduce(np.maximum, map(block, _blocks(len(nm))), 0.0))
+
+
 def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
     """Extract J = (Ric - lambda Id)/mu and the Einstein companion metric.
 
@@ -153,7 +163,7 @@ def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
     residuals = {"complex_structure": operator_residual(j @ j + np.eye(d)),
                  "symmetric": operator_residual(metric_adjoint(j, form) - j), "einstein": einstein_res,
                  "einstein_constant": abs(constant - 1.0) if constant is not None else np.inf,
-                 "parallel": operator_residual(j @ nm - nm @ j), "reconstruction": operator_residual(g - recon)}
+                 "parallel": _commutator_residual(j, nm), "reconstruction": operator_residual(g - recon)}
 
     bad = {k: v for k, v in residuals.items() if not tol.passes(v, _TYPE_I_RESIDUALS[k], f.exponents)}
     if bad:

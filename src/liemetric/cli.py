@@ -54,7 +54,7 @@ from .classify import (TYPE_I, TYPE_II, TypeIDecomposition, classify_ricci, deco
                        type_I_decomposition, type_II_canonical_basis)
 from .constructions import DoubleExtensionSpec, catalog, check_parallel_conditions, complexify, double_extension, type_I_metric
 from .errors import (BadParamsError, DegenerateFormError, JacobiError, LieMetricError, ParseError, ValidationError,
-                     VerificationError)
+                     VerificationError, _shown)
 from .geometry import MetricLieAlgebra, frame, is_ad_invariant, is_einstein, is_ricci_flat, is_ricci_parallel, ricci
 from .lie import MAX_DIM, LieAlgebra, _is_integer, _scatter, structure_report
 from .linalg import DEFAULT_TOL, Tolerance, _is_real, _not_real, _plain_reals, as_matrix, signature
@@ -117,7 +117,7 @@ def _distinct_keys(pairs: list) -> dict:
     if len(obj) < len(pairs):
         keys = [key for key, _ in pairs]
         key = next(key for n, key in enumerate(keys) if key in keys[:n])
-        raise ParseError(f"key {key!r} appears twice in one object")
+        raise ParseError(f"key {_shown(key)} appears twice in one object")
     return obj
 
 
@@ -140,7 +140,7 @@ def _read_object(path) -> dict:
 
 def _unknown_field(obj: dict, fields: tuple) -> str | None:
     """The message naming the first key of ``obj`` outside ``fields``, or None."""
-    return next((f"unknown field {key!r}" for key in obj if key not in fields), None)
+    return next((f"unknown field {_shown(key)}" for key in obj if key not in fields), None)
 
 
 def _field_problem(rec, dim: int, seen) -> str | None:
@@ -169,7 +169,7 @@ def _coefficient_error(path, rec_no: int, rec: dict, dim: int) -> ParseError | N
     for key in coeffs:
         digits = key.removeprefix("-")
         if not _is_index(digits):
-            return ParseError(f"{where}: coefficient index {key!r} is not an integer")
+            return ParseError(f"{where}: coefficient index {_shown(key)} is not an integer")
         sign, digits = key[: len(key) - len(digits)], digits.lstrip("0") or "0"
         if sign or len(digits) > 50 or int(digits) >= dim:  # a minus-signed key is out of range, "-0" too
             # int() and str() stop at 4300 digits, so a long key is shown cut
@@ -248,7 +248,8 @@ def load_algebra_file(path, tol: Tolerance) -> MetricLieAlgebra:
 
     try:
         gram = as_matrix(metric, dim=dim, name="field 'metric'")
-        return MetricLieAlgebra(LieAlgebra._adopting(_scatter(dim, i, j, rows), names), gram, tol)
+        c, pairs = _scatter(dim, i, j, rows)
+        return MetricLieAlgebra(LieAlgebra._adopting(c, names, pairs), gram, tol)
     except JacobiError as exc:
         raise ValidationError(f"{path}: Jacobi identity fails (residual {exc.residual:.3e})") from exc
     except DegenerateFormError as exc:

@@ -23,6 +23,7 @@ from .errors import (
     NotEinsteinError,
     UnknownNameError,
     ZeroMuError,
+    _shown,
 )
 from .geometry import (MetricLieAlgebra, ParallelCheck, connection_matrices, is_einstein, is_ricci_flat,
                        is_ricci_parallel, ricci)
@@ -409,11 +410,11 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
     nd = len(derivations)
     sizes = (g0_dim, *g0_signature)
     if len(sizes) != 3:
-        raise BadParamsError(f"g0_signature must be a pair (p, q), got {g0_signature!r}")
+        raise BadParamsError(f"g0_signature must be a pair (p, q), got {_shown(g0_signature)}")
     g0_dim, p, q = (_param_value("two_step_parallel", key, val, "int", 0)
                     for key, val in zip(("g0_dim", "p", "q"), sizes))
     if p + q != g0_dim:
-        raise BadParamsError(f"signature ({p}, {q}) does not sum to g0_dim {g0_dim}")
+        raise BadParamsError(f"signature ({_shown(p)}, {_shown(q)}) does not sum to g0_dim {_shown(g0_dim)}")
     _check_dim("two_step_parallel", 2 * nd + g0_dim)
     ders = np.array([as_matrix(dmat, dim=g0_dim, name="derivation") for dmat in derivations])
     ders = ders.reshape(nd, g0_dim, g0_dim)
@@ -562,7 +563,7 @@ def _param_value(name: str, key: str, val, kind: str, bound):
         if isinstance(val, str) and val in bound:
             return val
         need = f"one of {list(bound)}"
-    raise BadParamsError(f"{name}: parameter {key!r} must be {need}, got {val!r}")
+    raise BadParamsError(f"{name}: parameter {key!r} must be {need}, got {_shown(val)}")
 
 
 def _checked_params(name: str, params: dict) -> dict:
@@ -574,7 +575,7 @@ def _checked_params(name: str, params: dict) -> dict:
     _, declared, dim_of = _CATALOG[name]
     unknown = sorted(set(params) - set(declared))
     if unknown:
-        raise BadParamsError(f"{name}: unknown parameters {unknown}; accepted: {sorted(declared)}")
+        raise BadParamsError(f"{name}: unknown parameters {_shown(unknown)}; accepted: {sorted(declared)}")
     out = {}
     for key, (kind, bound, default) in declared.items():
         if key not in params and default is None:
@@ -593,5 +594,5 @@ def catalog(name: str, tol: Tolerance = DEFAULT_TOL, /, **params) -> MetricLieAl
     unknown, missing or ill-typed parameters raise BadParamsError.
     """
     if name not in _CATALOG:
-        raise UnknownNameError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG_NAMES)}")
+        raise UnknownNameError(f"unknown catalog entry {_shown(name)}; known: {', '.join(CATALOG_NAMES)}")
     return _CATALOG[name][0](tol, **_checked_params(name, params))

@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by all liemetric modules."""
+"""Exception hierarchy shared by all liemetric modules, and the one display of a rejected value in a message."""
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, bounded: an integer of size 10^20 or more is named by that bound (str() of an
+    int stops at 4300 digits), and a repr of more than 80 characters is cut there, with its length."""
+    if isinstance(value, int) and abs(value) >= 10 ** 20:
+        return "beyond 10^20" if value > 0 else "below -10^20"
+    try:
+        text = repr(value)
+    except ValueError:  # an integer past the digit limit inside a container
+        return f"a {type(value).__name__} holding an integer beyond 10^20"
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 class LieMetricError(Exception):

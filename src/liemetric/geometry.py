@@ -21,10 +21,14 @@ view, so it runs as BLAS matrix products and never as einsum's C loop.
 Working set: every dim^3 kernel runs by blocks of its first index of at most
 ``lie._BLOCK`` = 2^15 entries (14 rows at dim 48, 7 at dim 65, one block up
 to dim 32) with at most two block temporaries, each GEMM keeping its operand
-shapes and inner dimension, so no bit moves.  The algebra and the frame's
-tensor and connection are the only dim^3 arrays left: a report and the
-structural Ricci route peak at 2.8 dim^3 arrays above the algebra on sl(7)
-(2.9 in a random basis, 2.5 for H_32 in one).
+shapes and inner dimension, so no bit moves.  The frame is blocked too:
+:func:`change_basis` allocates only its result, pulls back into it by blocks
+and antisymmetrizes it in place (1.7 dim^3 arrays above its input on sl(7),
+2.1 before), and :func:`connection` keeps the ad-invariance residual of its
+pass over b + b^T, so :func:`is_ad_invariant` forms no product.  The algebra
+and the frame's tensor and connection are the only dim^3 arrays left: a
+report and the structural Ricci route peak at 2.8 dim^3 arrays above the
+algebra on sl(7) (2.9 in a random basis, 2.5 for H_32 in one).
 """
 
 from __future__ import annotations
@@ -165,15 +169,22 @@ def frame(m: MetricLieAlgebra) -> tuple[MetricLieAlgebra, np.ndarray]:
 @_memoised
 def connection(m: MetricLieAlgebra) -> np.ndarray:
     """Connection coefficients N[i, j, :] = components of nabla_{e_i} e_j, row j of N_i being 1/2 (b[:, i, j] +
-    b[:, j, i]) g^-T + 1/2 [e_i, e_j], b[k] = C[k] g: summed in place by blocks of k, multiplied out by blocks of i."""
+    b[:, j, i]) g^-T + 1/2 [e_i, e_j], b[k] = C[k] g: summed into the result by blocks of k, keeping max|b + b^T|, the
+    ad-invariance residual, and multiplied out in place by blocks of i."""
     c, g, n = m.algebra.tensor, m.gram, m.dim
-    out = np.empty(c.shape)
+    out, res = np.empty(c.shape), 0.0
     for s in _blocks(n):
         b = (c[s].reshape(-1, n) @ g).reshape(-1, n, n)  # b[k, i, j] = <[e_k, e_i], e_j>
-        np.multiply(b + b.transpose(0, 2, 1), 0.5, out=out[:, s].transpose(1, 0, 2))
+        sym = np.add(b, b.transpose(0, 2, 1), out=out[:, s].transpose(1, 0, 2))
+        res = np.maximum(res, operator_residual(sym))  # NaN stays
+        sym *= 0.5
+        del b  # before the next block is formed
     inv_t = np.linalg.inv(g).T
     for s in _blocks(n):
-        np.add(out[s].transpose(0, 2, 1) @ inv_t, 0.5 * c[s], out=out[s])
+        u = out[s].transpose(0, 2, 1) @ inv_t
+        np.add(u, np.multiply(c[s], 0.5, out=out[s]), out=out[s])
+        del u
+    m._cache["ad_invariance"] = float(res)
     out.flags.writeable = False
     return out
 
@@ -210,12 +221,15 @@ def ricci(m: MetricLieAlgebra) -> RicciData:
         d = nm[np.arange(n), np.arange(n)]  # d[i] = row i of N_i
         swapped = nm.transpose(1, 0, 2)  # swapped[i, j] = row i of N_j
         ric = np.full((n, n), -0.0)  # x + -0.0 is x, for every x
-        for s in _blocks(n):
+        blocks = _blocks(n)
+        buf = np.empty((blocks[0].stop if blocks else 0, n, n))  # for both batched products of every block
+        for s in blocks:
             terms = (d[s] @ swapped.reshape(n, n * n)).reshape(-1, n, n)
-            terms -= swapped[s] @ nm[s]
-            terms -= c[s] @ swapped[s]
+            terms -= np.matmul(swapped[s], nm[s], out=buf[:len(terms)])
+            terms -= np.matmul(c[s], swapped[s], out=buf[:len(terms)])
             terms[0] += ric  # the running sum goes first, so the sum over i keeps its order
             ric = terms.sum(axis=0)
+            del terms
         ric = 0.5 * (ric + ric.T)
         operator, z = m.metric.solve(ric), m.metric.solve(trace_functional(m.algebra))
     else:
@@ -312,13 +326,10 @@ def is_ricci_flat(m: MetricLieAlgebra):
 
 
 def is_ad_invariant(m: MetricLieAlgebra):
-    """Max residual of <[x,y],z> + <y,[x,z]> over frame triples."""
+    """Max residual of <[x,y],z> + <y,[x,z]> over frame triples, read off the frame's connection."""
     f = frame(m)[0]
-    c, g, n = f.algebra.tensor, f.gram, f.dim
-    def block(s: slice) -> np.ndarray:
-        b = (c[s].reshape(-1, n) @ g).reshape(-1, n, n)
-        return b + b.transpose(0, 2, 1)  # b += its transpose would buffer a copy: no saving
-    res = float(functools.reduce(np.maximum, map(operator_residual, map(block, _blocks(n))), 0.0))
+    connection(f)
+    res = f._cache["ad_invariance"]
     return f.tol.passes(res, "ad_invariance", f.exponents), res
 
 
@@ -331,11 +342,13 @@ def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> Isometry
     svals = np.linalg.svd(phi, compute_uv=False)
     invertible = bool(svals.size == 0 or svals[-1] > tol.rank * svals[0])
 
-    c1, c2 = m1.algebra.tensor, m2.algebra.tensor
-    lhs = c1 @ phi.T  # phi [e_i, e_j]_1
-    rhs = _pull_back(c2, phi)  # [phi e_i, phi e_j]_2
-    bracket_res = operator_residual(lhs - rhs)
-    k_bracket = exponent(max(operator_residual(lhs), operator_residual(rhs)))
+    c1, bracket_res, reach = m1.algebra.tensor, 0.0, 0.0
+    for s, rhs in _pulled_back(m2.algebra.tensor, phi, np.empty(c1.shape)):  # [phi e_i, phi e_j]_2
+        lhs = c1[s] @ phi.T  # phi [e_i, e_j]_1
+        reach = max(reach, operator_residual(lhs), operator_residual(rhs))
+        bracket_res = np.maximum(bracket_res, operator_residual(np.subtract(lhs, rhs, out=lhs)))  # NaN stays
+        del lhs, rhs
+    bracket_res, k_bracket = float(bracket_res), exponent(reach)
 
     pulled = phi.T @ m2.gram @ phi
     metric_res = operator_residual(m1.gram - pulled)
@@ -347,21 +360,39 @@ def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> Isometry
                          bracket_residual=bracket_res, metric_residual=metric_res)
 
 
-def _pull_back(c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """T[i, j, :] = sum_ab p[a, i] p[b, j] c[a, b, :], the brackets [p e_i, p e_j] in the old coordinates."""
+def _pulled_back(c: np.ndarray, p: np.ndarray, out: np.ndarray):
+    """(s, T[s]) by blocks of i, T[i, j, :] = sum_ab p[a, i] p[b, j] c[a, b, :] = [p e_i, p e_j] in the old basis.
+
+    ``out`` takes p^T C in one product, free by block s once T[s] is handed on.  Split by rows, that product moved
+    the last bits of some entries at each dim above 32 that is not a multiple of 4 (OpenBLAS 0.3.31, AVX-512)."""
     n = c.shape[0]
-    return p.T @ (p.T @ c.reshape(n, n * n)).reshape(n, n, n)
+    half = np.matmul(p.T, c.reshape(n, n * n), out=out.reshape(n, n * n)).reshape(n, n, n)
+    return ((s, p.T @ half[s]) for s in _blocks(n))
 
 
 def change_basis(m: MetricLieAlgebra, p) -> MetricLieAlgebra:
-    """Pull the whole structure back along basis matrix p (columns = new basis); a singular p is a ValidationError."""
+    """Pull the whole structure back along basis matrix p (columns = new basis); a singular p is a ValidationError.
+
+    The result is the one dim^3 array: each block of the pull-back is multiplied by p^-T into the rows it came from,
+    then (X - X^T)/2 is formed in place by blocks of i, both differences of a block before either is written."""
     p = as_matrix(p, dim=m.dim, name="p")
     try:
         pinv = np.linalg.inv(p)
     except np.linalg.LinAlgError:
         raise ValidationError("the new basis p is not invertible") from None
-    new_c = (_pull_back(m.algebra.tensor, p).reshape(m.dim ** 2, m.dim) @ pinv.T).reshape(m.algebra.tensor.shape)
-    algebra = LieAlgebra._adopting(np.multiply(new_c - new_c.transpose(1, 0, 2), 0.5, out=new_c))
+    n = m.dim
+    new_c = np.empty(m.algebra.tensor.shape)
+    for s, t in _pulled_back(m.algebra.tensor, p, new_c):
+        np.matmul(t.reshape(-1, n), pinv.T, out=new_c[s].reshape(-1, n))
+        del t  # before the next block is formed
+    for s in _blocks(n):  # rows s from column s.start on, and the columns s below them
+        upper, lower = new_c[s, s.start:], new_c[s.stop:, s]
+        up = upper - new_c[s.start:, s].transpose(1, 0, 2)
+        down = lower - new_c[s, s.stop:].transpose(1, 0, 2)
+        np.multiply(up, 0.5, out=upper)
+        np.multiply(down, 0.5, out=lower)
+        del up, down
+    algebra = LieAlgebra._adopting(new_c)
     new_g = p.T @ m.gram @ p
     for what, reach in (("brackets in the new basis reach", algebra.max_structure_constant),
                         ("the metric in the new basis reaches", operator_residual(new_g))):

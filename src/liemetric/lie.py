@@ -9,10 +9,11 @@ strict upper triangle mirrored, :func:`direct_sum` places two whole tensors
 as blocks, sl(n) hands over its exact integer commutators, and a change of
 basis hands over (C - C^T)/2.  So the lower triangle is the negation of the
 upper one, up to the sign of zero.  The core makes the tensor read-only and
-takes max|C| and k_C.  The pair index (``bracket_pairs``, a row-major scan of
-the nonzero upper rows) and the Jacobi residual are read off it when first
-read.  Only the Jacobi check, ``structure``, ``repr`` and the file writer read
-the pair index, so a frame never builds it.
+takes max|C| and k_C.  The pair index (``bracket_pairs``, the nonzero upper
+rows in row-major order) comes sorted with the rows of a dict, a file or an
+upper triangle; any other tensor is scanned for it when it is first read, as
+for the Jacobi residual.  Only the Jacobi check, ``structure``, ``repr`` and
+the file writer read the pair index, so a frame never builds it.
 Construction is two-phase: raw load, then :meth:`LieAlgebra.validate` after
 the Jacobi check, which records the tolerance it passed under.  The geometry
 layer validates every algebra under its own tolerance.
@@ -54,7 +55,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadParamsError, DimensionMismatchError, JacobiError, ValidationError
+from .errors import BadParamsError, DimensionMismatchError, JacobiError, ValidationError, _shown
 from .linalg import DEFAULT_TOL, Tolerance, as_real_array, as_vector, exponent, operator_residual
 
 __all__ = [
@@ -93,18 +94,20 @@ def _blocks(rows: int, row_size: int | None = None) -> tuple[slice, ...]:
 def _check_dim(name: str, dim: int):
     """Reject an output dimension above ``MAX_DIM``, before anything of that size is allocated."""
     if dim > MAX_DIM:
-        shown = dim if dim < 10 ** 20 else "beyond 10^20"  # str() of an int stops at 4300 digits
-        raise BadParamsError(f"{name}: the result would have dimension {shown}, above the limit {MAX_DIM}")
+        raise BadParamsError(f"{name}: the result would have dimension {_shown(dim)}, above the limit {MAX_DIM}")
 
 
-def _scatter(dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The tensor of [e_i[p], e_j[p]] = rows[p], distinct pairs i[p] < j[p]; an all-zero row (-0.0 too) stays +0.0."""
-    keep = rows.any(axis=1)
+def _scatter(dim: int, i: np.ndarray, j: np.ndarray, rows: np.ndarray):
+    """The tensor of [e_i[p], e_j[p]] = rows[p], distinct pairs i[p] < j[p], and the pairs of its nonzero rows sorted
+    row-major, as ``bracket_pairs`` would scan them; an all-zero row (-0.0 too) stays +0.0."""
+    keep = np.flatnonzero(rows.any(axis=1))
+    keep = keep[np.argsort(i[keep] * dim + j[keep])]
     i, j, rows = i[keep], j[keep], rows[keep]
     c = np.zeros((dim, dim, dim))
     c[i, j] = rows
     c[j, i] = -rows
-    return c
+    i.flags.writeable = j.flags.writeable = False
+    return c, (i, j)
 
 
 def _is_integer(x) -> bool:
@@ -129,33 +132,38 @@ class LieAlgebra:
 
     def __init__(self, dim, structure=None, basis_names=None):
         if not _is_integer(dim) or dim < 0:
-            raise DimensionMismatchError(f"dim must be a nonnegative integer, got {dim!r}")
+            raise DimensionMismatchError(f"dim must be a nonnegative integer, got {_shown(dim)}")
         dim = int(dim)
         _check_dim("LieAlgebra", dim)
         pairs, rows = [], []
         for key, coeffs in dict(structure or {}).items():
             if not (isinstance(key, tuple) and len(key) == 2):
-                raise DimensionMismatchError(f"bracket key {key!r} must be a pair (i, j)")
+                raise DimensionMismatchError(f"bracket key {_shown(key)} must be a pair (i, j)")
             i, j = key
             if not (_is_integer(i) and _is_integer(j) and 0 <= i < j < dim):
                 raise DimensionMismatchError(
-                    f"bracket pair ({i}, {j}) must be integers with 0 <= i < j < {dim}"
+                    f"bracket pair {_shown(key)} must be integers with 0 <= i < j < {dim}"
                 )
             pairs.append((i, j))
             rows.append(as_vector(coeffs, dim, name=f"[e_{i}, e_{j}] coefficient"))
         i, j = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
-        self._adopt(_scatter(dim, i, j, np.array(rows).reshape(len(rows), dim)), basis_names)
+        c, self.bracket_pairs = _scatter(dim, i, j, np.array(rows).reshape(len(rows), dim))
+        self._adopt(c, basis_names)
 
     @classmethod
-    def _adopting(cls, c: np.ndarray, basis_names=None) -> "LieAlgebra":
-        """Algebra that adopts the exactly antisymmetric tensor ``c`` (see :meth:`_adopt`)."""
-        return cls.__new__(cls)._adopt(c, basis_names)
+    def _adopting(cls, c: np.ndarray, basis_names=None, pairs=None) -> "LieAlgebra":
+        """Algebra that adopts the exactly antisymmetric tensor ``c`` (see :meth:`_adopt`) and any pair index of it."""
+        g = cls.__new__(cls)._adopt(c, basis_names)
+        if pairs is not None:
+            g.bracket_pairs = pairs  # in the instance dict, where the cached property keeps what it scans
+        return g
 
     @classmethod
     def _from_upper(cls, upper: np.ndarray, basis_names=None) -> "LieAlgebra":
         """Algebra whose brackets are the strict upper triangle of a cubic array, mirrored into the lower one."""
         i, j = np.nonzero(np.triu(upper.any(axis=2), 1))
-        return cls._adopting(_scatter(upper.shape[0], i, j, upper[i, j]), basis_names)
+        c, pairs = _scatter(upper.shape[0], i, j, upper[i, j])
+        return cls._adopting(c, basis_names, pairs)
 
     def _adopt(self, c: np.ndarray, basis_names) -> "LieAlgebra":
         """The one construction core: adopt ``c``, exactly antisymmetric and held by no one else, as the tensor.
@@ -198,7 +206,7 @@ class LieAlgebra:
 
     @functools.cached_property
     def bracket_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (i, j), i < j in row-major order, of the nonzero brackets [e_i, e_j]; scanned on first read."""
+        """Read-only (i, j), i < j in row-major order, of the nonzero brackets [e_i, e_j]; handed over or scanned."""
         i, j = np.nonzero(np.triu(self._tensor.any(axis=2), 1))
         i.flags.writeable = j.flags.writeable = False
         return i, j

@@ -76,6 +76,14 @@ def nabla_ric_out_of_place(m: MetricLieAlgebra) -> np.ndarray:
     return -lowered - lowered.transpose(0, 2, 1)
 
 
+def change_basis_out_of_place(m: MetricLieAlgebra, p: np.ndarray) -> np.ndarray:
+    """The bracket tensor in the basis p from one unblocked pull-back and one out-of-place antisymmetrization."""
+    c, n = m.algebra.tensor, m.dim
+    pulled = p.T @ (p.T @ c.reshape(n, n * n)).reshape(n, n, n)
+    new_c = (pulled.reshape(n * n, n) @ np.linalg.inv(p).T).reshape(n, n, n)
+    return 0.5 * (new_c - new_c.transpose(1, 0, 2))
+
+
 def ad_invariance_out_of_place(f: MetricLieAlgebra) -> float:
     b = f.algebra.tensor @ f.gram
     return max_abs(b + b.transpose(0, 2, 1))

@@ -514,6 +514,24 @@ def test_two_step_rejects_bad_sizes(g0_dim, signature, derivations):
         two_step_parallel(g0_dim, signature, derivations)
 
 
+@pytest.mark.parametrize("build, shown", [
+    (lambda: catalog("heisenberg", n=-10 ** 5000), "got below -10^20"),
+    (lambda: catalog("heisenberg", n=10 ** 30), "dimension beyond 10^20"),
+    (lambda: two_step_parallel(2, (10 ** 5000,), []), "got a tuple holding an integer beyond 10^20"),
+    (lambda: two_step_parallel(10 ** 5000, (1, 1), []), "does not sum to g0_dim beyond 10^20"),
+    (lambda: catalog("double_ext_demo", kind="x" * 10 ** 6), "'xxx"),
+    (lambda: catalog("heisenberg", **{"y" * 10 ** 6: 1}), "['yyy"),
+    (lambda: catalog("z" * 10 ** 6), "'zzz"),
+    (lambda: LieAlgebra(-10 ** 5000), "got below -10^20"),
+    (lambda: LieAlgebra(3, {(0, 10 ** 5000): [1.0, 0.0, 0.0]}), "pair a tuple holding an integer beyond 10^20"),
+])
+def test_a_rejected_value_is_shown_bounded(build, shown):
+    # str() of an int stops at 4300 digits, and a long string would be echoed whole: one bounded display shows both
+    with pytest.raises((BadParamsError, DimensionMismatchError, UnknownNameError)) as info:
+        build()
+    assert shown in str(info.value) and len(str(info.value)) < 300
+
+
 def test_two_step_checks_the_shapes_of_alpha_and_theta():
     with pytest.raises(BadParamsError, match=r"alpha must have shape \(1, 1, 2\)"):
         two_step_parallel(2, (0, 2), [np.eye(2)], alpha=np.zeros((1, 1, 3)))

@@ -29,8 +29,9 @@ from liemetric import (
 from liemetric.errors import DimensionMismatchError, JacobiError, ValidationError
 from liemetric.geometry import frame
 from liemetric.linalg import DEFAULT_TOL, DEGREES, Tolerance, exponent, operator_residual, pseudo_orthonormal_basis
-from references import (ad_invariance_out_of_place, connection_out_of_place, max_abs, nabla_ric_out_of_place,
-                        ricci_out_of_place, ricci_structural_out_of_place, ricci_structural_unblocked, u_map)
+from references import (ad_invariance_out_of_place, change_basis_out_of_place, connection_out_of_place, max_abs,
+                        nabla_ric_out_of_place, ricci_out_of_place, ricci_structural_out_of_place,
+                        ricci_structural_unblocked, u_map)
 from sampling import random_invertible, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine
@@ -563,6 +564,35 @@ def test_in_place_kernels_match_their_out_of_place_expressions_bit_for_bit():
             assert new.tobytes() == ref.tobytes(), (m.dim, k)
             count += 1
     assert count == 27 * 8
+
+    # change_basis pulls back by blocks into its one result and antisymmetrizes that in place: the frame's basis and
+    # a random one on every case above, dims 0 and 1, bases with -0.0 entries (-Id, and a reversed one) and dim 49
+    rng, count = np.random.default_rng(30), 0
+    cases = [(m, p) for m in _in_place_cases()
+             for p in (pseudo_orthonormal_basis(m.metric)[0], random_invertible(rng, m.dim))]
+    cases += [(MetricLieAlgebra(LieAlgebra(0), np.eye(0)), np.eye(0)),
+              (MetricLieAlgebra(LieAlgebra(1), -np.eye(1)), np.array([[2.0]])),
+              (catalog("sl_killing", n=7), -np.eye(48)), (catalog("heisenberg", n=16), -np.eye(33)[::-1]),
+              (random_metric_lie_algebra(rng, 49, (16, 33)), random_invertible(rng, 49))]  # 49 is no multiple of 4
+    for m, p in cases:
+        new, ref = change_basis(m, p).algebra.tensor, change_basis_out_of_place(m, p)
+        assert new.shape == ref.shape and np.array_equal(new, ref), m.dim
+        assert np.array_equal(np.signbit(new), np.signbit(ref)), m.dim
+        count += np.count_nonzero(np.signbit(m.algebra.tensor) & (m.algebra.tensor == 0.0))
+    assert count > 0  # inputs hold -0.0: the mirrored zeros of a lower triangle
+
+
+def test_ad_invariance_is_read_off_a_connection_nobody_asked_for():
+    # is_ad_invariant computes the frame's connection if it has to, and reads the residual its pass kept
+    rng = np.random.default_rng(31)
+    for m in (catalog("sl_killing", n=3), catalog("heisenberg", n=2), random_metric_lie_algebra(rng, 7, (3, 4)),
+              change_basis(catalog("sl_killing", n=7), random_invertible(rng, 48))):
+        f = frame(m)[0]
+        assert "connection" not in f._cache
+        ok, res = is_ad_invariant(m)
+        assert "connection" in f._cache
+        assert np.float64(res).tobytes() == np.float64(ad_invariance_out_of_place(f)).tobytes(), m.dim
+        assert ok == f.tol.passes(res, "ad_invariance", f.exponents)
 
 
 def test_blocked_structural_ricci_agrees_with_the_unblocked_formula_to_a_few_ulps():
