@@ -11,7 +11,6 @@ metric's frame (:func:`liemetric.geometry.frame`), mapped back after.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ from .geometry import (
     is_ricci_flat,
     ricci,
 )
-from .lie import LieAlgebra, _blocks
+from .lie import LieAlgebra
 from .linalg import (
     SymmetricForm,
     metric_adjoint,
@@ -125,15 +124,6 @@ class TypeIDecomposition:
     residuals: dict = field(default_factory=dict)
 
 
-def _commutator_residual(j: np.ndarray, nm: np.ndarray) -> float:
-    """max|J N_i - N_i J| over the stack N, by blocks of i with two block temporaries; NaN stays."""
-    def block(s: slice) -> float:
-        out = j @ nm[s]
-        out -= nm[s] @ j
-        return operator_residual(out)
-    return float(functools.reduce(np.maximum, map(block, _blocks(len(nm))), 0.0))
-
-
 def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
     """Extract J = (Ric - lambda Id)/mu and the Einstein companion metric.
 
@@ -159,11 +149,13 @@ def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
 
     constant, einstein_res = is_einstein(mp)
     nm = connection_matrices(f)
+    par = j @ nm  # [J, N_i] over the whole stack
+    par -= nm @ j
     recon = (lam * gp - mu * (gp @ j)) / (lam ** 2 + mu ** 2)
     residuals = {"complex_structure": operator_residual(j @ j + np.eye(d)),
                  "symmetric": operator_residual(metric_adjoint(j, form) - j), "einstein": einstein_res,
                  "einstein_constant": abs(constant - 1.0) if constant is not None else np.inf,
-                 "parallel": _commutator_residual(j, nm), "reconstruction": operator_residual(g - recon)}
+                 "parallel": operator_residual(par), "reconstruction": operator_residual(g - recon)}
 
     bad = {k: v for k, v in residuals.items() if not tol.passes(v, _TYPE_I_RESIDUALS[k], f.exponents)}
     if bad:

@@ -36,9 +36,9 @@ from .linalg import (
     as_matrix,
     as_real_array,
     as_vector,
-    exponent,
     metric_adjoint,
     operator_residual,
+    size_exponent,
 )
 
 __all__ = [
@@ -119,9 +119,8 @@ class DoubleExtensionSpec:
         the extension that keeps <u, v> = 1: (C0, g0, D, K, L) -> (s C0, t g0, s D/t, s K/t, s L/t^2).
         """
         g0 = self.base.gram
-        brackets = max(self.base.algebra.max_structure_constant, operator_residual(self.D),
-                       operator_residual(g0 @ self.L), operator_residual(self.K.T @ g0))
-        return exponent(brackets), exponent(max(1.0, operator_residual(g0)))
+        return (size_exponent(self.base.algebra.max_structure_constant, self.D, g0 @ self.L, self.K.T @ g0),
+                size_exponent(1.0, g0))
 
 
 def double_extension(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
@@ -283,7 +282,7 @@ def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float) -> MetricLieAlg
         raise NotEinsteinError(f"base is not Einstein (residual {res:.3e})")
     if is_ricci_flat(base)[0]:
         raise NotEinsteinError("base Einstein constant must be nonzero")
-    if tol.passes(abs(mu), "bracket", (exponent(max(abs(lam), abs(mu))), 0)):
+    if tol.passes(abs(mu), "bracket", (size_exponent(lam, mu), 0)):
         raise ZeroMuError("mu must be nonzero relative to lam for a complex-pair minimal polynomial")
 
     doubled, j = complexify(base)
@@ -303,7 +302,7 @@ def _cochain(value, shape: tuple, name: str, tol: Tolerance) -> np.ndarray:
     if arr.shape != shape:
         raise BadParamsError(f"{name} must have shape {shape}, got {arr.shape}")
     res = operator_residual(arr + arr.transpose(1, 0, 2))
-    if not tol.passes(res, "bracket", (_block_exponent(arr), 0)):
+    if not tol.passes(res, "bracket", (size_exponent(arr), 0)):
         raise CocycleError(f"{name} must be antisymmetric in its two arguments (residual {res:.3e})")
     return arr
 
@@ -315,11 +314,6 @@ def _split_pairing(n: int, signs=()) -> np.ndarray:
     gram[:n, n + m:] = gram[n + m:, :n] = np.eye(n)
     gram[n:n + m, n:n + m] = np.diag(signs)
     return gram
-
-
-def _block_exponent(*blocks) -> int:
-    """k_C of a bracket tensor assembled from these blocks."""
-    return exponent(max(operator_residual(b) for b in blocks))
 
 
 def _metric_algebra(upper: np.ndarray, gram: np.ndarray, tol: Tolerance, basis_names=None) -> MetricLieAlgebra:
@@ -384,7 +378,7 @@ def bordemann_cotangent(d_algebra: LieAlgebra, theta=None,
     """
     theta, t, gram = _dual_extension("bordemann_cotangent", d_algebra, theta, tol)
     cyc_res = operator_residual(theta + theta.transpose(0, 2, 1))
-    if not tol.passes(cyc_res, "bracket", (_block_exponent(theta), 0)):
+    if not tol.passes(cyc_res, "bracket", (size_exponent(theta), 0)):
         raise CyclicityError(f"theta(x,y)(z) + theta(x,z)(y) != 0 (residual {cyc_res:.3e})")
 
     n = d_algebra.dim
@@ -407,8 +401,10 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
     which raises CocycleError.  The output is Ricci-parallel for every
     admissible input.
     """
-    nd = len(derivations)
-    sizes = (g0_dim, *g0_signature)
+    if not np.iterable(derivations):
+        raise BadParamsError(f"derivations must be a sequence of matrices, got {_shown(derivations)}")
+    nd = len(derivations := list(derivations))
+    sizes = (g0_dim, *g0_signature) if np.iterable(g0_signature) else ()
     if len(sizes) != 3:
         raise BadParamsError(f"g0_signature must be a pair (p, q), got {_shown(g0_signature)}")
     g0_dim, p, q = (_param_value("two_step_parallel", key, val, "int", 0)
@@ -419,7 +415,7 @@ def two_step_parallel(g0_dim: int, g0_signature, derivations, alpha=None, theta=
     ders = np.array([as_matrix(dmat, dim=g0_dim, name="derivation") for dmat in derivations])
     ders = ders.reshape(nd, g0_dim, g0_dim)
 
-    k_ders = _block_exponent(ders)
+    k_ders = size_exponent(ders)
     for i in range(nd):
         for j in range(i + 1, nd):
             res = operator_residual(ders[i] @ ders[j] - ders[j] @ ders[i])
@@ -593,6 +589,6 @@ def catalog(name: str, tol: Tolerance = DEFAULT_TOL, /, **params) -> MetricLieAl
     ``tol`` are positional-only, so every keyword is an entry parameter;
     unknown, missing or ill-typed parameters raise BadParamsError.
     """
-    if name not in _CATALOG:
+    if not isinstance(name, str) or name not in _CATALOG:
         raise UnknownNameError(f"unknown catalog entry {_shown(name)}; known: {', '.join(CATALOG_NAMES)}")
     return _CATALOG[name][0](tol, **_checked_params(name, params))

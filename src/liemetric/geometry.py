@@ -19,16 +19,16 @@ tensor on request and is not on the Ricci path.
 Every contraction of a dim^3 tensor is ``@`` on a broadcast or reshaped
 view, so it runs as BLAS matrix products and never as einsum's C loop.
 Working set: every dim^3 kernel runs by blocks of its first index of at most
-``lie._BLOCK`` = 2^15 entries (14 rows at dim 48, 7 at dim 65, one block up
-to dim 32) with at most two block temporaries, each GEMM keeping its operand
-shapes and inner dimension, so no bit moves.  The frame is blocked too:
-:func:`change_basis` allocates only its result, pulls back into it by blocks
-and antisymmetrizes it in place (1.7 dim^3 arrays above its input on sl(7),
-2.1 before), and :func:`connection` keeps the ad-invariance residual of its
-pass over b + b^T, so :func:`is_ad_invariant` forms no product.  The algebra
-and the frame's tensor and connection are the only dim^3 arrays left: a
-report and the structural Ricci route peak at 2.8 dim^3 arrays above the
-algebra on sl(7) (2.9 in a random basis, 2.5 for H_32 in one).
+``lie._BLOCK`` = 2^15 entries (one block up to dim 32, 14 rows at dim 48, 7
+at dim 65) with at most two block temporaries.  Above dim 32 a row block of a
+GEMM can round some entries unlike the whole product; the golden digests pin
+the blocked form.  :func:`change_basis` allocates only its result (1.7 dim^3
+arrays above its input on sl(7)), and :func:`connection` keeps the
+ad-invariance residual of its pass over b + b^T, so :func:`is_ad_invariant`
+forms no product.  The algebra and the frame's tensor and connection are the
+only dim^3 arrays left: a report and the structural Ricci route peak at 2.8
+dim^3 arrays above the algebra on sl(7) (2.9 in a random basis, 2.5 for H_32
+in one).
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .linalg import (
     SymmetricForm,
     Tolerance,
     as_matrix,
-    exponent,
     operator_residual,
     pseudo_orthonormal_basis,
+    size_exponent,
 )
 
 __all__ = [
@@ -348,11 +348,11 @@ def verify_isometry(phi, m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> Isometry
         reach = max(reach, operator_residual(lhs), operator_residual(rhs))
         bracket_res = np.maximum(bracket_res, operator_residual(np.subtract(lhs, rhs, out=lhs)))  # NaN stays
         del lhs, rhs
-    bracket_res, k_bracket = float(bracket_res), exponent(reach)
+    bracket_res, k_bracket = float(bracket_res), size_exponent(reach)
 
     pulled = phi.T @ m2.gram @ phi
     metric_res = operator_residual(m1.gram - pulled)
-    k_metric = exponent(max(operator_residual(m1.gram), operator_residual(pulled)))
+    k_metric = size_exponent(m1.gram, pulled)
 
     ok = (invertible and tol.passes(bracket_res, "bracket", (k_bracket, 0))
           and tol.passes(metric_res, "metric", (0, k_metric)))

@@ -56,7 +56,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import BadParamsError, DimensionMismatchError, JacobiError, ValidationError, _shown
-from .linalg import DEFAULT_TOL, Tolerance, as_real_array, as_vector, exponent, operator_residual
+from .linalg import DEFAULT_TOL, Tolerance, as_real_array, as_vector, exponent, operator_residual, size_exponent
 
 __all__ = [
     "LieAlgebra",
@@ -171,8 +171,7 @@ class LieAlgebra:
         ``c`` becomes read-only.  By antisymmetry max|C| is its largest
         entry, found without a temporary."""
         if basis_names is not None:
-            basis_names = tuple(str(s) for s in basis_names)
-            if len(basis_names) != c.shape[0]:
+            if not np.iterable(basis_names) or len(basis_names := tuple(map(str, basis_names))) != c.shape[0]:
                 raise DimensionMismatchError("basis_names length must equal dim")
         c.flags.writeable = False
         self.dim, self.basis_names, self._tensor = c.shape[0], basis_names, c
@@ -190,12 +189,12 @@ class LieAlgebra:
         rebuilt from it.  A dim above ``MAX_DIM`` raises BadParamsError.
         """
         tensor = as_real_array(tensor, "bracket tensor")
-        dim = tensor.shape[0]
+        dim = tensor.shape[0] if tensor.ndim else 0
         if tensor.shape != (dim, dim, dim):
             raise DimensionMismatchError(f"bracket tensor must be cubic, got {tensor.shape}")
         _check_dim("from_tensor", dim)
         asym = operator_residual(tensor + tensor.transpose(1, 0, 2))
-        if not _ANTISYMMETRY_TOL.passes(asym, "bracket", (exponent(operator_residual(tensor)), 0)):
+        if not _ANTISYMMETRY_TOL.passes(asym, "bracket", (size_exponent(tensor), 0)):
             raise ValidationError(f"bracket tensor is not antisymmetric (residual {asym:.3e})")
         return cls._from_upper(tensor, basis_names)
 

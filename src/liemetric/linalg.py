@@ -10,12 +10,13 @@ metric adjoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFormError, DimensionMismatchError, ParseError, ValidationError
+from .errors import DegenerateFormError, DimensionMismatchError, ParseError, ValidationError, _shown
 
 __all__ = [
     "Tolerance",
@@ -27,6 +28,13 @@ __all__ = [
     "metric_adjoint",
     "operator_residual",
 ]
+
+
+# Largest magnitude of an input number: residuals such as Ric^2 reach the
+# fourth power of the inputs, which must stay a finite double.
+MAX_ABS = 1e50
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_PLAIN_REAL_TYPES = frozenset((int, float))  # what JSON numbers parse to
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,8 @@ class Tolerance:
     rank: float = 1e-8
 
     def __post_init__(self):
-        if not all(0 < x < np.inf for x in (self.abs, self.rel, self.rank)):
-            raise ValidationError("tolerance fields must be strictly positive and finite")
+        if not all(isinstance(x, _REAL_TYPES) and 0 < x < np.inf for x in (self.abs, self.rel, self.rank)):
+            raise ValidationError("tolerance fields must be real numbers, strictly positive and finite")
 
     def threshold(self, scale: float = 1.0) -> float:
         return self.abs + self.rel * scale
@@ -64,8 +72,8 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 # Degree (a, b) of each residual: it becomes s**a * t**b times itself when the
-# brackets C become s*C and the metric g becomes t*g.  An input checked against
-# its own size (theta, alpha, derivations, mu) passes its own exponent as k_C.
+# brackets C become s*C and the metric g becomes t*g.  An input judged at its own size (theta,
+# alpha, derivations, mu, a Gram matrix, a double extension's data) takes k_C or k_g from size_exponent.
 DEGREES = {
     "bracket": (1, 0),          # bracket components, antisymmetry, an input against itself
     "trace_ad": (1, 0),
@@ -81,12 +89,6 @@ DEGREES = {
     "C1": (3, -3), "C2": (3, -3), "C3": (3, -2), "C4": (3, -3), "C5": (3, -2),
 }
 
-# Largest magnitude of an input number: residuals such as Ric^2 reach the
-# fourth power of the inputs, which must stay a finite double.
-MAX_ABS = 1e50
-_REAL_TYPES = (int, float, np.integer, np.floating)
-_PLAIN_REAL_TYPES = frozenset((int, float))  # what JSON numbers parse to
-
 
 class Signature(NamedTuple):
     """Counts of -1 (p) and +1 (q) entries in a diagonalising basis."""
@@ -100,14 +102,23 @@ def exponent(x: float) -> int:
     return math.frexp(x)[1] - 1 if x else 0
 
 
+def size_exponent(*sizes) -> int:
+    """:func:`exponent` of the largest max-norm among ``sizes``, numbers or arrays: an input's own scale."""
+    return exponent(max(operator_residual(x) for x in sizes))
+
+
 def _is_real(x) -> bool:
     """Whether ``x`` is a real number (not a bool) of magnitude at most MAX_ABS; NaN fails."""
     return type(x) is not bool and isinstance(x, _REAL_TYPES) and abs(x) <= MAX_ABS
 
 
 def _not_real(name: str, index, value) -> ParseError:
-    """The ParseError for an entry of ``name`` at ``index`` that fails :func:`_is_real`."""
-    return ParseError(f"{name} value for index {index} is {value!r}, "
+    """The ParseError for an entry of ``name`` at ``index`` that fails :func:`_is_real`, its value shown bounded."""
+    try:
+        shown = str(value) if type(value) is int else _shown(value)  # an int in full, up to str()'s digit limit
+    except ValueError:  # past it, the int is named by that bound
+        shown = f"{'beyond ' if value > 0 else 'below -'}10^{sys.get_int_max_str_digits()}"
+    return ParseError(f"{name} value for index {index} is {shown}, "
                       f"but entries must hold real numbers, finite and of magnitude at most {MAX_ABS:g}")
 
 
@@ -203,12 +214,12 @@ class SymmetricForm:
 
     def __init__(self, gram, tol: Tolerance = DEFAULT_TOL):
         gram = as_matrix(gram, square=True, name="gram")
-        self.exponent = exponent(operator_residual(gram))
+        self.exponent = size_exponent(gram)
         if not tol.passes(operator_residual(gram - gram.T), "metric", (0, self.exponent)):
             raise ValidationError("gram matrix is not symmetric to tolerance")
         gram = 0.5 * (gram + gram.T)
         vals, vecs = np.linalg.eigh(gram)
-        cut = max(math.ldexp(tol.rank, self.exponent), 1 / MAX_ABS)
+        cut = max(tol.rank * 2.0 ** self.exponent, 1 / MAX_ABS)  # inf beyond the double range
         if gram.shape[0] and np.min(np.abs(vals)) <= cut:
             raise DegenerateFormError(
                 f"form is degenerate: eigenvalue magnitude {np.min(np.abs(vals)):.3e} <= rank cutoff {cut:.3e}"

@@ -815,6 +815,33 @@ def test_unknown_fields_are_parse_errors(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: ParseError: {path}: {message}\n"
 
 
+def test_a_long_string_among_the_numbers_is_shown_bounded(tmp_path, capsys):
+    # a rejected string in the metric or in a coefficient is cut at 80 characters, on stderr and in a directory report
+    long_value = "x" * 10 ** 6
+    shown = f"'{long_value[:79]}... (1000002 characters)"
+    docs = {"a_metric.json": {"dim": 1, "metric": [[long_value]]},
+            "b_coeff.json": {"dim": 2, "metric": np.eye(2).tolist(),
+                             "brackets": [{"i": 0, "j": 1, "coeffs": {"1": long_value}}]}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["validate", tmp_path / name]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"index {'(0, 0)' if name == 'a_metric.json' else 1} is {shown}, but" in err and len(err) < 1000
+    assert run(["report", tmp_path]) == EXIT_PARSE
+    out = capsys.readouterr().out
+    assert [r["exit_code"] for r in json.loads(out)] == [EXIT_PARSE, EXIT_PARSE] and len(out) < 1000
+
+
+def test_a_rank_cut_beyond_the_double_range_fails_nondegeneracy(tmp_path, capsys):
+    # a cut tol.rank * 2**k_g beyond the double range counts as infinite, so every metric is degenerate
+    path = write_catalog(tmp_path, "sl_killing", "sl2.json", n=2)
+    for rank in ("1e300", "1e308"):
+        assert run(["validate", path, "--tol-rank", rank]) == EXIT_PARSE
+        assert "metric nondegeneracy fails" in capsys.readouterr().err
+    assert run(["catalog", "sl_killing", "--params", '{"n": 2}', "--tol-rank", "1e308"]) == EXIT_PRECONDITION
+    assert "DegenerateFormError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("names", [[{"x": 1}, None], ["x"], ["x", 2], "xy", {"0": "x", "1": "y"}])
 def test_basis_names_must_be_dim_strings(tmp_path, capsys, names):
     # a name that is not a string used to be written back as its str(), "{'x': 1}" or "None"
@@ -1044,10 +1071,35 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, c
     lambda: LieAlgebra.from_tensor(np.ones((2, 2, 2))),
     lambda: linalg.SymmetricForm([[1.0, 1.0], [0.0, 1.0]]),
     lambda: linalg.Tolerance(rank=0.0),
-], ids=["from_tensor-antisymmetry", "gram-symmetry", "tolerance-field"])
+    lambda: linalg.Tolerance(abs="1"),
+    lambda: linalg.Tolerance(abs=None),
+], ids=["from_tensor-antisymmetry", "gram-symmetry", "tolerance-field", "tolerance-string", "tolerance-none"])
 def test_input_errors_are_validation_errors_and_value_errors(bad_input):
     # the package raises only its own errors; a ValidationError is a ValueError too, for callers that catch those
     with pytest.raises(errors.ValidationError) as info:
         bad_input()
     assert isinstance(info.value, errors.LieMetricError) and isinstance(info.value, ValueError)
     assert info.value.exit_code == 2
+
+
+_two_step = constructions.two_step_parallel
+
+
+@pytest.mark.parametrize("bad, sibling, error", [
+    (lambda: LieAlgebra.from_tensor(3.0), lambda: LieAlgebra.from_tensor([1.0]), errors.DimensionMismatchError),
+    (lambda: _two_step(2, None, []), lambda: _two_step(2, (1,), []), errors.BadParamsError),
+    (lambda: _two_step(2, 5, []), lambda: _two_step(2, (1,), []), errors.BadParamsError),
+    (lambda: _two_step(2, (0, 2), None), lambda: _two_step(2, (0, 2), [None] * 200), errors.BadParamsError),
+    (lambda: catalog(["a"]), lambda: catalog(None), errors.UnknownNameError),
+    (lambda: catalog({}), lambda: catalog(None), errors.UnknownNameError),
+    (lambda: LieAlgebra(2, {}, basis_names=5), lambda: LieAlgebra(2, {}, basis_names=["x"]),
+     errors.DimensionMismatchError),
+    (lambda: LieAlgebra.from_tensor(np.zeros((2, 2, 2)), basis_names=3),
+     lambda: LieAlgebra.from_tensor(np.zeros((2, 2, 2)), basis_names=["x"]), errors.DimensionMismatchError),
+], ids=["from_tensor-scalar", "two_step-signature-none", "two_step-signature-int", "two_step-derivations-none",
+        "catalog-list", "catalog-dict", "basis_names-int", "from_tensor-basis_names-int"])
+def test_rejected_arguments_raise_the_error_of_their_sibling(bad, sibling, error):
+    # an argument of the wrong type gets the error of a sibling input, never an IndexError or a TypeError
+    for call in (bad, sibling):
+        with pytest.raises(error):
+            call()

@@ -31,6 +31,7 @@ from liemetric import (
     two_step_parallel,
     type_I_metric,
     validate_jacobi,
+    verify_isometry,
 )
 from liemetric.errors import (
     BadParamsError,
@@ -42,12 +43,13 @@ from liemetric.errors import (
     LieMetricError,
     NonCommutingError,
     NotEinsteinError,
+    ParseError,
     UnknownNameError,
     ZeroMuError,
 )
 from liemetric import constructions, lie
 from liemetric.lie import MAX_DIM
-from liemetric.linalg import Tolerance
+from liemetric.linalg import Tolerance, as_matrix
 from sampling import (
     ABELIAN_FAMILIES,
     random_abelian_extension_spec,
@@ -524,10 +526,20 @@ def test_two_step_rejects_bad_sizes(g0_dim, signature, derivations):
     (lambda: catalog("z" * 10 ** 6), "'zzz"),
     (lambda: LieAlgebra(-10 ** 5000), "got below -10^20"),
     (lambda: LieAlgebra(3, {(0, 10 ** 5000): [1.0, 0.0, 0.0]}), "pair a tuple holding an integer beyond 10^20"),
+    # an entry that is not a real number: an int past str()'s digit limit is named by that bound
+    (lambda: as_matrix([[10 ** 5000]]), "index (0, 0) is beyond 10^"),
+    (lambda: as_matrix([[-10 ** 5000]]), "index (0, 0) is below -10^"),
+    (lambda: MetricLieAlgebra(LieAlgebra(1), [[10 ** 5000]]), "gram value for index (0, 0) is beyond 10^"),
+    (lambda: LieAlgebra(2, {(0, 1): [10 ** 5000, 0]}), "coefficient value for index 0 is beyond 10^"),
+    (lambda: DoubleExtensionSpec(euclidean_abelian(1), [[10 ** 5000]], [[0.0]], [0.0]), "D value for index (0, 0) is"),
+    (lambda: type_I_metric(catalog("sl_killing", n=2), 10 ** 5000, 1), "(lam, mu) value for index 0 is beyond 10^"),
+    (lambda: central_extension_metric(LieAlgebra(1), theta=[[[10 ** 5000]]]), "theta value for index (0, 0, 0) is"),
+    (lambda: verify_isometry([[10 ** 5000]], euclidean_abelian(1), euclidean_abelian(1)), "phi value for index (0, 0)"),
+    (lambda: LieAlgebra(2, {(0, 1): ["w" * 10 ** 6, 0]}), "index 0 is 'www"),
 ])
 def test_a_rejected_value_is_shown_bounded(build, shown):
     # str() of an int stops at 4300 digits, and a long string would be echoed whole: one bounded display shows both
-    with pytest.raises((BadParamsError, DimensionMismatchError, UnknownNameError)) as info:
+    with pytest.raises((BadParamsError, DimensionMismatchError, ParseError, UnknownNameError)) as info:
         build()
     assert shown in str(info.value) and len(str(info.value)) < 300
 

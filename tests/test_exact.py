@@ -8,7 +8,8 @@ import pytest
 
 import exact
 from liemetric import LieAlgebra, MetricLieAlgebra, catalog
-from liemetric.constructions import DoubleExtensionSpec, check_parallel_conditions, double_extension
+from liemetric.constructions import (DoubleExtensionSpec, check_parallel_conditions, complexify, double_extension,
+                                     type_I_metric)
 from liemetric.geometry import connection, is_ricci_parallel, ricci, ricci_structural
 
 # (entry, parameters, whether nabla ric is zero): the Heisenberg nilsolitons are the non-parallel ones
@@ -18,15 +19,23 @@ CASES = [
     ("affine_plane", {}, True),
     ("heisenberg", {"n": 1}, False),
     ("heisenberg", {"n": 2}, False),
+    ("heisenberg", {"n": 3}, False),
+    ("heisenberg", {"n": 4}, False),
     ("einstein_solvable", {"n": 1}, True),
+    ("einstein_solvable", {"n": 2}, True),
+    ("einstein_solvable", {"n": 3}, True),
+    ("einstein_solvable", {"n": 4}, True),
+    ("abelian", {"p": 1, "q": 2}, True),
     ("double_ext_demo", {"kind": "solvable", "dim": 2}, True),
     ("double_ext_demo", {"kind": "solvable", "dim": 4}, True),
     ("double_ext_demo", {"kind": "nilpotent", "dim": 2}, True),
     ("double_ext_demo", {"kind": "nilpotent", "dim": 4}, True),
     ("sl_complex_typeI", {"n": 2, "lam": 1.0, "mu": 2.0}, True),
+    ("sl_complex_typeI", {"n": 2, "lam": 0.0, "mu": 1.0}, True),
+    ("sl_complex_typeI", {"n": 2, "lam": -1.5, "mu": 0.25}, True),
 ]
-# ulps of the largest exact entry: measured at most 2.0, for ric read back through the frame as Q^T ric_F Q
-# (sl(3), the type-I metric on sl(2, C)); the structural route at most 1.0 and the connection below 0.01
+# ulps of the largest exact entry: measured at most 2.47, for ric read back through the frame as Q^T ric_F Q
+# (sl(3), the type-I metrics on sl(2, C)); the structural route at most 1.0 and the connection below 0.06
 ULPS = 4
 
 
@@ -38,8 +47,9 @@ def case(request):
 
 
 def _ulps(approx, want: np.ndarray) -> float:
-    """max |approx - want| in units of eps times max |want|, both taken exactly."""
-    return float(exact.error(approx, want) / (exact.max_abs(want) * np.finfo(float).eps))
+    """max |approx - want| in units of eps times max |want|, both taken exactly; a zero ``want`` asks for equality."""
+    err, scale = exact.error(approx, want), exact.max_abs(want)
+    return float(err / (scale * np.finfo(float).eps)) if scale else (0.0 if err == 0 else np.inf)
 
 
 def test_connection_and_both_ricci_routes_are_within_a_few_ulps_of_exact(case):
@@ -50,10 +60,21 @@ def test_connection_and_both_ricci_routes_are_within_a_few_ulps_of_exact(case):
 
 
 def test_parallel_verdict_agrees_with_exact_nabla_ric(case):
-    # exact nabla ric is 0, or 2.7e-17 where sqrt entries are rounded (einstein_solvable n=1), or about 0.27
+    # exact nabla ric is 0, or at most 1.5e-16 where sqrt entries are rounded (einstein_solvable), or 0.24-0.27 (H_n)
     m, (*_, nabla), parallel = case
     assert m.tol.passes(float(exact.max_abs(nabla)), "nabla_ric", m.exponents) == parallel
     assert is_ricci_parallel(m).ok == parallel
+
+
+@pytest.mark.parametrize("lam, mu", [(0.0, 1.0), (1.0, 2.0), (-1.5, 0.25)])
+def test_type_I_ricci_operator_is_exactly_lam_plus_mu_J(lam, mu):
+    # exact g^-1 ric of the metric's own floats against lam Id + mu J, J the block complex structure of complexify;
+    # measured 0, 0.25 and 0.25 ulps of max(|lam|, |mu|)
+    m = type_I_metric(catalog("sl_killing", n=2), lam, mu)
+    operator = exact._inverse(exact.rational(m.gram)) @ exact.geometry(m)[1]
+    j = complexify(catalog("sl_killing", n=2))[1]
+    want = exact.rational(lam * np.eye(m.dim)) + exact.rational(mu * j)
+    assert exact.max_abs(operator - want) <= ULPS * Fraction(np.finfo(float).eps) * Fraction(max(abs(lam), abs(mu)))
 
 
 def _demo_spec(kind: str, dim: int) -> DoubleExtensionSpec:

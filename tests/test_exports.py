@@ -22,8 +22,9 @@ def test_every_module_export_is_the_same_package_attribute():
 
 
 def test_helpers_outside_all_stay_importable_from_their_module():
-    from liemetric.linalg import DEGREES, MAX_ABS, as_matrix, as_real_array, exponent
+    from liemetric.linalg import DEGREES, MAX_ABS, as_matrix, as_real_array, exponent, size_exponent
 
-    assert DEGREES["jacobi"] == (2, 0) and MAX_ABS == 1e50 and exponent(3.0) == 1
+    assert DEGREES["jacobi"] == (2, 0) and MAX_ABS == 1e50 and exponent(3.0) == 1 and size_exponent(3.0) == 1
     assert as_matrix([[1, 0], [0, 1]]).shape == (2, 2) and as_real_array([1]).shape == (1,)
-    assert not {"DEGREES", "MAX_ABS", "as_matrix", "as_real_array", "exponent"} & set(liemetric.__all__)
+    helpers = {"DEGREES", "MAX_ABS", "as_matrix", "as_real_array", "exponent", "size_exponent"}
+    assert not helpers & set(liemetric.__all__)

@@ -210,6 +210,26 @@ def test_stored_spectrum_is_checked_against_the_given_tolerance():
         SymmetricForm(np.diag([1e-3, -1.0]), Tolerance(rank=1e-2))
 
 
+def test_a_rank_cut_beyond_the_double_range_is_infinite():
+    # a cut tol.rank * 2**k_g beyond the largest double counts as infinite, not as an OverflowError
+    for rank in (1e300, 1e308):
+        with pytest.raises(DegenerateFormError):
+            SymmetricForm(np.diag([4.0, -4.0]), Tolerance(rank=rank))
+    with pytest.raises(DegenerateFormError, match="rank cutoff inf"):
+        liemetric.catalog("sl_killing", Tolerance(rank=1e308), n=2)
+
+
+def test_an_inputs_own_scale_is_size_exponent():
+    from liemetric.linalg import size_exponent
+
+    assert size_exponent(3.0, -5 * np.ones(2), np.zeros((0, 3))) == 2 and size_exponent(-0.0, np.zeros(4)) == 0
+    assert size_exponent(1.0, np.array([[0.25]])) == 0 and size_exponent(np.full((2, 2), -1e-3)) == -10
+    # it is the one way to write that scale: no other module takes the exponent of a max or a max-norm itself
+    for path in Path(liemetric.__file__).parent.glob("*.py"):
+        if path.name != "linalg.py":
+            assert not re.search(r"\bexponent\((max|abs|operator_residual)\(", path.read_text(encoding="utf-8"))
+
+
 def test_tolerance_policy_lives_in_linalg():
     # every pass/fail decision goes through Tolerance.passes and its degree table
     for path in Path(liemetric.__file__).parent.glob("*.py"):
