@@ -123,6 +123,16 @@ class DoubleExtensionSpec:
                 size_exponent(1.0, g0))
 
 
+def _checked_exponents(spec: DoubleExtensionSpec) -> tuple[int, int]:
+    """``spec.exponents`` once every defining constraint passes under the base's tolerance, else InvalidSpecError."""
+    tol, exps = spec.base.tol, spec.exponents
+    for name, res in spec.validate().items():
+        if not tol.passes(res, name, exps):
+            raise InvalidSpecError(f"double-extension data violates the {name} condition (residual {res:.3e})",
+                                   condition=name, residual=res)
+    return exps
+
+
 def double_extension(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     """Build the (n+2)-dimensional metric algebra on basis (u, v, e_1..e_n).
 
@@ -133,13 +143,7 @@ def double_extension(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     BadParamsError.
     """
     _check_dim("double_extension", spec.base.dim + 2)
-    tol, exps = spec.base.tol, spec.exponents
-    for name, res in spec.validate().items():
-        if not tol.passes(res, name, exps):
-            raise InvalidSpecError(
-                f"double-extension data violates the {name} condition (residual {res:.3e})",
-                condition=name, residual=res,
-            )
+    _checked_exponents(spec)
 
     base = spec.base
     dim = base.dim + 2
@@ -154,7 +158,7 @@ def double_extension(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     gram = np.zeros((dim, dim))
     gram[0, 1] = gram[1, 0] = 1.0
     gram[2:, 2:] = g0
-    return _metric_algebra(t, gram, tol)
+    return MetricLieAlgebra(LieAlgebra._from_upper(t), gram, base.tol)
 
 
 @dataclass(frozen=True)
@@ -210,10 +214,12 @@ class ParallelConditionReport:
 def check_parallel_conditions(spec: DoubleExtensionSpec) -> ParallelConditionReport:
     """Evaluate the five conditions equivalent to the extension being Ricci-parallel.
 
-    They are judged by the tolerance of the base.  The verdict must agree
-    with a direct parallelism check on the built algebra; the test suite
-    enforces that equivalence, it is never assumed.
+    They are judged by the tolerance of the base, on data that
+    :func:`double_extension` accepts: others raise its InvalidSpecError.
+    The verdict must agree with a direct parallelism check on the built
+    algebra; the test suite enforces that equivalence, it is never assumed.
     """
+    exps = _checked_exponents(spec)
     base = spec.base
     g0 = base.gram
     d, k, lvec = spec.D, spec.K, spec.L
@@ -235,7 +241,6 @@ def check_parallel_conditions(spec: DoubleExtensionSpec) -> ParallelConditionRep
         "C5": operator_residual(nm0 @ delta + 0.5 * (ric0 @ b_plus).T),
     }
     base_parallel = is_ricci_parallel(base)
-    exps = spec.exponents
     ok = base_parallel.ok and all(base.tol.passes(res, name, exps) for name, res in conditions.items())
     return ParallelConditionReport(conditions=conditions, base_parallel=base_parallel, ok=ok, invariants=inv)
 
@@ -264,7 +269,7 @@ def complexify(base: MetricLieAlgebra):
     j[:n, n:] = -np.eye(n)
     j[n:, :n] = np.eye(n)
 
-    return _metric_algebra(t, gram, base.tol), j
+    return MetricLieAlgebra(LieAlgebra._from_upper(t), gram, base.tol), j
 
 
 def type_I_metric(base: MetricLieAlgebra, lam: float, mu: float) -> MetricLieAlgebra:
@@ -316,19 +321,14 @@ def _split_pairing(n: int, signs=()) -> np.ndarray:
     return gram
 
 
-def _metric_algebra(upper: np.ndarray, gram: np.ndarray, tol: Tolerance, basis_names=None) -> MetricLieAlgebra:
-    """Validated metric algebra from the strict upper triangle of a bracket tensor and a Gram matrix."""
-    return MetricLieAlgebra(LieAlgebra._from_upper(upper, basis_names), gram, tol)
-
-
 def _cochain_metric_algebra(upper: np.ndarray, gram: np.ndarray, tol: Tolerance) -> MetricLieAlgebra:
-    """:func:`_metric_algebra` for a family assembled from cochains on a Lie base.
+    """Validated metric algebra from a Gram matrix and the strict upper triangle of a bracket built of cochains.
 
     Jacobi of the assembled bracket is the one check of their cocycle
     conditions, so its failure is the cochains' and is raised as CocycleError.
     """
     try:
-        return _metric_algebra(upper, gram, tol)
+        return MetricLieAlgebra(LieAlgebra._from_upper(upper), gram, tol)
     except JacobiError as exc:
         msg = f"the cochains break Jacobi on the assembled bracket (residual {exc.residual:.3e})"
         raise CocycleError(msg) from exc
@@ -462,7 +462,7 @@ def _catalog_einstein_solvable(tol, n):
     t[1:, 1:, 1:] = nil.tensor                # the Heisenberg nilsoliton on (E_1..E_2n, Z)
     gram = np.eye(dim)
     gram[0, 0] = 2.0 * (n + 1.0) ** 2 / (n + 2.0)
-    return _metric_algebra(t, gram, tol, basis_names=("A",) + nil.basis_names)
+    return MetricLieAlgebra(LieAlgebra._from_upper(t, ("A",) + nil.basis_names), gram, tol)
 
 
 def _sl_algebra(n: int):
@@ -505,7 +505,7 @@ def _catalog_sl_complex(tol, n, lam, mu):
 def _catalog_affine_plane(tol):
     t = np.zeros((2, 2, 2))
     t[0, 1, 1] = 1.0  # [e1, e2] = e2
-    return _metric_algebra(t, np.eye(2), tol, basis_names=["e1", "e2"])
+    return MetricLieAlgebra(LieAlgebra._from_upper(t, ["e1", "e2"]), np.eye(2), tol)
 
 
 def _catalog_abelian(tol, p, q):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .lie import LieAlgebra, _blocks, trace_functional
+from .lie import LieAlgebra, _blocks, killing_form, trace_functional
 from .linalg import (
     DEFAULT_TOL,
     MAX_ABS,
@@ -76,14 +76,18 @@ class MetricLieAlgebra:
     """A validated Lie algebra paired with a nondegenerate metric.
 
     ``tol`` is the tolerance of every verdict on the object: the algebra's
-    Jacobi check, the predicates here, the classification and the
-    constructions built from it take no other.  Derived tensors (connection,
-    curvature, Ricci) are memoised in a write-once per-object cache, so the
-    object stays cheap to pass around and safe to share between readers.
+    Jacobi check, the metric's nondegeneracy (a SymmetricForm judged under
+    another tolerance is judged again), the predicates here, the
+    classification and the constructions built from it take no other.
+    Derived tensors (connection, curvature, Ricci) are memoised in a
+    write-once per-object cache, so the object stays cheap to pass around
+    and safe to share between readers.
     """
 
     def __init__(self, algebra: LieAlgebra, metric, tol: Tolerance = DEFAULT_TOL):
         algebra.validate(tol)
+        if isinstance(metric, SymmetricForm) and metric.tol != tol:
+            metric = metric.gram
         if not isinstance(metric, SymmetricForm):
             metric = SymmetricForm(metric, tol)
         if metric.dim != algebra.dim:
@@ -269,12 +273,10 @@ def ricci_structural(m: MetricLieAlgebra) -> np.ndarray:
             plus, minus = pulled[neg * rows:], pulled[:neg * rows]  # eps_a eps_b = eps for b >= neg, -eps below
             term4 += eps * (plus.T @ plus - minus.T @ minus)
             del br, lowered, pulled, plus, minus
-    killing = np.concatenate([np.empty((n, 0))] + [by_first @ c[s].transpose(0, 2, 1).reshape(-1, n * n).T
-                                                    for s in _blocks(n)], axis=1)  # K_ij, by blocks of j
     azg = m.algebra.ad(m.metric.solve(trace_functional(m.algebra))).T @ g  # <[Z, e_i], e_j>
     term_z = -0.5 * (azg + azg.T)
 
-    out = -0.25 * (killing + killing.T) + term_z + term3 + 0.25 * term4
+    out = -0.5 * killing_form(m.algebra) + term_z + term3 + 0.25 * term4
     out = 0.5 * (out + out.T)
     out.flags.writeable = False
     return out

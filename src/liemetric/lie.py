@@ -45,6 +45,8 @@ vectors, which would cost 2.4-2.9 times as much at dim 48.
 No kernel here builds a dim^4 array: brackets of spans are contracted
 pairwise, and the Jacobi check picks a sparse or a dense kernel by its exact
 product count, read from the pair index (see :func:`validate_jacobi`).
+:func:`killing_form`, which the structural Ricci route reads, runs by blocks
+of j: one block up to dim 32, above it last bits unlike the whole product's.
 """
 
 from __future__ import annotations
@@ -367,9 +369,11 @@ def _sparse_jacobi(c: np.ndarray, ui: np.ndarray, uj: np.ndarray, uk: np.ndarray
 
 
 def killing_form(g: LieAlgebra) -> np.ndarray:
-    """K_ij = trace(ad e_i . ad e_j); symmetric, possibly degenerate."""
-    n = g.dim
-    k = g.tensor.reshape(n, n * n) @ g.ad_basis.reshape(n, n * n).T  # sum_ab ad(e_i)[b, a] ad(e_j)[a, b]
+    """K_ij = trace(ad e_i . ad e_j), by blocks of j; symmetric, possibly degenerate."""
+    n, c = g.dim, g.tensor
+    k = np.empty((n, n))
+    for s in _blocks(n):  # sum_ab ad(e_i)[b, a] ad(e_j)[a, b]
+        k[:, s] = c.reshape(n, n * n) @ c[s].transpose(0, 2, 1).reshape(-1, n * n).T
     return 0.5 * (k + k.T)
 
 

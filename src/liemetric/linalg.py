@@ -50,7 +50,8 @@ class Tolerance:
     rank: float = 1e-8
 
     def __post_init__(self):
-        if not all(isinstance(x, _REAL_TYPES) and 0 < x < np.inf for x in (self.abs, self.rel, self.rank)):
+        if not all(type(x) is not bool and isinstance(x, _REAL_TYPES) and 0 < x < np.inf
+                   for x in (self.abs, self.rel, self.rank)):
             raise ValidationError("tolerance fields must be real numbers, strictly positive and finite")
 
     def threshold(self, scale: float = 1.0) -> float:
@@ -209,7 +210,8 @@ class SymmetricForm:
     MAX_ABS) is rejected immediately so downstream code never has to
     re-check.  Its one symmetric eigendecomposition is taken here and read
     by :func:`signature` and :func:`pseudo_orthonormal_basis`.  ``exponent``
-    is k_g of the module's tolerance policy.
+    is k_g of the module's tolerance policy, ``tol`` the tolerance the form
+    was judged under.
     """
 
     def __init__(self, gram, tol: Tolerance = DEFAULT_TOL):
@@ -226,7 +228,7 @@ class SymmetricForm:
             )
         gram.flags.writeable = False
         self.gram = gram
-        self.dim = gram.shape[0]
+        self.dim, self.tol = gram.shape[0], tol
         self._eigh = (vals, vecs)
 
     def inner(self, x, y) -> float:

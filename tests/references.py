@@ -3,7 +3,7 @@
 import numpy as np
 
 from liemetric.geometry import MetricLieAlgebra, connection, connection_matrices, frame, ricci
-from liemetric.lie import _blocks, killing_form, trace_functional
+from liemetric.lie import LieAlgebra, _blocks, killing_form, trace_functional
 from liemetric.linalg import as_vector, pseudo_orthonormal_basis
 
 # degree of each of invariants() in the structure constants
@@ -116,12 +116,19 @@ def ricci_structural_out_of_place(m: MetricLieAlgebra) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def killing_form_one_product(g: LieAlgebra) -> np.ndarray:
+    """The Killing form from one product over a whole copy of the ad stack: ``killing_form`` before it took blocks."""
+    n = g.dim
+    k = g.tensor.reshape(n, n * n) @ g.ad_basis.reshape(n, n * n).T
+    return 0.5 * (k + k.T)
+
+
 def ricci_structural_unblocked(m: MetricLieAlgebra) -> np.ndarray:
     """The closed formula with each sum over the basis in one product: ``ricci_structural`` before it took blocks."""
     c, g, n = m.algebra.tensor, m.gram, m.dim
     basis, signs = pseudo_orthonormal_basis(m.metric)
     eps = signs.astype(float)
-    term_k = -0.5 * killing_form(m.algebra)
+    term_k = -0.5 * killing_form_one_product(m.algebra)
     az = m.algebra.ad(m.metric.solve(trace_functional(m.algebra)))
     azg = az.T @ g
     term_z = -0.5 * (azg + azg.T)

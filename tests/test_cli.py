@@ -1073,7 +1073,10 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, c
     lambda: linalg.Tolerance(rank=0.0),
     lambda: linalg.Tolerance(abs="1"),
     lambda: linalg.Tolerance(abs=None),
-], ids=["from_tensor-antisymmetry", "gram-symmetry", "tolerance-field", "tolerance-string", "tolerance-none"])
+    lambda: linalg.Tolerance(abs=True, rel=True),  # a threshold of 2.0 if True were read as 1
+    lambda: linalg.Tolerance(rank=np.True_),
+], ids=["from_tensor-antisymmetry", "gram-symmetry", "tolerance-field", "tolerance-string", "tolerance-none",
+        "tolerance-bool", "tolerance-numpy-bool"])
 def test_input_errors_are_validation_errors_and_value_errors(bad_input):
     # the package raises only its own errors; a ValidationError is a ValueError too, for callers that catch those
     with pytest.raises(errors.ValidationError) as info:

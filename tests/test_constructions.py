@@ -127,6 +127,22 @@ def test_double_extension_cocycle_condition():
     assert err.value.condition == "cocycle"
 
 
+def test_the_certificate_refuses_the_data_the_extension_refuses():
+    # K = diag(1, 0) is not skew (residual 2.0), yet check_parallel_conditions once certified it; both judge the
+    # data by one routine and raise the same error
+    cases = [(DoubleExtensionSpec(euclidean_abelian(2), np.zeros((2, 2)), np.diag([1.0, 0.0]), np.zeros(2)), "skew"),
+             (DoubleExtensionSpec(catalog("affine_plane"), [[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2)), np.zeros(2)),
+              "derivation")]
+    for spec, condition in cases:
+        raised = []
+        for build in (double_extension, check_parallel_conditions):
+            with pytest.raises(InvalidSpecError) as err:
+                build(spec)
+            raised.append((str(err.value), err.value.condition, err.value.residual))
+        assert raised[0] == raised[1] and raised[0][1] == condition
+    assert cases[0][0].validate()["skew"] == 2.0
+
+
 def test_extension_invariants_abelian_delta_exactly_zero(rng):
     for family in ABELIAN_FAMILIES:
         spec = random_abelian_extension_spec(rng, 4, family)

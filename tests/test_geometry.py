@@ -26,9 +26,10 @@ from liemetric import (
     validate_jacobi,
     verify_isometry,
 )
-from liemetric.errors import DimensionMismatchError, JacobiError, ValidationError
+from liemetric.errors import DegenerateFormError, DimensionMismatchError, JacobiError, ValidationError
 from liemetric.geometry import frame
-from liemetric.linalg import DEFAULT_TOL, DEGREES, Tolerance, exponent, operator_residual, pseudo_orthonormal_basis
+from liemetric.linalg import (DEFAULT_TOL, DEGREES, SymmetricForm, Tolerance, exponent, operator_residual,
+                              pseudo_orthonormal_basis)
 from references import (ad_invariance_out_of_place, change_basis_out_of_place, connection_out_of_place, max_abs,
                         nabla_ric_out_of_place, ricci_out_of_place, ricci_structural_out_of_place,
                         ricci_structural_unblocked, u_map)
@@ -339,9 +340,9 @@ def test_ricci_matches_curvature_trace_on_catalog(name, params):
     _assert_ricci_is_curvature_trace(catalog(name, **params))
 
 
-def _scaled(m, s, t):
+def _scaled(m, s, t, tol=DEFAULT_TOL):
     """The metric algebra with brackets s*C and metric t*g."""
-    return MetricLieAlgebra(LieAlgebra.from_tensor(s * m.algebra.tensor), t * m.gram)
+    return MetricLieAlgebra(LieAlgebra.from_tensor(s * m.algebra.tensor), t * m.gram, tol)
 
 
 def _random_case(seed):
@@ -414,7 +415,10 @@ def _table_residuals(x, s, t):
     nm = connection_matrices(m)
     iso = verify_isometry(x["phi"], m, m)
     par = is_ricci_parallel(m)
-    spec = DoubleExtensionSpec(_scaled(x["base"], s, t), s * x["d"] / t, s * x["k"] / t, s * x["lvec"] / t ** 2)
+    # check_parallel_conditions admits only data that pass their defining constraints, whose residuals here reach 2
+    # at unit brackets and metric: the base's tolerance admits them, and no residual depends on it
+    base = _scaled(x["base"], s, t, Tolerance(abs=8.0, rel=8.0))
+    spec = DoubleExtensionSpec(base, s * x["d"] / t, s * x["k"] / t, s * x["lvec"] / t ** 2)
     return {
         "bracket": iso.bracket_residual,
         "trace_ad": np.max(np.abs(trace_functional(m.algebra))),
@@ -595,12 +599,34 @@ def test_ad_invariance_is_read_off_a_connection_nobody_asked_for():
         assert ok == f.tol.passes(res, "ad_invariance", f.exponents)
 
 
+def test_structural_ricci_reads_killing_form_bit_for_bit():
+    # ricci_structural adds -1/2 killing_form where it added -1/4 (K + K^T) of a blocked copy of its own: a power
+    # of two scales exactly, so no bit moves, also at the dims where killing_form's last bits moved
+    rng = np.random.default_rng(32)
+    for dim in (*range(1, 40), 41, 48, 49, 50, 63, 65):
+        for p in (0, 1):
+            m = random_metric_lie_algebra(rng, dim, (p, dim - p))
+            assert ricci_structural(m).tobytes() == ricci_structural_out_of_place(m).tobytes(), (dim, p)
+
+
 def test_blocked_structural_ricci_agrees_with_the_unblocked_formula_to_a_few_ulps():
     # summing term3 and term4 over blocks of the basis regroups their sums, so the oracle's last bits move: by at
     # most 9 units in the last place of max|ric| on these cases
     for m in _in_place_cases():
         ref = ricci_structural_unblocked(m)
         assert np.max(np.abs(ricci_structural(m) - ref)) <= 16 * np.spacing(np.max(np.abs(ref))), m.dim
+
+
+def test_a_form_judged_under_another_tolerance_is_judged_again():
+    # diag(1, 1e-9) passes a rank cut of 1e-12, not the default 1e-8: a metric algebra judges the form it keeps
+    # under its own tolerance, as it judges the same Gram given as an array
+    loose = Tolerance(rank=1e-12)
+    form = SymmetricForm(np.diag([1.0, 1e-9]), loose)
+    for metric in (form, form.gram):
+        with pytest.raises(DegenerateFormError, match="1.000e-09 <= rank cutoff 1.000e-08"):
+            MetricLieAlgebra(LieAlgebra(2), metric, DEFAULT_TOL)
+    assert MetricLieAlgebra(LieAlgebra(2), form, Tolerance(rank=1e-12)).metric is form  # an equal one keeps it
+    assert MetricLieAlgebra(LieAlgebra(2), np.eye(2), loose).metric.tol is loose
 
 
 def test_validation_under_a_looser_tolerance_does_not_carry_to_a_stricter_one():

@@ -27,7 +27,8 @@ from liemetric import (
 from liemetric import lie
 from liemetric.errors import BadParamsError, DimensionMismatchError, JacobiError
 from liemetric.linalg import DEFAULT_TOL
-from sampling import random_invertible, random_lie_algebra
+from references import killing_form_one_product
+from sampling import random_invertible, random_lie_algebra, random_metric_lie_algebra
 
 from conftest import CATALOG_CASES, make_affine, make_heisenberg, make_sl2
 
@@ -152,6 +153,31 @@ def test_killing_form_ad_invariance(rng):
             x, y, z = rng.normal(size=(3, dim))
             lhs = g.bracket(x, y) @ k @ z + y @ k @ g.bracket(x, z)
             assert abs(lhs) < 1e-9 * max(1.0, np.max(np.abs(k))) * 10
+
+
+def test_killing_form_by_blocks_is_the_one_product_at_one_block_dims():
+    # up to dim 32 lie._blocks(dim) is one block, the whole product, so no bit moves; nor on the sl(7) and H_32
+    # catalog tensors, whose products are exact
+    rng = np.random.default_rng(32)
+    cases = [random_metric_lie_algebra(rng, dim).algebra for dim in range(1, 33)]
+    for g in cases + [catalog("sl_killing", n=7).algebra, catalog("heisenberg", n=32).algebra]:
+        assert killing_form(g).tobytes() == killing_form_one_product(g).tobytes(), g.dim
+
+
+def test_killing_form_by_blocks_moves_only_last_bits_at_multi_block_dims():
+    # above dim 32 a row block of the product can round unlike the whole product.  The deviation is counted in ulps
+    # of the largest entry of |C|'s Killing form, the sum of the magnitudes of K's terms: at most 2 on these cases
+    # (OpenBLAS 0.3.31, AVX-512).  In ulps of max|K| it reads up to 108 where K cancels larger terms, and 1.8e16
+    # where K vanishes, as on a nilpotent algebra, and holds only rounding noise
+    rng, worst = np.random.default_rng(33), 0.0
+    for dim in (33, 34, 35, 36, 37, 38, 39, 41, 48, 49, 50, 63, 65):
+        for _ in range(2):
+            g = random_metric_lie_algebra(rng, dim).algebra
+            a = np.abs(g.tensor)
+            scale = (a.reshape(dim, -1) @ a.transpose(0, 2, 1).reshape(dim, -1).T).max()
+            dev = np.max(np.abs(killing_form(g) - killing_form_one_product(g)))
+            worst = max(worst, dev / np.spacing(scale) if scale else dev)
+    assert worst <= 8
 
 
 def test_trace_functional_values():

@@ -3,15 +3,15 @@
     PYTHONPATH=src:tests python tests/working_set.py
 
 prints the peak of ``change_basis`` into the frame, and of ``build_report`` plus ``ricci_structural``, on sl(7) and
-the Einstein extension of H_23 in their catalog bases (the inputs of perfbench's ``report_large``), and the latter
-on sl(7) and on H_32 in the seed-26 random basis.
+the Einstein extension of H_23 in their catalog bases (the inputs of perfbench's ``report_large``), the latter on
+sl(7) and on H_32 in the seed-26 random basis, and the peak of ``killing_form`` on the sl(7) and H_32 catalog tensors.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from liemetric import catalog, change_basis, ricci_structural
+from liemetric import catalog, change_basis, killing_form, ricci_structural
 from liemetric.cli import build_report
 from liemetric.linalg import pseudo_orthonormal_basis
 from sampling import random_invertible
@@ -42,6 +42,12 @@ def change_basis_peak(name: str, n: int) -> float:
     return traced_peak(lambda: change_basis(m, p)) / (8 * m.dim ** 3)
 
 
+def killing_form_peak(name: str, n: int) -> float:
+    """Peak of ``killing_form`` of a catalog algebra, in dim^3 arrays of doubles."""
+    g = catalog(name, n=n).algebra
+    return traced_peak(lambda: killing_form(g)) / (8 * g.dim ** 3)
+
+
 if __name__ == "__main__":
     large = (("sl(7)", "sl_killing", 7), ("Einstein ext. of H_23", "einstein_solvable", 23))
     print("change_basis into the frame, catalog basis, dim^3 arrays above the algebra: "
@@ -51,3 +57,6 @@ if __name__ == "__main__":
     peaks = ", ".join(f"{label} {report_peak(name, n, 26):.2f}" for label, name, n in (("sl(7)", "sl_killing", 7),
                                                                                         ("H_32", "heisenberg", 32)))
     print(f"build_report + ricci_structural, seed-26 random basis, dim^3 arrays above the algebra: {peaks}")
+    peaks = ", ".join(f"{label} {killing_form_peak(name, n):.2f}" for label, name, n in (("sl(7)", "sl_killing", 7),
+                                                                                          ("H_32", "heisenberg", 32)))
+    print(f"killing_form, catalog basis, dim^3 arrays above the algebra: {peaks}")
