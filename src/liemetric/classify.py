@@ -6,7 +6,8 @@ mu*J for a parallel complex structure J) or a square-zero nilpotent
 (type II).  This module classifies, extracts the type-I pair
 (Einstein metric, J), builds the Lorentz type-II canonical basis, and
 peels a type-II metric back into double-extension data, all in the
-metric's frame (:func:`liemetric.geometry.frame`), mapped back after.
+metric's frame (:func:`liemetric.geometry.frame`), mapped back after.  Each
+certificate's residuals are judged by name, at their degrees in ``linalg.DEGREES``.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ def classify_ricci(m: MetricLieAlgebra) -> RicciClassification:
     return RicciClassification(tag=OTHER, residuals=residuals)
 
 
-# degree-table entry of each type-I verification residual (J is unit-free, gp has the units of ric)
-_TYPE_I_RESIDUALS = {"complex_structure": "unit_free", "symmetric": "unit_free", "einstein": "ric",
-                     "einstein_constant": "unit_free", "parallel": "connection", "reconstruction": "metric"}
-
-
 @dataclass(frozen=True)
 class TypeIDecomposition:
     """The unique (Einstein metric, complex structure) pair behind a type-I metric."""
@@ -157,8 +153,7 @@ def type_I_decomposition(m: MetricLieAlgebra) -> TypeIDecomposition:
                  "einstein_constant": abs(constant - 1.0) if constant is not None else np.inf,
                  "parallel": operator_residual(par), "reconstruction": operator_residual(g - recon)}
 
-    bad = {k: v for k, v in residuals.items() if not tol.passes(v, _TYPE_I_RESIDUALS[k], f.exponents)}
-    if bad:
+    if bad := tol.failures(residuals, f.exponents):
         raise VerificationError(f"type-I pair failed verification: {bad}", residuals=residuals)
     q = np.linalg.inv(p)
     return TypeIDecomposition(p @ j @ q, SymmetricForm(q.T @ gp @ q, tol), lam, mu, residuals)
@@ -176,9 +171,6 @@ class TypeIICanonicalBasis:
     basis: np.ndarray
     gram_sign: int
     residuals: dict = field(default_factory=dict)
-
-
-_TYPE_II_RESIDUALS = {"gram": "unit_free", "ricci_block": "ric", "complement_signs": "unit_free"}
 
 
 def type_II_canonical_basis(m: MetricLieAlgebra) -> TypeIICanonicalBasis:
@@ -241,8 +233,7 @@ def type_II_canonical_basis(m: MetricLieAlgebra) -> TypeIICanonicalBasis:
     residuals = {"gram": operator_residual(gram_err / np.outer(col_norms, col_norms)),
                  "ricci_block": operator_residual(ric_err / np.outer(row_norms, col_norms)),
                  "complement_signs": float(np.count_nonzero(signs < 0))}
-    bad = {k: v_ for k, v_ in residuals.items() if not tol.passes(v_, _TYPE_II_RESIDUALS[k], f.exponents)}
-    if bad:
+    if bad := tol.failures(residuals, f.exponents):
         raise VerificationError(f"canonical basis failed verification: {bad}", residuals=residuals)
     return TypeIICanonicalBasis(basis=p @ basis, gram_sign=sign, residuals=residuals)
 
@@ -284,12 +275,9 @@ def decompose_double_extension(m: MetricLieAlgebra) -> DecomposedExtension:
         "u_component": operator_residual(c[:, :, 0]),
         "base_abelian": operator_residual(c[2:, 2:, 2:]),
     }
-    for name, res in checks.items():
-        if not tol.passes(res, "bracket", mc.exponents):
-            raise StructureMismatchError(
-                f"bracket data outside the double-extension pattern ({name} residual {res:.3e})",
-                residual=res,
-            )
+    for name, res in tol.failures(checks, mc.exponents).items():  # the first failing check raises
+        raise StructureMismatchError(f"bracket data outside the double-extension pattern ({name} residual {res:.3e})",
+                                     residual=res)
 
     base_gram = mc.gram[2:, 2:]  # a block of a symmetric Gram matrix
 

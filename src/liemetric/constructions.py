@@ -8,6 +8,7 @@ two-step family, and a small catalog of named algebras.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoubleExtensionSpec:
     """Data (base, D, K, L) for adjoining a hyperbolic plane to a metric algebra.
 
@@ -66,6 +67,8 @@ class DoubleExtensionSpec:
       * K skew-adjoint for the base metric,
       * D a derivation of the base bracket,
       * <L, [e, e']_0>_0 = <(K D + D* K) e, e'>_0 on basis pairs.
+
+    Frozen, with read-only copies of D, K and L: their verdict is judged once per spec.
     """
 
     base: MetricLieAlgebra
@@ -75,9 +78,11 @@ class DoubleExtensionSpec:
 
     def __post_init__(self):
         n = self.base.dim
-        self.D = as_matrix(self.D, dim=n, name="D")
-        self.K = as_matrix(self.K, dim=n, name="K")
-        self.L = as_vector(self.L, n, name="L")
+        for key, arr in (("D", as_matrix(self.D, dim=n, name="D")), ("K", as_matrix(self.K, dim=n, name="K")),
+                         ("L", as_vector(self.L, n, name="L"))):
+            arr = arr.copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, key, arr)
 
     def validate(self) -> dict:
         """Residuals of the defining constraints.
@@ -122,15 +127,16 @@ class DoubleExtensionSpec:
         return (size_exponent(self.base.algebra.max_structure_constant, self.D, g0 @ self.L, self.K.T @ g0),
                 size_exponent(1.0, g0))
 
+    @functools.cached_property
+    def _checked_exponents(self) -> tuple[int, int]:
+        """:attr:`exponents` once every defining constraint passes under the base's tolerance, else InvalidSpecError.
 
-def _checked_exponents(spec: DoubleExtensionSpec) -> tuple[int, int]:
-    """``spec.exponents`` once every defining constraint passes under the base's tolerance, else InvalidSpecError."""
-    tol, exps = spec.base.tol, spec.exponents
-    for name, res in spec.validate().items():
-        if not tol.passes(res, name, exps):
+        Computed once per spec; a refusal is not kept, so it is raised again on every read."""
+        exps = self.exponents
+        for name, res in self.base.tol.failures(self.validate(), exps).items():  # the first failing one raises
             raise InvalidSpecError(f"double-extension data violates the {name} condition (residual {res:.3e})",
                                    condition=name, residual=res)
-    return exps
+        return exps
 
 
 def double_extension(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
@@ -143,7 +149,7 @@ def double_extension(spec: DoubleExtensionSpec) -> MetricLieAlgebra:
     BadParamsError.
     """
     _check_dim("double_extension", spec.base.dim + 2)
-    _checked_exponents(spec)
+    spec._checked_exponents  # InvalidSpecError unless the data pass their constraints
 
     base = spec.base
     dim = base.dim + 2
@@ -219,7 +225,7 @@ def check_parallel_conditions(spec: DoubleExtensionSpec) -> ParallelConditionRep
     The verdict must agree with a direct parallelism check on the built
     algebra; the test suite enforces that equivalence, it is never assumed.
     """
-    exps = _checked_exponents(spec)
+    exps = spec._checked_exponents
     base = spec.base
     g0 = base.gram
     d, k, lvec = spec.D, spec.K, spec.L
@@ -241,7 +247,7 @@ def check_parallel_conditions(spec: DoubleExtensionSpec) -> ParallelConditionRep
         "C5": operator_residual(nm0 @ delta + 0.5 * (ric0 @ b_plus).T),
     }
     base_parallel = is_ricci_parallel(base)
-    ok = base_parallel.ok and all(base.tol.passes(res, name, exps) for name, res in conditions.items())
+    ok = base_parallel.ok and not base.tol.failures(conditions, exps)
     return ParallelConditionReport(conditions=conditions, base_parallel=base_parallel, ok=ok, invariants=inv)
 
 

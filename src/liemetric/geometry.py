@@ -159,13 +159,15 @@ def frame(m: MetricLieAlgebra) -> tuple[MetricLieAlgebra, np.ndarray]:
 
     Computed once.  An algebra that is its own frame (P = Id) is marked with None: a reference to itself
     would make a cycle that only the garbage collector frees.  F keeps its rounded Gram P^T g P: setting it to
-    the exact diag(signs) made a report 5% faster but broke nine corpus invariant bounds."""
+    the exact diag(signs) made a report 5% faster but broke nine corpus invariant bounds.  Its k_g is set to 0:
+    the rounded max|g_F| can be 1 - ulp, of exponent -1, which would halve the thresholds of degree b = 1."""
     if "frame" not in m._cache:
         p = pseudo_orthonormal_basis(m.metric)[0]
         try:
             f = m if np.array_equal(p, np.eye(m.dim)) else change_basis(m, p)
         except ValidationError as exc:
             raise ValidationError(f"{exc}; the new basis is the metric's pseudo-orthonormal frame") from exc
+        f.metric.exponent = 0
         m._cache["frame"], f._cache["frame"] = (f, p), None
     return m._cache["frame"] or (m, np.eye(m.dim))
 

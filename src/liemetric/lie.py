@@ -127,7 +127,7 @@ class LieAlgebra:
     structure : mapping from (i, j) with i < j to a length-``dim`` vector
         Expansion of [e_i, e_j] in the basis.  Pairs that are absent
         bracket to zero.
-    basis_names : optional sequence of labels for reporting.
+    basis_names : optional sequence of ``dim`` labels for reporting; a string is refused.
 
     ``exponent`` is k_C, with max|C| * 2**-k_C in [1, 2) (0 for C = 0).
     """
@@ -172,8 +172,9 @@ class LieAlgebra:
 
         ``c`` becomes read-only.  By antisymmetry max|C| is its largest
         entry, found without a temporary."""
-        if basis_names is not None:
-            if not np.iterable(basis_names) or len(basis_names := tuple(map(str, basis_names))) != c.shape[0]:
+        if basis_names is not None:  # a string is one name, not a sequence of its letters
+            if (isinstance(basis_names, str) or not np.iterable(basis_names)
+                    or len(basis_names := tuple(map(str, basis_names))) != c.shape[0]):
                 raise DimensionMismatchError("basis_names length must equal dim")
         c.flags.writeable = False
         self.dim, self.basis_names, self._tensor = c.shape[0], basis_names, c

@@ -69,6 +69,10 @@ class Tolerance:
         except OverflowError:  # beyond the double range at unit brackets and metric
             return False
 
+    def failures(self, residuals: dict, exponents: tuple[int, int]) -> dict:
+        """The entries of ``residuals``, in order, that fail :meth:`passes` under the degree of their name."""
+        return {name: res for name, res in residuals.items() if not self.passes(res, name, exponents)}
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -78,13 +82,17 @@ DEFAULT_TOL = Tolerance()
 DEGREES = {
     "bracket": (1, 0),          # bracket components, antisymmetry, an input against itself
     "trace_ad": (1, 0),
-    "connection": (1, 0),       # [J, nabla_i]
-    "metric": (0, 1),           # Gram symmetry and reconstruction, <v, v>
-    "unit_free": (0, 0),        # J^2 + 1, J* - J, c - 1, Ric^2 on Ric/|Ric|, mu^2/|Ric - lam|^2, type-II Gram
+    "connection": (1, 0),       # connection coefficients: the nabla_i
+    "metric": (0, 1),           # Gram symmetry, <v, v>
+    "unit_free": (0, 0),        # Ric^2 on Ric/|Ric|, mu^2/|Ric - lam|^2, the type-II preimage
     "jacobi": (2, 0),           # Jacobi and its blocks: cocycles, commuting derivations
-    "ric": (2, 0),              # ric, ric - c*g, type-II Ricci block: in the frame also Ric, Ric - lam*Id
+    "ric": (2, 0),              # ric, ric - c*g: in the frame also Ric, Ric - lam*Id
     "nabla_ric": (3, 0),        # in the frame also [Ric, nabla_i]
     "ad_invariance": (1, 1),
+    # certificates, each judged by name (Tolerance.failures): the type-I pair, the type-II basis, its bracket pattern
+    "complex_structure": (0, 0), "symmetric": (0, 0), "einstein": (2, 0), "einstein_constant": (0, 0),
+    "parallel": (1, 0), "reconstruction": (0, 1), "gram": (0, 0), "ricci_block": (2, 0), "complement_signs": (0, 0),
+    "v_central": (1, 0), "u_component": (1, 0), "base_abelian": (1, 0),
     # DoubleExtensionSpec residuals, in its data (see DoubleExtensionSpec.exponents)
     "skew": (1, -1), "derivation": (2, -1), "compatibility": (2, -1), "cocycle": (2, 0),
     "C1": (3, -3), "C2": (3, -3), "C3": (3, -2), "C4": (3, -3), "C5": (3, -2),

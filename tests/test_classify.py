@@ -33,7 +33,7 @@ from liemetric.errors import (
     VerificationError,
     WrongSignatureError,
 )
-from liemetric.linalg import signature
+from liemetric.linalg import DEGREES, signature
 from sampling import random_invertible, random_nilpotent_extension_spec
 
 from basis_corpus import bases
@@ -295,6 +295,16 @@ def test_decompose_non_nilpotent_e2_extension_is_a_structure_mismatch():
     exc = _raises_verification(StructureMismatchError, lambda: decompose_double_extension(m))
     assert exc.residual == 1.0
     assert "base_abelian residual 1.000e+00" in str(exc)
+
+
+def test_every_certificate_residual_is_named_in_the_degree_table(nilpotent_demo):
+    # each certificate judges its residuals by name, so each name must have its degree in the one table
+    spec = DoubleExtensionSpec(catalog("affine_plane"), np.diag([0.0, 1.0]), np.zeros((2, 2)), np.zeros(2))
+    for residuals in (type_I_decomposition(type_I_metric(catalog("affine_plane"), 0.0, 1.0)).residuals,
+                      type_II_canonical_basis(nilpotent_demo).residuals,
+                      decompose_double_extension(nilpotent_demo).residuals,
+                      spec.validate(), check_parallel_conditions(spec).conditions):
+        assert residuals and set(residuals) <= set(DEGREES), sorted(set(residuals) - set(DEGREES))
 
 
 def test_type_I_pair_that_is_not_parallel_fails_verification(monkeypatch):

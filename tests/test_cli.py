@@ -1049,6 +1049,19 @@ def test_double_extend_computes_the_invariants_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_double_extend_validates_the_spec_once(tmp_path, monkeypatch):
+    orig, calls = constructions.DoubleExtensionSpec.validate, []
+
+    def counted(spec):
+        calls.append(spec)
+        return orig(spec)
+
+    monkeypatch.setattr(constructions.DoubleExtensionSpec, "validate", counted)
+    base, ext = _double_extend_inputs(tmp_path)
+    assert run(["double-extend", base, ext]) == EXIT_OK
+    assert len(calls) == 1
+
+
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, errors.LieMetricError)]
 DOCUMENTED_EXIT_CODES = {"ParseError": 2, "ValidationError": 2,
                          "VerificationError": 4, "StructureMismatchError": 4, "NullImageError": 4}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -141,6 +142,19 @@ def test_the_certificate_refuses_the_data_the_extension_refuses():
             raised.append((str(err.value), err.value.condition, err.value.residual))
         assert raised[0] == raised[1] and raised[0][1] == condition
     assert cases[0][0].validate()["skew"] == 2.0
+
+
+def test_the_spec_keeps_its_own_read_only_data():
+    # D, K and L are copied, so the verdict judged once per spec cannot go stale when the caller's arrays change
+    d = np.diag([0.0, 1.0])
+    spec = DoubleExtensionSpec(catalog("affine_plane"), d, np.zeros((2, 2)), np.zeros(2))
+    built = double_extension(spec)
+    d[:] = [[0.0, 1.0], [1.0, 0.0]]  # not a derivation of [e1, e2] = e2
+    assert np.array_equal(spec.D, np.diag([0.0, 1.0])) and not spec.D.flags.writeable
+    assert spec.validate()["derivation"] == 0.0
+    assert np.array_equal(double_extension(spec).algebra.tensor, built.algebra.tensor)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.D = d
 
 
 def test_extension_invariants_abelian_delta_exactly_zero(rng):

@@ -12,7 +12,9 @@ from liemetric import (
     connection,
     connection_matrices,
     curvature,
+    decompose_double_extension,
     direct_sum,
+    double_extension,
     is_ad_invariant,
     is_einstein,
     is_ricci_flat,
@@ -23,10 +25,15 @@ from liemetric import (
     ricci,
     ricci_structural,
     trace_functional,
+    type_I_decomposition,
+    type_II_canonical_basis,
     validate_jacobi,
     verify_isometry,
 )
-from liemetric.errors import DegenerateFormError, DimensionMismatchError, JacobiError, ValidationError
+from liemetric import classify
+from liemetric.classify import RicciClassification
+from liemetric.errors import (DegenerateFormError, DimensionMismatchError, JacobiError, StructureMismatchError,
+                              ValidationError, VerificationError)
 from liemetric.geometry import frame
 from liemetric.linalg import (DEFAULT_TOL, DEGREES, SymmetricForm, Tolerance, exponent, operator_residual,
                               pseudo_orthonormal_basis)
@@ -386,6 +393,18 @@ def test_ricci_scales_with_the_square_of_the_brackets_and_not_with_the_metric():
     check()
 
 
+def test_the_frame_is_judged_at_k_g_zero():
+    # P^T g P can round max|g_F| to 1 - ulp (sl(2): 0.9999999999999998), whose exponent is -1
+    f = frame(catalog("sl_killing", n=2))[0]
+    assert f.exponents == (f.algebra.exponent, 0)
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        dim = int(rng.integers(2, 10))
+        p = int(rng.integers(0, dim + 1))
+        f = frame(random_metric_lie_algebra(rng, dim, (p, dim - p)))[0]
+        assert f.exponents == (f.algebra.exponent, 0)
+
+
 def _degree_sample(rng):
     """A metric algebra, matrices and double-extension data on which every table residual is nonzero."""
     # almost abelian, [e0, e_j] = A e_j, in a Lorentz metric: not unimodular, Einstein, parallel or ad-invariant
@@ -394,13 +413,56 @@ def _degree_sample(rng):
     form = random_invertible(rng, 4)
     m = MetricLieAlgebra(LieAlgebra.from_tensor(t4 - t4.transpose(1, 0, 2)), form.T @ np.diag([-1.0, 1, 1, 1]) @ form)
     non_lie = rng.normal(size=(4, 4, 4))
+    # the e(2) double extension of test_classify, which decompose refuses on its base_abelian residual
+    e2 = MetricLieAlgebra(LieAlgebra(3, {(0, 2): [0.0, -1.0, 0.0], (1, 2): [1.0, 0.0, 0.0]}), np.eye(3))
+    e2_ext = double_extension(DoubleExtensionSpec(e2, np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3)), np.zeros(3)))
     return dict(m=m, phi=rng.normal(size=(4, 4)), j=rng.normal(size=(4, 4)),
                 non_lie=non_lie - non_lie.transpose(1, 0, 2), base=random_metric_lie_algebra(rng, 4, (1, 3)),
-                d=rng.normal(size=(4, 4)), k=rng.normal(size=(4, 4)), lvec=rng.normal(size=4))
+                d=rng.normal(size=(4, 4)), k=rng.normal(size=(4, 4)), lvec=rng.normal(size=4),
+                e2_ext=e2_ext, type_ii=catalog("double_ext_demo", kind="nilpotent", dim=4))
 
 
-# residuals taken in the frame, where g stays diag(+-1) and the brackets scale by s / sqrt(t)
-_FRAME_JUDGED = ("ric", "nabla_ric", "ad_invariance")
+# residuals taken in the frame, where g stays diag(+-1) and the brackets scale by s / sqrt(t), or in the type-II
+# canonical basis, where g stays the hyperbolic plane plus the identity and the brackets scale alike
+_FRAME_JUDGED = ("ric", "nabla_ric", "ad_invariance", "complex_structure", "einstein", "parallel", "reconstruction",
+                 "gram", "ricci_block", "complement_signs", "base_abelian")
+
+
+def _certificate_residuals(x, m, s, t):
+    """Certificate residuals on the sample with brackets scaled by s and metrics by t.
+
+    Taken from failing certificates where one fails on this data: the type-I pair of ``m`` wrongly classified as
+    type I, the canonical basis of the nilpotent demo with a timelike complement scaled by 2, and decompose on the
+    e(2) extension.  The rest are expressions of the same degree: J* - J of a unit-free J, c - 1 of the companion
+    metric ric, a Ricci block in a random basis of the frame, and bracket components.
+    """
+    op = ricci(m).operator
+    lam, mu = np.trace(op) / m.dim, np.sqrt(abs(np.trace(op @ op)) / m.dim)  # both scale as Ric
+    on_basis = classify.pseudo_orthonormal_basis
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "classify_ricci", lambda _: RicciClassification(tag="type_I", lam=lam, mu=mu))
+        with pytest.raises(VerificationError) as type_i:
+            type_I_decomposition(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "pseudo_orthonormal_basis", lambda form: (2 * on_basis(form)[0], -on_basis(form)[1]))
+        with pytest.raises(VerificationError) as type_ii:
+            type_II_canonical_basis(_scaled(x["type_ii"], s, t))
+    with pytest.raises(StructureMismatchError, match="base_abelian") as mismatch:
+        decompose_double_extension(_scaled(x["e2_ext"], s, t))
+    companion = MetricLieAlgebra(m.algebra, ricci(m).tensor)  # ric as the metric, as a type-I pair's companion
+    basis = x["phi"]
+    ric_block = np.linalg.inv(basis) @ ricci(frame(m)[0]).operator @ basis
+    return {
+        **{k: type_i.value.residuals[k] for k in ("complex_structure", "einstein", "parallel", "reconstruction")},
+        **{k: type_ii.value.residuals[k] for k in ("gram", "complement_signs")},
+        "base_abelian": mismatch.value.residual,
+        "symmetric": operator_residual(metric_adjoint(x["j"], m.metric) - x["j"]),
+        "einstein_constant": abs(ricci(companion).scalar / m.dim - 1.0),
+        "ricci_block": operator_residual(ric_block / np.outer(np.linalg.norm(np.linalg.inv(basis), axis=1),
+                                                              np.linalg.norm(basis, axis=0))),
+        "v_central": operator_residual(m.algebra.tensor[1]),
+        "u_component": operator_residual(m.algebra.tensor[:, :, 1]),
+    }
 
 
 def _table_residuals(x, s, t):
@@ -412,7 +474,6 @@ def _table_residuals(x, s, t):
     m = _scaled(x["m"], s, t)
     op = ricci(m).operator
     unit = op / np.max(np.abs(op))
-    nm = connection_matrices(m)
     iso = verify_isometry(x["phi"], m, m)
     par = is_ricci_parallel(m)
     # check_parallel_conditions admits only data that pass their defining constraints, whose residuals here reach 2
@@ -422,7 +483,7 @@ def _table_residuals(x, s, t):
     return {
         "bracket": iso.bracket_residual,
         "trace_ad": np.max(np.abs(trace_functional(m.algebra))),
-        "connection": np.max(np.abs(x["j"] @ nm - nm @ x["j"])),
+        "connection": np.max(np.abs(connection(m))),
         "metric": iso.metric_residual,
         "unit_free": np.max(np.abs(unit @ unit)),
         "jacobi": validate_jacobi(LieAlgebra.from_tensor(s * x["non_lie"])),
@@ -431,6 +492,7 @@ def _table_residuals(x, s, t):
         "ad_invariance": is_ad_invariant(m)[1],
         **spec.validate(),
         **check_parallel_conditions(spec).conditions,
+        **_certificate_residuals(x, m, s, t),
     }
 
 

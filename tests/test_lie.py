@@ -266,6 +266,14 @@ def test_from_tensor_completes_from_upper_triangle():
         LieAlgebra.from_tensor(c)
 
 
+def test_a_string_is_not_a_sequence_of_basis_names():
+    # a string is one name, not the sequence of its letters; the file loader refuses the same value
+    for build in (lambda: LieAlgebra(3, {(0, 1): [0, 0, 1]}, basis_names="abc"),
+                  lambda: LieAlgebra.from_tensor(np.zeros((3, 3, 3)), basis_names="abc")):
+        with pytest.raises(DimensionMismatchError, match="basis_names length must equal dim"):
+            build()
+
+
 def test_from_tensor_and_basis_names_check_their_shapes():
     with pytest.raises(DimensionMismatchError, match="must be cubic"):
         LieAlgebra.from_tensor(np.zeros((2, 2, 3)))
